@@ -20,12 +20,14 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "channel/channel_graph.hpp"
 #include "flow/multilevel.hpp"
 #include "place/legalize.hpp"
 #include "place/stage1.hpp"
 #include "place/stage1_parallel.hpp"
+#include "pool/workers.hpp"
 #include "recover/budget.hpp"
 #include "route/interchange.hpp"
 #include "workload/generator.hpp"
@@ -48,12 +50,14 @@ std::map<int, ThroughputSample>& throughput_registry() {
   return samples;
 }
 
-/// One measured global-router throughput point, keyed by workload size.
-/// `nets` counts every net handed to GlobalRouter::route (phase one
-/// Steiner enumeration + phase two interchange), so nets_per_sec is the
-/// end-to-end routing rate of the stage-3 hot path.
+/// One measured global-router throughput point, keyed by workload size
+/// and phase-one worker count. `nets` counts every net handed to
+/// GlobalRouter::route (phase one Steiner enumeration + phase two
+/// interchange), so nets_per_sec is the end-to-end routing rate of the
+/// stage-3 hot path.
 struct RouterSample {
   int cells = 0;
+  int workers = 0;
   long long nets = 0;
   std::size_t graph_nodes = 0;
   std::size_t graph_edges = 0;
@@ -61,8 +65,8 @@ struct RouterSample {
   double nets_per_sec = 0.0;
 };
 
-std::map<int, RouterSample>& router_registry() {
-  static std::map<int, RouterSample> samples;
+std::map<std::pair<int, int>, RouterSample>& router_registry() {
+  static std::map<std::pair<int, int>, RouterSample> samples;
   return samples;
 }
 
@@ -135,7 +139,7 @@ void write_perf_json() {
   std::ofstream out(path);
   if (!out) return;
   out << "{\n"
-      << "  \"schema_version\": 4,\n"
+      << "  \"schema_version\": 5,\n"
       << "  \"suite\": \"bench_perf\",\n"
       << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency()
       << ",\n"
@@ -153,10 +157,11 @@ void write_perf_json() {
   out << "\n  ],\n"
       << "  \"router_throughput\": [\n";
   first = true;
-  for (const auto& [cells, s] : router_registry()) {
+  for (const auto& [key, s] : router_registry()) {
     if (!first) out << ",\n";
     first = false;
     out << "    {\"cells\": " << s.cells
+        << ", \"workers\": " << s.workers
         << ", \"nets\": " << s.nets
         << ", \"graph_nodes\": " << s.graph_nodes
         << ", \"graph_edges\": " << s.graph_edges
@@ -298,17 +303,23 @@ BENCHMARK(BM_GlobalRoute);
 /// enumeration + interchange selection) on a legalized placement's channel
 /// graph, reported as nets routed per second of routing time. This is the
 /// figure of merit of the router performance core (SearchWorkspace, A*,
-/// Lawler deviations, overflow worklist — docs/PERF.md "Global router");
-/// the per-size samples are recorded into BENCH_perf.json after the run.
+/// Lawler deviations, overflow worklist, phase one on a WorkerCrew —
+/// docs/PERF.md "Global router"); the second argument is the phase-one
+/// worker count. Each iteration builds its router, so the crew's thread
+/// start-up is timed as in a flow's pass. The samples are recorded into
+/// BENCH_perf.json after the run.
 void BM_RouterThroughput(benchmark::State& state) {
   const int cells = static_cast<int>(state.range(0));
+  const int workers = static_cast<int>(state.range(1));
   PlacedFixture f(cells);
   const ChannelGraph cg = build_channel_graph(f.placement, f.core);
   const auto targets = build_net_targets(f.nl, cg);
+  GlobalRouterParams params{{4, 12}, 3};
+  params.workers = workers;
   long long nets = 0;
   double seconds = 0.0;
   for (auto _ : state) {
-    GlobalRouter router(cg.graph, {{4, 12}, 3});
+    GlobalRouter router(cg.graph, params);
     const auto t0 = std::chrono::steady_clock::now();
     benchmark::DoNotOptimize(router.route(targets));
     const std::chrono::duration<double> dt =
@@ -320,19 +331,25 @@ void BM_RouterThroughput(benchmark::State& state) {
   if (seconds > 0.0) {
     const double rate = static_cast<double>(nets) / seconds;
     state.counters["nets_per_sec"] = rate;
-    router_registry()[cells] = {cells,
-                                nets,
-                                cg.graph.num_nodes(),
-                                cg.graph.num_edges(),
-                                seconds,
-                                rate};
+    router_registry()[{cells, workers}] = {cells,
+                                           workers,
+                                           nets,
+                                           cg.graph.num_nodes(),
+                                           cg.graph.num_edges(),
+                                           seconds,
+                                           rate};
+  }
+}
+/// Every size on one worker and on the host's size (one row each when the
+/// host has a single hardware thread).
+void router_throughput_args(benchmark::internal::Benchmark* b) {
+  for (int cells : {12, 24, 48, 96}) {
+    b->Args({cells, 1});
+    if (host_workers() > 1) b->Args({cells, host_workers()});
   }
 }
 BENCHMARK(BM_RouterThroughput)
-    ->Arg(12)
-    ->Arg(24)
-    ->Arg(48)
-    ->Arg(96)
+    ->Apply(router_throughput_args)
     ->Unit(benchmark::kMillisecond);
 
 void BM_Legalize(benchmark::State& state) {

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "check/contracts.hpp"
+#include "pool/workers.hpp"
 #include "util/log.hpp"
 
 namespace tw::pool {
@@ -252,6 +253,10 @@ void PoolExecutor::submit(ExecutorJob job) {
   const int n = job.replicas;
   const std::uint64_t id = job.job;
   const int priority = clamp_priority(job.priority);
+  // threads_ replicas run at once, so each routes on its share of the
+  // host's cores unless the job fixed the router's worker count.
+  if (job.base.stage2.router.workers == 0)
+    job.base.stage2.router.workers = std::max(1, host_workers() / threads_);
 
   auto st = std::make_shared<Shared::JobState>();
   st->spec = std::move(job);

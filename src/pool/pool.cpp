@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "check/contracts.hpp"
+#include "pool/workers.hpp"
 #include "util/log.hpp"
 #include "util/stats.hpp"
 
@@ -38,10 +39,8 @@ PoolResult ReplicaPool::run(Placement& placement) {
              "placement was built on a different netlist");
 
   const int n = params_.replicas;
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   int threads = params_.threads > 0 ? params_.threads
-                                    : static_cast<int>(std::min(
-                                          static_cast<unsigned>(n), hw));
+                                    : std::min(n, host_workers());
   threads = std::clamp(threads, 1, n);
 
   std::vector<ReplicaReport> reports(static_cast<std::size_t>(n));
@@ -57,7 +56,11 @@ PoolResult ReplicaPool::run(Placement& placement) {
   const PoolParams& params = params_;
   const Netlist& nl = nl_;
   std::atomic<bool>& cancel = cancel_;
-  const auto worker = [n, &params, &nl, &cancel, &next, &reports]() {
+  // `threads` replicas run at once, so each routes on its share of the
+  // host's cores unless the caller fixed the router's worker count.
+  const int router_workers = std::max(1, host_workers() / threads);
+  const auto worker = [n, router_workers, &params, &nl, &cancel, &next,
+                       &reports]() {
     for (;;) {
       const int id = next.fetch_add(1, std::memory_order_relaxed);
       if (id >= n) return;
@@ -65,6 +68,8 @@ PoolResult ReplicaPool::run(Placement& placement) {
       cfg.replica = id;
       cfg.master_seed = params.master_seed;
       cfg.base = params.base;
+      if (cfg.base.stage2.router.workers == 0)
+        cfg.base.stage2.router.workers = router_workers;
       cfg.max_attempts = params.max_attempts;
       cfg.watchdog = params.watchdog;
       cfg.budget_moves = params.budget_moves;

@@ -6,6 +6,10 @@
 
 namespace tw {
 
+int host_workers() {
+  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+}
+
 WorkerCrew::WorkerCrew(int num_workers)
     : num_workers_(std::max(1, num_workers)) {
   threads_.reserve(static_cast<std::size_t>(num_workers_ - 1));

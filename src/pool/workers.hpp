@@ -3,9 +3,10 @@
 // The ReplicaPool's executor (src/pool/executor.*) parallelizes across
 // independent flows; WorkerCrew parallelizes *inside* one algorithm: a
 // caller repeatedly hands it a batch of independent slots (speculative
-// move evaluations, per-replica state replays) and blocks until every
-// slot has run. Threads are spawned once and parked between batches, so
-// the per-batch overhead is one wake/join handshake, not thread churn.
+// move evaluations, per-replica state replays, the global router's
+// per-net phase-one enumerations) and blocks until every slot has run.
+// Threads are spawned once and parked between batches, so the per-batch
+// overhead is one wake/join handshake, not thread churn.
 //
 // Determinism contract: the crew guarantees only that each slot index in
 // [0, num_slots) is executed exactly once per run() and that run() is a
@@ -74,5 +75,9 @@ private:
   std::atomic<int> next_slot_{0};
   std::exception_ptr first_error_;  // guarded by mu_
 };
+
+/// The host's hardware thread count, at least 1 (the standard library
+/// reports 0 when it cannot tell). Sizes a crew that spends every core.
+int host_workers();
 
 }  // namespace tw

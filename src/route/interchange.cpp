@@ -3,10 +3,20 @@
 #include <algorithm>
 
 #include "check/contracts.hpp"
+#include "pool/workers.hpp"
 #include "route/validate.hpp"
 #include "util/log.hpp"
 
 namespace tw {
+
+namespace {
+
+/// Nets per crew worker in one phase-one chunk: enough that the chunk's
+/// last net rarely idles the other workers for long, few enough that a
+/// cancellation waits for only a few nets' enumeration.
+constexpr std::size_t kNetsPerWorkerChunk = 32;
+
+}  // namespace
 
 int total_overflow(const RoutingGraph& g, const std::vector<int>& usage) {
   int x = 0;
@@ -20,31 +30,75 @@ int total_overflow(const RoutingGraph& g, const std::vector<int>& usage) {
 GlobalRouter::GlobalRouter(const RoutingGraph& g, GlobalRouterParams params)
     : g_(g), params_(params) {}
 
+GlobalRouter::~GlobalRouter() = default;
+
 GlobalRouteResult GlobalRouter::route(const std::vector<NetTargets>& nets) {
   GlobalRouteResult r;
   r.alternatives.resize(nets.size());
   r.choice.assign(nets.size(), -1);
   r.edge_usage.assign(g_.num_edges(), 0);
-  const RouteCounters counters_before = ws_.counters;
+  if (!crew_) {
+    crew_ = std::make_unique<WorkerCrew>(
+        params_.workers > 0 ? params_.workers : host_workers());
+    ws_.resize(static_cast<std::size_t>(crew_->num_workers()));
+  }
+  auto total_counters = [this]() {
+    RouteCounters c;
+    for (const SearchWorkspace& w : ws_) c += w.counters;
+    return c;
+  };
+  const RouteCounters counters_before = total_counters();
   // Every return path calls this first so r.counters always reports the
   // work of exactly this call.
-  auto finish = [&]() { r.counters = ws_.counters - counters_before; };
+  auto finish = [&]() { r.counters = total_counters() - counters_before; };
+  SearchWorkspace& ws = ws_[0];
 
   // --- phase one: enumerate alternatives, seed with the shortest ----------
+  // The nets go through in chunks. Admission runs each net's kill-point
+  // poll and budget charge on this thread in net order, so a kill or an
+  // expiry lands on the same net for any worker count; then the crew
+  // enumerates the chunk's admitted nets. A cancellation that arrives
+  // during a chunk's enumeration is seen at the next chunk's first poll.
+  // Nets past an expiry stay unrouted; the partial result is consistent.
+  //
+  // Each enumeration reads only the graph and its net and writes only its
+  // own slot. Forgetting the previous net's promoted heuristic makes its
+  // search work, and so the counters, independent of which nets its
+  // worker ran before.
+  auto& alternatives = r.alternatives;
+  std::size_t first = 0;
+  const WorkerCrew::Job enumerate = [this, &nets, &alternatives, &first](
+                                        int worker, int slot) {
+    SearchWorkspace& w = ws_[static_cast<std::size_t>(worker)];
+    w.forget_exact_heuristic();
+    const std::size_t i = first + static_cast<std::size_t>(slot);
+    alternatives[i] = m_best_routes(g_, nets[i], params_.steiner, w);
+  };
+  const std::size_t chunk =
+      kNetsPerWorkerChunk * static_cast<std::size_t>(crew_->num_workers());
+  std::size_t admitted = 0;
   bool stopped_early = false;
-  for (std::size_t i = 0; i < nets.size(); ++i) {
-    if (params_.faults != nullptr)
-      params_.faults->poll(recover::FaultSite::kRouteNet);
-    if (params_.budget != nullptr) {
-      if (params_.budget->stop_requested()) {
-        // Remaining nets stay unrouted; the partial result is consistent.
-        r.unrouted_nets += static_cast<int>(nets.size() - i);
-        stopped_early = true;
-        break;
+  while (admitted < nets.size() && !stopped_early) {
+    first = admitted;
+    const std::size_t end = std::min(nets.size(), first + chunk);
+    for (; admitted < end; ++admitted) {
+      if (params_.faults != nullptr)
+        params_.faults->poll(recover::FaultSite::kRouteNet);
+      if (params_.budget != nullptr) {
+        if (params_.budget->stop_requested()) {
+          stopped_early = true;
+          break;
+        }
+        params_.budget->charge_move();
       }
-      params_.budget->charge_move();
     }
-    r.alternatives[i] = m_best_routes(g_, nets[i], params_.steiner, ws_);
+    crew_->run(static_cast<int>(admitted - first), enumerate);
+  }
+
+  // Seed in net order: total_length is a double sum, and double addition
+  // is not associative.
+  r.unrouted_nets = static_cast<int>(nets.size() - admitted);
+  for (std::size_t i = 0; i < admitted; ++i) {
     if (r.alternatives[i].empty()) {
       ++r.unrouted_nets;
       continue;
@@ -160,7 +214,7 @@ GlobalRouteResult GlobalRouter::route(const std::vector<NetTargets>& nets) {
           break;
         }
       if (!uses_overflow) continue;
-      auto alt = greedy_route(g_, nets[i], &extra, ws_);
+      auto alt = greedy_route(g_, nets[i], &extra, ws);
       if (!alt) continue;
       std::sort(alt->edges.begin(), alt->edges.end());
       alt->length = 0.0;
@@ -190,7 +244,7 @@ GlobalRouteResult GlobalRouter::route(const std::vector<NetTargets>& nets) {
       unchanged = 0;
     }
     ++r.interchange_attempts;
-    ++ws_.counters.interchange_trials;
+    ++ws.counters.interchange_trials;
     ++unchanged;
 
     // Random overflowed edge, drawn from the maintained worklist.

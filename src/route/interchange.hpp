@@ -9,12 +9,16 @@
 // demonstrates this against the sequential baseline).
 #pragma once
 
+#include <memory>
+
 #include "recover/budget.hpp"
 #include "recover/fault.hpp"
 #include "route/steiner.hpp"
 #include "util/rng.hpp"
 
 namespace tw {
+
+class WorkerCrew;
 
 struct GlobalRouterParams {
   SteinerParams steiner;
@@ -29,6 +33,12 @@ struct GlobalRouterParams {
   /// boundary, before the pass's anneal writes its first checkpoint) is
   /// reproducible in the resume tests. Polls never consume RNG state.
   recover::FaultInjector* faults = nullptr;
+  /// Workers that enumerate phase one's alternatives, one
+  /// SearchWorkspace each; 0 means host_workers(), one per hardware
+  /// thread, and 1 keeps phase one on the calling thread. The result and
+  /// its counters are identical for any count (docs/PERF.md "Parallel
+  /// phase one").
+  int workers = 0;
 };
 
 struct GlobalRouteResult {
@@ -42,8 +52,9 @@ struct GlobalRouteResult {
   int total_overflow = 0;     ///< X
   int unrouted_nets = 0;
   long long interchange_attempts = 0;
-  /// Search work this route() call performed (delta of the router's
-  /// workspace counters; see search_workspace.hpp).
+  /// Search work this route() call performed, summed over the deltas of
+  /// every worker's workspace (see search_workspace.hpp); the same for
+  /// any worker count.
   RouteCounters counters;
 
   /// The selected route of a net (nullptr when unrouted).
@@ -56,15 +67,24 @@ struct GlobalRouteResult {
 class GlobalRouter {
 public:
   GlobalRouter(const RoutingGraph& g, GlobalRouterParams params = {});
+  ~GlobalRouter();
+
+  // Owns its crew's threads, whose jobs hold `this` during route().
+  GlobalRouter(const GlobalRouter&) = delete;
+  GlobalRouter& operator=(const GlobalRouter&) = delete;
 
   GlobalRouteResult route(const std::vector<NetTargets>& nets);
 
 private:
   const RoutingGraph& g_;
   GlobalRouterParams params_;
-  /// One workspace serves every search the router runs (phase one and the
-  /// rip-up augmentation); repeated route() calls reuse its warm arrays.
-  SearchWorkspace ws_;
+  /// Phase one's crew, built by the first route() so a router that never
+  /// routes starts no threads, and parked between calls.
+  std::unique_ptr<WorkerCrew> crew_;
+  /// One workspace per crew worker: workspace w serves worker w's
+  /// phase-one nets, and workspace 0 (the calling thread's) also runs the
+  /// rip-up augmentation. Repeated route() calls reuse their warm arrays.
+  std::vector<SearchWorkspace> ws_;
 };
 
 /// X (Eqn 24) from per-edge usage and capacities.

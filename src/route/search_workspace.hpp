@@ -36,7 +36,8 @@
 namespace tw {
 
 /// Router work counters, accumulated across every query a workspace runs.
-/// Deltas are meaningful: GlobalRouter reports `after - before` per call.
+/// Deltas are meaningful: GlobalRouter reports the `after - before` of its
+/// workspaces, summed, per call.
 struct RouteCounters {
   long long dijkstra_runs = 0;    ///< searches started (A* or plain)
   long long nodes_popped = 0;     ///< nodes settled off the heap
@@ -128,6 +129,14 @@ public:
     return true;
   }
   void clear_exact_heuristic() { exact_h_on_ = false; }
+  /// Clears the promoted sweep's key too, so nothing can re-arm it: the
+  /// next deviation search runs its own sweep. The global router calls
+  /// this before each net, which makes a net's search work independent
+  /// of whatever the workspace ran before it.
+  void forget_exact_heuristic() {
+    exact_h_on_ = false;
+    htargets_.clear();
+  }
   bool exact_heuristic() const { return astar_on_ && exact_h_on_; }
   /// Distance from `n` to the promoted query's sources (kInf: unreached).
   double exact_h(NodeId n) const {

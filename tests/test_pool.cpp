@@ -2,17 +2,20 @@
 // replicas, fault-injected retry/resume with attempt histories matching
 // the injected plan exactly, graceful degradation when replicas exhaust
 // their retries, the typed all-failed error, the deterministic work-based
-// watchdog, and thread-count independence. The >= 4-replica concurrent
-// cases double as the ThreadSanitizer smoke tests (debug-tsan preset):
-// every replica's fingerprint must equal its solo same-seed run, which
-// only holds when the workers share no mutable state.
+// watchdog, thread-count independence, and the WorkerCrew slot-claiming
+// crew (stage-1 speculation batches, router phase one). The >= 4-replica
+// concurrent cases double as the ThreadSanitizer smoke tests (debug-tsan
+// preset): every replica's fingerprint must equal its solo same-seed run,
+// which only holds when the workers share no mutable state.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <filesystem>
 #include <map>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -20,6 +23,7 @@
 #include "pool/executor.hpp"
 #include "pool/report.hpp"
 #include "pool/pool.hpp"
+#include "pool/workers.hpp"
 #include "recover/fault.hpp"
 #include "util/rng.hpp"
 #include "workload/paper_circuits.hpp"
@@ -507,6 +511,53 @@ TEST(PoolExecutorTest, AutoPreemptionResumesByteIdentically) {
       << "preempted-then-resumed run diverged from the uninterrupted one";
   ex.shutdown();
 }
+
+// --- WorkerCrew: the in-run parallel map (src/pool/workers.*) -----------
+
+TEST(WorkerCrew, RunsEverySlotExactlyOnce) {
+  WorkerCrew crew(4);
+  std::vector<std::atomic<int>> hits(257);
+  for (auto& h : hits) h.store(0);
+  std::atomic<int> worker_seen{0};
+  crew.run(257, [&](int worker, int slot) {
+    ASSERT_GE(worker, 0);
+    ASSERT_LT(worker, 4);
+    worker_seen.fetch_or(1 << worker);
+    hits[static_cast<std::size_t>(slot)].fetch_add(1);
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  // Batch after batch reuses the parked threads.
+  crew.run(3, [&](int, int slot) { hits[static_cast<std::size_t>(slot)].fetch_add(1); });
+  for (std::size_t s = 0; s < 3; ++s) EXPECT_EQ(hits[s].load(), 2);
+}
+
+TEST(WorkerCrew, SerialDegenerateFormUsesCallerOnly) {
+  WorkerCrew crew(1);
+  std::vector<int> order;
+  crew.run(5, [&](int worker, int slot) {
+    EXPECT_EQ(worker, 0);
+    order.push_back(slot);
+  });
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(WorkerCrew, PropagatesFirstException) {
+  WorkerCrew crew(4);
+  std::atomic<int> executed{0};
+  EXPECT_THROW(
+      crew.run(64,
+               [&](int, int slot) {
+                 executed.fetch_add(1);
+                 if (slot == 7) throw std::runtime_error("slot 7 failed");
+               }),
+      std::runtime_error);
+  // The crew must be reusable after an error drained the batch.
+  std::atomic<int> after{0};
+  crew.run(8, [&](int, int) { after.fetch_add(1); });
+  EXPECT_EQ(after.load(), 8);
+}
+
+TEST(WorkerCrew, HostWorkersIsAtLeastOne) { EXPECT_GE(host_workers(), 1); }
 
 }  // namespace
 }  // namespace tw

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <functional>
 #include <new>
@@ -17,20 +18,22 @@
 #include "route/interchange.hpp"
 #include "route/kshortest.hpp"
 #include "route/shortest_path.hpp"
+#include "random_graph.hpp"
 #include "util/rng.hpp"
 
 // ---------------------------------------------------------------------------
 // Global allocation counter. Replacing the global operator new/delete pair
 // lets the warm-query test assert that a hot search performs literally
-// zero heap allocations. The counter is process-wide but the tests are
-// single-threaded, so before/after deltas around a measured region are
-// exact.
+// zero heap allocations. The counter is process-wide and atomic, because
+// GlobalRouter::route allocates on its phase-one crew's threads too; the
+// measured regions are single-threaded, so before/after deltas around
+// them are exact.
 namespace {
-long long g_new_calls = 0;
+std::atomic<long long> g_new_calls{0};
 }  // namespace
 
 void* operator new(std::size_t n) {
-  ++g_new_calls;
+  g_new_calls.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc();
 }
@@ -43,42 +46,12 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace tw {
 namespace {
 
+using testing::random_grid;
+
 // ---------------------------------------------------------------------------
 // Random instances. Edge lengths and extra costs are small integers so
 // every path length is an exactly representable double and cross-checks
 // can compare with ==.
-
-/// w x h grid with unit spacing 10. `exact_manhattan` gives every edge its
-/// manhattan length (the channel-graph case, A* scale alpha = 1); otherwise
-/// lengths are random in [5, 15] per step, which exercises the degraded
-/// alpha < 1 (and alpha = 0) regimes. A few random chord edges break the
-/// regular structure.
-RoutingGraph random_grid(Rng& rng, int w, int h, bool exact_manhattan) {
-  RoutingGraph g;
-  for (int y = 0; y < h; ++y)
-    for (int x = 0; x < w; ++x) g.add_node(Point{x * 10, y * 10});
-  auto id = [w](int x, int y) { return static_cast<NodeId>(y * w + x); };
-  auto len = [&](double manhattan) {
-    return exact_manhattan ? manhattan
-                           : static_cast<double>(rng.uniform_int(5, 15));
-  };
-  for (int y = 0; y < h; ++y)
-    for (int x = 0; x < w; ++x) {
-      if (x + 1 < w) g.add_edge(id(x, y), id(x + 1, y), len(10.0), 2);
-      if (y + 1 < h) g.add_edge(id(x, y), id(x, y + 1), len(10.0), 2);
-    }
-  const int chords = static_cast<int>(rng.uniform_int(0, w));
-  for (int c = 0; c < chords; ++c) {
-    const auto a = static_cast<NodeId>(rng.uniform_int(0, w * h - 1));
-    const auto b = static_cast<NodeId>(rng.uniform_int(0, w * h - 1));
-    if (a == b) continue;
-    const Point pa = g.node_pos(a), pb = g.node_pos(b);
-    const double manhattan =
-        static_cast<double>(std::abs(pa.x - pb.x) + std::abs(pa.y - pb.y));
-    g.add_edge(a, b, len(manhattan), 2);
-  }
-  return g;
-}
 
 /// 1-3 distinct nodes, disjoint from `avoid`.
 std::vector<NodeId> random_node_set(Rng& rng, const RoutingGraph& g,
@@ -341,11 +314,11 @@ TEST(RoutePerf, WarmQueryPerformsNoAllocations) {
   const double warm_length = out.length;
 
   for (int repeat = 0; repeat < 3; ++repeat) {
-    const long long before = g_new_calls;
+    const long long before = g_new_calls.load();
     ws.clear_blocks();
     hit = search(g, sources, targets, q, ws);
     const bool ok = extract_path(g, ws, hit, out);
-    const long long after = g_new_calls;
+    const long long after = g_new_calls.load();
     ASSERT_NE(hit, kInvalidNode);
     ASSERT_TRUE(ok);
     EXPECT_EQ(out.length, warm_length);

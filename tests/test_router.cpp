@@ -1,9 +1,25 @@
 // Tests for phase two of the global router (random interchange under
-// capacity constraints, Eqns 23-24) and the sequential baseline router.
+// capacity constraints, Eqns 23-24), the sequential baseline router, and
+// phase one on a WorkerCrew: every result field, the counters, budget
+// admission and kill points are the same for any worker count. The suite
+// carries the "robustness" label, so the TSan CI leg runs the crew cases
+// across real threads.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <set>
+#include <string>
+
+#include "channel/channel_graph.hpp"
+#include "estimator/area_estimator.hpp"
+#include "place/legalize.hpp"
+#include "random_graph.hpp"
+#include "recover/fault.hpp"
 #include "route/interchange.hpp"
 #include "route/sequential.hpp"
+#include "util/rng.hpp"
+#include "workload/paper_circuits.hpp"
 
 namespace tw {
 namespace {
@@ -253,6 +269,190 @@ TEST(Sequential, MultiPinNetWithEquivalents) {
   EXPECT_TRUE(route_connects(f.g, net, r.routes[0]));
   // Best: s -a1- a2 -t picks the a2 alternative, total 30.
   EXPECT_DOUBLE_EQ(r.total_length, 30.0);
+}
+
+// --- phase one on a WorkerCrew ----------------------------------------------
+
+/// Every field of two results, total_length to the bit.
+void expect_identical(const GlobalRouteResult& a, const GlobalRouteResult& b,
+                      const std::string& what) {
+  SCOPED_TRACE(what);
+  EXPECT_EQ(a.alternatives, b.alternatives);
+  EXPECT_EQ(a.choice, b.choice);
+  EXPECT_EQ(a.edge_usage, b.edge_usage);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.total_length),
+            std::bit_cast<std::uint64_t>(b.total_length));
+  EXPECT_EQ(a.total_overflow, b.total_overflow);
+  EXPECT_EQ(a.unrouted_nets, b.unrouted_nets);
+  EXPECT_EQ(a.interchange_attempts, b.interchange_attempts);
+  EXPECT_EQ(a.counters.dijkstra_runs, b.counters.dijkstra_runs);
+  EXPECT_EQ(a.counters.nodes_popped, b.counters.nodes_popped);
+  EXPECT_EQ(a.counters.heap_pushes, b.counters.heap_pushes);
+  EXPECT_EQ(a.counters.interchange_trials, b.counters.interchange_trials);
+}
+
+/// Phase-one worker counts compared with one worker; 0 is the default,
+/// one per hardware thread.
+constexpr int kWorkerCounts[] = {2, 4, 8, 0};
+
+/// Routes `nets` on one worker, then on every count in kWorkerCounts,
+/// and expects every result to equal the one-worker one. Each count
+/// routes twice through one router, so warm workspaces are covered.
+/// Returns the one-worker result.
+GlobalRouteResult expect_crew_invariant(const RoutingGraph& g,
+                                        const std::vector<NetTargets>& nets,
+                                        GlobalRouterParams params) {
+  params.workers = 1;
+  const GlobalRouteResult serial = GlobalRouter(g, params).route(nets);
+  for (int workers : kWorkerCounts) {
+    params.workers = workers;
+    GlobalRouter router(g, params);
+    const std::string what = std::to_string(workers) + " workers";
+    expect_identical(serial, router.route(nets), what);
+    expect_identical(serial, router.route(nets), what + ", warm");
+  }
+  return serial;
+}
+
+/// A congested random grid (capacity 2; manhattan or random edge
+/// lengths, so A* runs with a full or a degraded scale) and 2-4 pin nets
+/// with equivalent-pin alternatives. Extra chords get lengths in tenths,
+/// which doubles do not represent exactly, so total_length depends on
+/// the order of its sum. Every third net repeats its predecessor: a
+/// workspace that kept the last net's promoted heuristic would skip a
+/// sweep there, and the counters would depend on which worker ran which
+/// net.
+struct RandomInstance {
+  RoutingGraph g;
+  std::vector<NetTargets> nets;
+
+  explicit RandomInstance(Rng& rng) {
+    const int w = static_cast<int>(rng.uniform_int(4, 8));
+    const int h = static_cast<int>(rng.uniform_int(4, 8));
+    g = testing::random_grid(rng, w, h, rng.uniform_int(0, 1) == 0);
+    for (int c = w; c > 0; --c) {
+      const auto a = static_cast<NodeId>(rng.uniform_int(0, w * h - 1));
+      const auto b = static_cast<NodeId>(rng.uniform_int(0, w * h - 1));
+      if (a != b)
+        g.add_edge(a, b, static_cast<double>(rng.uniform_int(51, 399)) / 10.0,
+                   1);
+    }
+    const int n_nets = static_cast<int>(rng.uniform_int(10, 40));
+    for (int i = 0; i < n_nets; ++i) {
+      if (i % 3 == 2) {
+        nets.push_back(nets.back());
+        continue;
+      }
+      NetTargets net;
+      std::set<NodeId> used;
+      const int pins = static_cast<int>(rng.uniform_int(2, 4));
+      for (int p = 0; p < pins; ++p) {
+        std::vector<NodeId> alts;
+        for (int k = static_cast<int>(rng.uniform_int(1, 2)); k > 0; --k) {
+          const auto n = static_cast<NodeId>(rng.uniform_int(0, w * h - 1));
+          if (used.insert(n).second) alts.push_back(n);
+        }
+        if (!alts.empty()) net.pins.push_back(std::move(alts));
+      }
+      nets.push_back(std::move(net));
+    }
+  }
+};
+
+TEST(RouterCrew, RandomGridsAreCrewSizeInvariant) {
+  Rng rng(2024);
+  for (int iter = 0; iter < 12; ++iter) {
+    SCOPED_TRACE("instance " + std::to_string(iter));
+    const RandomInstance inst(rng);
+    GlobalRouterParams params;
+    params.steiner.m = static_cast<int>(rng.uniform_int(1, 6));
+    params.steiner.prim_k = static_cast<int>(rng.uniform_int(0, 1));
+    params.seed = static_cast<std::uint64_t>(iter) + 11;
+    const GlobalRouteResult r =
+        expect_crew_invariant(inst.g, inst.nets, params);
+    EXPECT_GT(r.counters.dijkstra_runs, 0);
+  }
+}
+
+/// Stage 2's routing input for paper circuit p1: a random placement in
+/// its estimated core, legalized, then channel definition.
+struct P1Channels {
+  Netlist nl = generate_circuit(paper_circuit("p1").spec);
+  ChannelGraph cg;
+  std::vector<NetTargets> nets;
+
+  P1Channels() {
+    Placement placement(nl);
+    const Rect core = DynamicAreaEstimator(nl).compute_initial_core();
+    Rng rng(7);
+    placement.randomize(rng, core);
+    legalize_spread(placement, core, 2 * nl.tech().track_separation);
+    cg = build_channel_graph(placement, core);
+    nets = build_net_targets(nl, cg);
+  }
+};
+
+TEST(RouterCrew, P1ChannelGraphIsCrewSizeInvariant) {
+  const P1Channels p1;
+  GlobalRouterParams params;
+  params.seed = 3;
+  const GlobalRouteResult r =
+      expect_crew_invariant(p1.cg.graph, p1.nets, params);
+  EXPECT_EQ(r.unrouted_nets, 0);
+  EXPECT_GT(r.counters.dijkstra_runs, 0);
+}
+
+TEST(RouterCrew, BudgetExpiringDuringAdmissionRoutesTheSamePrefix) {
+  const P1Channels p1;
+  const std::size_t cut = p1.nets.size() / 2;
+  auto budgeted_route = [&](int workers, std::int64_t& moves) {
+    recover::RunBudget budget(static_cast<std::int64_t>(cut),
+                              recover::RunBudget::kUnlimited);
+    GlobalRouterParams params;
+    params.seed = 3;
+    params.budget = &budget;
+    params.workers = workers;
+    GlobalRouteResult r = GlobalRouter(p1.cg.graph, params).route(p1.nets);
+    moves = budget.moves_charged();
+    return r;
+  };
+  std::int64_t serial_moves = 0;
+  const GlobalRouteResult serial = budgeted_route(1, serial_moves);
+  EXPECT_EQ(serial_moves, static_cast<std::int64_t>(cut));
+  for (std::size_t i = 0; i < p1.nets.size(); ++i)
+    EXPECT_EQ(serial.choice[i] >= 0, i < cut) << "net " << i;
+  EXPECT_EQ(serial.interchange_attempts, 0);
+  for (int workers : kWorkerCounts) {
+    std::int64_t moves = 0;
+    expect_identical(serial, budgeted_route(workers, moves),
+                     std::to_string(workers) + " workers");
+    EXPECT_EQ(moves, serial_moves);
+  }
+}
+
+TEST(RouterCrew, KillPointFiresAtTheSamePoll) {
+  const P1Channels p1;
+  const std::int64_t nth = static_cast<std::int64_t>(p1.nets.size()) / 3;
+  for (int workers : {1, 4}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    recover::FaultPlan plan;
+    plan.kill_at(recover::FaultSite::kRouteNet, nth);
+    GlobalRouterParams params;
+    params.faults = &plan;
+    params.workers = workers;
+    GlobalRouter router(p1.cg.graph, params);
+    std::int64_t fired = -1;
+    try {
+      (void)router.route(p1.nets);
+    } catch (const recover::InjectedFault& f) {
+      fired = f.count();
+    }
+    EXPECT_EQ(fired, nth);
+    EXPECT_EQ(plan.count(recover::FaultSite::kRouteNet), nth + 1);
+    // The router and its crew stay usable after the unwound route.
+    const GlobalRouteResult after = router.route(p1.nets);
+    EXPECT_EQ(after.unrouted_nets, 0);
+  }
 }
 
 }  // namespace

@@ -1,17 +1,16 @@
 // Tests for the parallel stage-1 annealer (src/place/stage1_parallel.*):
 // thread-count determinism (the tentpole guarantee: byte-identical
 // same-seed fingerprints at 1/2/4/8 workers), indexed-vs-naive exactness
-// under parallel commit, checkpoint/resume equivalence, budget wind-down,
-// and the WorkerCrew primitive itself. The whole suite carries the
-// "robustness" label, so the ASan and TSan CI legs both run it — any
-// cross-replica data race in the speculation batches fails the TSan job.
+// under parallel commit, checkpoint/resume equivalence and budget
+// wind-down (the WorkerCrew primitive is tested in test_pool.cpp). The
+// whole suite carries the "robustness" label, so the ASan and TSan CI
+// legs both run it — any cross-replica data race in the speculation
+// batches fails the TSan job.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <iomanip>
 #include <optional>
 #include <sstream>
-#include <stdexcept>
 #include <unordered_set>
 #include <vector>
 
@@ -21,7 +20,6 @@
 #include "fingerprint.hpp"
 #include "flow/timberwolf.hpp"
 #include "place/stage1_parallel.hpp"
-#include "pool/workers.hpp"
 #include "recover/fault.hpp"
 #include "workload/generator.hpp"
 #include "workload/paper_circuits.hpp"
@@ -279,49 +277,6 @@ TEST(ParallelStage1, SlotSeedsAreCollisionFree) {
             << " slot=" << slot;
   // Disjoint from the string-derived stream family for the same master.
   EXPECT_FALSE(seen.contains(derive_seed(12345, "p1-slots")));
-}
-
-TEST(WorkerCrew, RunsEverySlotExactlyOnce) {
-  WorkerCrew crew(4);
-  std::vector<std::atomic<int>> hits(257);
-  for (auto& h : hits) h.store(0);
-  std::atomic<int> worker_seen{0};
-  crew.run(257, [&](int worker, int slot) {
-    ASSERT_GE(worker, 0);
-    ASSERT_LT(worker, 4);
-    worker_seen.fetch_or(1 << worker);
-    hits[static_cast<std::size_t>(slot)].fetch_add(1);
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-  // Batch after batch reuses the parked threads.
-  crew.run(3, [&](int, int slot) { hits[static_cast<std::size_t>(slot)].fetch_add(1); });
-  for (std::size_t s = 0; s < 3; ++s) EXPECT_EQ(hits[s].load(), 2);
-}
-
-TEST(WorkerCrew, SerialDegenerateFormUsesCallerOnly) {
-  WorkerCrew crew(1);
-  std::vector<int> order;
-  crew.run(5, [&](int worker, int slot) {
-    EXPECT_EQ(worker, 0);
-    order.push_back(slot);
-  });
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(WorkerCrew, PropagatesFirstException) {
-  WorkerCrew crew(4);
-  std::atomic<int> executed{0};
-  EXPECT_THROW(
-      crew.run(64,
-               [&](int, int slot) {
-                 executed.fetch_add(1);
-                 if (slot == 7) throw std::runtime_error("slot 7 failed");
-               }),
-      std::runtime_error);
-  // The crew must be reusable after an error drained the batch.
-  std::atomic<int> after{0};
-  crew.run(8, [&](int, int) { after.fetch_add(1); });
-  EXPECT_EQ(after.load(), 8);
 }
 
 }  // namespace

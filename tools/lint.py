@@ -135,8 +135,10 @@ RULES = [
         lambda rel: rel.parts[0] == "src" and rel.parts[:2] != ("src", "pool"),
         re.compile(r"std::j?thread\b|std::async\b|\.detach\s*\("),
         "threads live only in src/pool (ReplicaPool for whole-run "
-        "replicas, WorkerCrew for in-run speculation batches); library "
-        "code elsewhere must stay single-threaded and deterministic",
+        "replicas, WorkerCrew for in-run parallel maps: stage-1 "
+        "speculation batches and the router's phase one; size a crew "
+        "with host_workers()); library code elsewhere must stay "
+        "single-threaded and deterministic",
     ),
     (
         "txn-mutation",
