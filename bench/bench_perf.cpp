@@ -26,7 +26,6 @@
 #include "flow/multilevel.hpp"
 #include "place/legalize.hpp"
 #include "place/stage1.hpp"
-#include "place/stage1_parallel.hpp"
 #include "pool/workers.hpp"
 #include "recover/budget.hpp"
 #include "route/interchange.hpp"
@@ -105,41 +104,20 @@ std::map<int, MlSample>& multilevel_registry() {
   return samples;
 }
 
-/// One measured parallel stage-1 point, keyed by worker count: the same
-/// full-anneal figure of merit as Stage1MoveThroughput, on the parallel
-/// engine (docs/PERF.md "Parallel annealing"). The result is
-/// worker-count invariant, so clean/conflicted are identical across rows
-/// and only seconds / moves_per_sec vary with the thread layout.
-struct ParallelSample {
-  int workers = 0;
-  int cells = 0;
-  long long attempts = 0;
-  long long slots = 0;
-  long long clean = 0;
-  long long conflicted = 0;
-  double seconds = 0.0;
-  double moves_per_sec = 0.0;
-};
-
-std::map<int, ParallelSample>& parallel_registry() {
-  static std::map<int, ParallelSample> samples;
-  return samples;
-}
-
 /// Writes the throughput registry as BENCH_perf.json. The default path is
 /// relative to the working directory: the CI perf step runs from the repo
 /// root, so the artifact lands there; the ctest smoke runs from the build
 /// tree and leaves the committed root file untouched.
 void write_perf_json() {
   if (throughput_registry().empty() && router_registry().empty() &&
-      multilevel_registry().empty() && parallel_registry().empty())
+      multilevel_registry().empty())
     return;
   const char* env = std::getenv("TW_BENCH_OUT");
   const std::string path = env != nullptr ? env : "BENCH_perf.json";
   std::ofstream out(path);
   if (!out) return;
   out << "{\n"
-      << "  \"schema_version\": 5,\n"
+      << "  \"schema_version\": 6,\n"
       << "  \"suite\": \"bench_perf\",\n"
       << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency()
       << ",\n"
@@ -167,21 +145,6 @@ void write_perf_json() {
         << ", \"graph_edges\": " << s.graph_edges
         << ", \"seconds\": " << s.seconds
         << ", \"nets_per_sec\": " << s.nets_per_sec << "}";
-  }
-  out << "\n  ],\n"
-      << "  \"stage1_parallel_throughput\": [\n";
-  first = true;
-  for (const auto& [workers, s] : parallel_registry()) {
-    if (!first) out << ",\n";
-    first = false;
-    out << "    {\"workers\": " << s.workers
-        << ", \"cells\": " << s.cells
-        << ", \"attempts\": " << s.attempts
-        << ", \"slots\": " << s.slots
-        << ", \"clean\": " << s.clean
-        << ", \"conflicted\": " << s.conflicted
-        << ", \"seconds\": " << s.seconds
-        << ", \"moves_per_sec\": " << s.moves_per_sec << "}";
   }
   out << "\n  ],\n"
       << "  \"multilevel_flow\": [\n";
@@ -422,51 +385,6 @@ BENCHMARK(BM_Stage1MoveThroughput)
     ->Arg(48)
     ->Arg(96)
     ->Arg(1000)
-    ->Unit(benchmark::kMillisecond);
-
-/// Parallel stage-1 throughput: the same full-anneal figure of merit as
-/// BM_Stage1MoveThroughput, on ParallelStage1Placer, swept over worker
-/// counts. The per-worker samples (plus the host's hardware_concurrency,
-/// recorded at the top of BENCH_perf.json) document what speculation buys
-/// on this host — on a single-core container every row costs the same
-/// wall clock and the sweep measures the speculation overhead instead.
-void BM_Stage1ParallelThroughput(benchmark::State& state) {
-  const int workers = static_cast<int>(state.range(0));
-  const int cells = 96;
-  const Netlist nl = PlacedFixture::make_netlist(cells);
-  ParallelStage1Params params;
-  params.base.attempts_per_cell = scaled_attempts_per_cell(cells);
-  params.base.p2_samples = 8;
-  params.num_workers = workers;
-  ParallelSample sample;
-  sample.workers = workers;
-  sample.cells = cells;
-  for (auto _ : state) {
-    Placement placement(nl);
-    ParallelStage1Placer placer(nl, params, 5);
-    const auto t0 = std::chrono::steady_clock::now();
-    const Stage1Result r = placer.run(placement);
-    const std::chrono::duration<double> dt =
-        std::chrono::steady_clock::now() - t0;
-    sample.attempts += r.attempts;
-    sample.seconds += dt.count();
-    sample.slots += placer.batch_stats().slots;
-    sample.clean += placer.batch_stats().clean;
-    sample.conflicted += placer.batch_stats().conflicted;
-  }
-  state.SetItemsProcessed(sample.attempts);
-  if (sample.seconds > 0.0) {
-    sample.moves_per_sec =
-        static_cast<double>(sample.attempts) / sample.seconds;
-    state.counters["moves_per_sec"] = sample.moves_per_sec;
-    parallel_registry()[workers] = sample;
-  }
-}
-BENCHMARK(BM_Stage1ParallelThroughput)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
 /// Multilevel-flow benchmark: one flat stage-1 anneal and one

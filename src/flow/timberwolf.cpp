@@ -1,6 +1,5 @@
 #include "flow/timberwolf.hpp"
 
-#include <algorithm>
 #include <optional>
 #include <utility>
 
@@ -45,22 +44,9 @@ TimberWolfMC::TimberWolfMC(const Netlist& nl, FlowParams params)
     : nl_(nl), params_(std::move(params)) {}
 
 Stage1Result TimberWolfMC::run_stage1(Placement& placement) {
-  if (params_.stage1_workers > 0) {
-    ParallelStage1Placer stage1(nl_, parallel_stage1_params(),
-                                derive_seed(params_.seed, "stage1"));
-    return stage1.run(placement);
-  }
   Stage1Placer stage1(nl_, params_.stage1,
                       derive_seed(params_.seed, "stage1"));
   return stage1.run(placement);
-}
-
-ParallelStage1Params TimberWolfMC::parallel_stage1_params() const {
-  ParallelStage1Params pp;
-  pp.base = params_.stage1;
-  pp.num_workers = std::max(1, params_.stage1_workers);
-  pp.batch_slots = params_.stage1_batch_slots;
-  return pp;
 }
 
 FlowResult TimberWolfMC::run(Placement& placement) {
@@ -123,63 +109,41 @@ FlowResult TimberWolfMC::run_impl(Placement& placement,
     r.stage1_teil = checkpoint->stage1_teil;
     r.stage1_chip_area = checkpoint->stage1_chip_area;
   } else {
-    // Engine selection: a fresh run honors stage1_workers; a resume honors
-    // the checkpoint's phase tag — the engine that was annealing must
-    // finish the trajectory, whatever the current params say (the worker
-    // count itself is free: the parallel result is worker-count
-    // invariant).
-    const bool parallel =
-        resumed ? checkpoint->phase == recover::FlowPhase::kParallelStage1
-                : params_.stage1_workers > 0;
-    const recover::FlowPhase phase = parallel
-                                         ? recover::FlowPhase::kParallelStage1
-                                         : recover::FlowPhase::kStage1;
-    // Identical driver for either engine (same hooks / run / resume /
-    // estimator surface); only the checkpoint phase tag differs.
-    const auto drive = [&](auto& stage1) {
-      Stage1Hooks hooks;
-      hooks.budget = params_.recover.budget;
-      hooks.faults = params_.recover.faults;
-      hooks.checkpoint_every = params_.recover.checkpoint_every;
-      if (sink || params_.recover.on_progress) {
-        hooks.on_checkpoint = [&, phase](const Stage1Cursor& cur) {
-          if (sink) {
-            recover::FlowCheckpoint fc;
-            fc.master_seed = params_.seed;
-            fc.digest = digest;
-            fc.phase = phase;
-            fc.s1 = cur;
-            fc.placement = recover::pack_placement(placement);
-            sink->save(fc);
-            preempt_point("stage1 step boundary");
-          }
-          if (params_.recover.on_progress) {
-            FlowProgress pg;
-            pg.phase = phase;
-            pg.step = cur.next_step;
-            pg.pass = 0;
-            pg.t = cur.t;
-            if (!cur.partial.trace.empty())
-              pg.cost = cur.partial.trace.back().avg_cost;
-            params_.recover.on_progress(pg);
-          }
-        };
-      }
-      stage1.set_hooks(std::move(hooks));
-      r.stage1 = resumed ? stage1.resume(placement, checkpoint->s1)
-                         : stage1.run(placement);
-      r.stage1_teil = r.stage1.final_teil;
-      r.stage1_chip_area = stage1_area(placement, nl_, stage1.estimator());
-    };
-    if (parallel) {
-      ParallelStage1Placer stage1(nl_, parallel_stage1_params(),
-                                  derive_seed(params_.seed, "stage1"));
-      drive(stage1);
-    } else {
-      Stage1Placer stage1(nl_, params_.stage1,
-                          derive_seed(params_.seed, "stage1"));
-      drive(stage1);
+    Stage1Placer stage1(nl_, params_.stage1,
+                        derive_seed(params_.seed, "stage1"));
+    Stage1Hooks hooks;
+    hooks.budget = params_.recover.budget;
+    hooks.faults = params_.recover.faults;
+    hooks.checkpoint_every = params_.recover.checkpoint_every;
+    if (sink || params_.recover.on_progress) {
+      hooks.on_checkpoint = [&](const Stage1Cursor& cur) {
+        if (sink) {
+          recover::FlowCheckpoint fc;
+          fc.master_seed = params_.seed;
+          fc.digest = digest;
+          fc.phase = recover::FlowPhase::kStage1;
+          fc.s1 = cur;
+          fc.placement = recover::pack_placement(placement);
+          sink->save(fc);
+          preempt_point("stage1 step boundary");
+        }
+        if (params_.recover.on_progress) {
+          FlowProgress pg;
+          pg.phase = recover::FlowPhase::kStage1;
+          pg.step = cur.next_step;
+          pg.pass = 0;
+          pg.t = cur.t;
+          if (!cur.partial.trace.empty())
+            pg.cost = cur.partial.trace.back().avg_cost;
+          params_.recover.on_progress(pg);
+        }
+      };
     }
+    stage1.set_hooks(std::move(hooks));
+    r.stage1 = resumed ? stage1.resume(placement, checkpoint->s1)
+                       : stage1.run(placement);
+    r.stage1_teil = r.stage1.final_teil;
+    r.stage1_chip_area = stage1_area(placement, nl_, stage1.estimator());
     log_info("stage1 done: teil=", r.stage1_teil,
              " area=", r.stage1_chip_area,
              " overlap=", r.stage1.residual_overlap);

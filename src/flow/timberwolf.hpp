@@ -14,7 +14,6 @@
 #include <functional>
 
 #include "place/stage1.hpp"
-#include "place/stage1_parallel.hpp"
 #include "recover/checkpoint.hpp"
 #include "refine/stage2.hpp"
 
@@ -77,22 +76,6 @@ struct FlowParams {
   Stage2Params stage2;
   std::uint64_t seed = 1;
   FlowRecoverOptions recover;
-
-  /// > 0 runs stage 1 on the parallel engine (ParallelStage1Placer) with
-  /// that many workers; 0 keeps the serial Stage1Placer. The two engines
-  /// follow different same-seed trajectories (the parallel one draws from
-  /// per-slot RNG streams), but the parallel result itself is
-  /// byte-identical across worker counts — 1, 4 and 8 workers all
-  /// produce the 1-worker placement. Checkpoints record which engine was
-  /// annealing (FlowPhase::kParallelStage1), and resume re-selects it
-  /// from the checkpoint phase, so a resume under a different
-  /// stage1_workers value continues the original trajectory.
-  int stage1_workers = 0;
-
-  /// Proposal slots per speculation batch (0 = sized from the circuit).
-  /// Part of the parallel trajectory: changing it changes results, so a
-  /// resumed run must use the value the checkpointed run used.
-  int stage1_batch_slots = 0;
 };
 
 struct FlowResult {
@@ -154,7 +137,6 @@ public:
 private:
   FlowResult run_impl(Placement& placement,
                       const recover::FlowCheckpoint* checkpoint);
-  ParallelStage1Params parallel_stage1_params() const;
 
   const Netlist& nl_;
   FlowParams params_;

@@ -34,20 +34,6 @@ int BinGrid::y_of(Coord y) const {
   return static_cast<int>(std::min<Coord>(k, ny - 1));
 }
 
-std::uint64_t BinGrid::mask(const Rect& r) const {
-  // Oversized grids saturate to all-ones: every footprint then intersects
-  // every other, which is conservative (more conflicts, never fewer).
-  if (num_bins() > 64) return ~std::uint64_t{0};
-  const Range rg = range(r);
-  std::uint64_t m = 0;
-  for (int by = rg.y0; by <= rg.y1; ++by) {
-    for (int bx = rg.x0; bx <= rg.x1; ++bx) {
-      m |= std::uint64_t{1} << static_cast<unsigned>(index(bx, by));
-    }
-  }
-  return m;
-}
-
 BinGrid::Range BinGrid::range(const Rect& r) const {
   Range out;
   out.x0 = x_of(r.xlo);

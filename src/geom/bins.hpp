@@ -9,8 +9,6 @@
 // fewer), so pruning by bins is exact for any cell position.
 #pragma once
 
-#include <cstdint>
-
 #include "geom/rect.hpp"
 
 namespace tw {
@@ -51,13 +49,6 @@ struct BinGrid {
 
   int index(int bx, int by) const { return by * nx + bx; }
   int num_bins() const { return nx * ny; }
-
-  /// Bit mask of the bins covered by `r` (bit `index(bx, by)`), for grids
-  /// of at most 64 bins. The parallel annealer's region partition uses a
-  /// coarse <= 8x8 grid so a move footprint is one word and footprint
-  /// intersection is a single AND. Grids with more than 64 bins saturate
-  /// to all-ones, which keeps footprint tests conservative.
-  std::uint64_t mask(const Rect& r) const;
 };
 
 }  // namespace tw

@@ -118,70 +118,6 @@ void MoveTxn::commit(CostTerms& running) {
   active_ = false;
 }
 
-void MoveTxn::commit_applied(std::span<const CellId> cells,
-                             std::span<const CellState> states,
-                             std::span<const NetId> nets, bool pin_mode,
-                             const CostTerms& before, const CostTerms& after,
-                             CostTerms& running) {
-  TW_ASSERT(!active_, "commit_applied inside an open transaction");
-  TW_ASSERT(cells.size() == states.size() && !cells.empty(),
-            "cells=", cells.size(), " states=", states.size());
-  if constexpr (check::kLevel >= check::kLevelFull) {
-    // The slot ran against a frozen replica of this placement; if no
-    // conflicting commit intervened, the before-terms it recorded must
-    // match this placement bit for bit (C1/C3 sum doubles in one fixed
-    // order; C2 sums integer-valued overlaps, exact in double).
-    CostTerms cur;
-    if (pin_mode) {
-      cur.c1 = model_->net_cost_sum(nets);
-      cur.c2_raw = 0.0;
-      cur.c3 = model_->partial_c3(cells);
-    } else {
-      cur.c1 = model_->partial_c1(cells);
-      cur.c2_raw = model_->partial_c2_raw(cells);
-      cur.c3 = model_->partial_c3(cells);
-    }
-    TW_ASSERT_FULL(cur.c1 == before.c1 && cur.c2_raw == before.c2_raw &&
-                       cur.c3 == before.c3,
-                   "stale speculative before-terms: c1 ", cur.c1, " vs ",
-                   before.c1, ", c2_raw ", cur.c2_raw, " vs ", before.c2_raw,
-                   ", c3 ", cur.c3, " vs ", before.c3);
-  }
-  for (std::size_t k = 0; k < cells.size(); ++k)
-    placement_->restore(cells[k], states[k]);
-  if (!pin_mode)
-    for (const CellId c : cells) overlap_->refresh(c);
-  if constexpr (check::kLevel >= check::kLevelFull) {
-    CostTerms cur;
-    if (pin_mode) {
-      cur.c1 = model_->net_cost_sum(nets);
-      cur.c2_raw = 0.0;
-      cur.c3 = model_->partial_c3(cells);
-    } else {
-      cur.c1 = model_->partial_c1(cells);
-      cur.c2_raw = model_->partial_c2_raw(cells);
-      cur.c3 = model_->partial_c3(cells);
-    }
-    TW_ASSERT_FULL(cur.c1 == after.c1 && cur.c2_raw == after.c2_raw &&
-                       cur.c3 == after.c3,
-                   "applied state disagrees with speculative after-terms");
-  }
-  running.c1 += after.c1 - before.c1;
-  running.c2_raw += after.c2_raw - before.c2_raw;
-  running.c3 += after.c3 - before.c3;
-}
-
-void MoveTxn::sync_states(std::span<const CellId> cells,
-                          std::span<const CellState> states) {
-  TW_ASSERT(!active_, "sync_states inside an open transaction");
-  TW_ASSERT(cells.size() == states.size(), "cells=", cells.size(),
-            " states=", states.size());
-  for (std::size_t k = 0; k < cells.size(); ++k) {
-    placement_->restore(cells[k], states[k]);
-    overlap_->refresh(cells[k]);
-  }
-}
-
 void MoveTxn::revert() {
   TW_ASSERT(active_, "MoveTxn::revert without begin");
   if (pin_mode_) {

@@ -71,44 +71,9 @@ public:
   /// closes the transaction.
   void revert();
 
-  // --- parallel-annealer entry points (src/place/stage1_parallel.*) ---------
-  // Speculative slots evaluate moves on per-worker *replicas* of the
-  // placement; surviving moves re-enter the master through these two
-  // methods, so every placement mutation still flows through the
-  // transaction layer.
-
-  /// Applies a move that was evaluated speculatively against a
-  /// byte-identical replica of this placement: writes each cell's
-  /// accepted final state, refreshes the overlap index, and folds the
-  /// recorded term delta into `running`. Exact because both cost caches
-  /// are canonical (always equal to a from-scratch scan), so the terms
-  /// the replica recorded are bit-identical to what a local evaluation
-  /// would produce; at full check level the recorded before/after terms
-  /// are re-verified against this placement. `nets` is the affected-net
-  /// list of a pin move (used only for verification; empty for cell
-  /// moves). No transaction may be open.
-  void commit_applied(std::span<const CellId> cells,
-                      std::span<const CellState> states,
-                      std::span<const NetId> nets, bool pin_mode,
-                      const CostTerms& before, const CostTerms& after,
-                      CostTerms& running);
-
-  /// Replays committed cell states verbatim (end-of-batch replica
-  /// resync, and the speculative slots' own frozen-state rollback).
-  /// Restores each cell and refreshes the overlap index; running totals
-  /// are untouched. No transaction may be open.
-  void sync_states(std::span<const CellId> cells,
-                   std::span<const CellState> states);
-
   const CostTerms& before() const { return before_; }
   const CostTerms& after() const { return after_; }
   bool active() const { return active_; }
-
-  /// The begin()-time snapshot of the k-th transaction cell, valid until
-  /// the next begin. The parallel annealer records it (plus the
-  /// post-commit state) so a speculative slot can be rolled back and
-  /// replayed without re-snapshotting on every attempt.
-  const CellState& saved_state(std::size_t k) const { return saved_[k]; }
 
   /// Reusable scratch buffers for callers assembling a pin move (the
   /// loose-pin list and the affected-net list); cleared by the caller,

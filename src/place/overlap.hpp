@@ -78,12 +78,6 @@ public:
     return tiles_[static_cast<std::size_t>(c)];
   }
 
-  /// Bounding box of the cached expanded tiles (invalid for a cell with
-  /// no tiles).
-  const Rect& expanded_bbox(CellId c) const {
-    return bbox_[static_cast<std::size_t>(c)];
-  }
-
   /// The per-side expansions currently applied to a cell (L, R, B, T).
   const std::array<Coord, 4>& expansions(CellId c) const {
     return expansion_[static_cast<std::size_t>(c)];

@@ -15,37 +15,6 @@
 namespace tw::pool {
 namespace {
 
-/// Deterministic best-feasible order, identical to ReplicaPool's: lower
-/// TEIL, then smaller chip area, then lower replica id (implicit via
-/// strict improvement over the in-order scan).
-bool improves(const ReplicaReport& candidate, const ReplicaReport& best) {
-  if (candidate.final_teil != best.final_teil)
-    return candidate.final_teil < best.final_teil;
-  return candidate.final_chip_area < best.final_chip_area;
-}
-
-int select_best(const std::vector<ReplicaReport>& replicas) {
-  int best = -1;
-  for (int i = 0; i < static_cast<int>(replicas.size()); ++i) {
-    const ReplicaReport& r = replicas[static_cast<std::size_t>(i)];
-    if (r.outcome != ReplicaOutcome::kSucceeded) continue;
-    if (best < 0 || improves(r, replicas[static_cast<std::size_t>(best)]))
-      best = i;
-  }
-  return best;
-}
-
-ReplicaReport rejected_report(int replica, const std::string& why) {
-  ReplicaReport r;
-  r.replica = replica;
-  r.outcome = ReplicaOutcome::kFailed;
-  AttemptRecord rec;
-  rec.outcome = AttemptOutcome::kError;
-  rec.error = why;
-  r.attempts.push_back(std::move(rec));
-  return r;
-}
-
 int clamp_priority(int p) {
   return std::clamp(p, 0, kNumPriorities - 1);
 }
@@ -174,7 +143,7 @@ std::optional<ReplicaReport> PoolExecutor::Shared::run_task(
     // run_replica absorbs flow failures; anything reaching here
     // (bad_alloc, a throwing contract trap) must not take the worker —
     // and with it every queued job — down.
-    return rejected_report(replica, e.what());
+    return failed_report(replica, e.what());
   }
 }
 
@@ -298,7 +267,7 @@ void PoolExecutor::submit(ExecutorJob job) {
   ExecutorResult done;
   done.job = id;
   for (int i = 0; i < n; ++i)
-    done.replicas.push_back(rejected_report(i, "executor is shut down"));
+    done.replicas.push_back(failed_report(i, "executor is shut down"));
   if (shared_->hooks.on_done) shared_->hooks.on_done(std::move(done));
 }
 

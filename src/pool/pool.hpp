@@ -4,9 +4,9 @@
 // under different seeds land on a spread of final costs, so production use
 // means running N replicas and keeping the best (the parallel multi-start
 // structure PARSAC applies to SoC floorplanning). The pool runs N
-// independent flows on a fixed-size worker thread pool, each replica on
-// its own derive_replica_seed(master, id) stream with its own per-attempt
-// RunBudget and checkpoint directory, and supervises them:
+// independent flows as the slots of one WorkerCrew (src/pool/workers.hpp),
+// each replica on its own derive_replica_seed(master, id) stream with its
+// own per-attempt RunBudget and checkpoint directory, and supervises them:
 //
 //   * a deterministic work-based watchdog (move allowances checked at the
 //     flow's poll boundaries — never wall-clock) kills stuck replicas;
@@ -51,9 +51,9 @@ struct PoolStats {
 struct PoolParams {
   /// N: independent replicas of the flow (>= 1).
   int replicas = 4;
-  /// Worker threads; 0 sizes the pool to min(replicas, hardware
-  /// concurrency). The thread count never changes any result, only how
-  /// many replicas make progress at once.
+  /// Crew workers, the calling thread included; 0 sizes the crew to
+  /// min(replicas, hardware concurrency). The count never changes any
+  /// result, only how many replicas make progress at once.
   int threads = 0;
   std::uint64_t master_seed = 1;
   /// Stage parameters shared by every replica. `base.seed` and
@@ -72,7 +72,7 @@ struct PoolParams {
   /// Retention per replica directory (keep newest K; 0 keeps all).
   int checkpoint_keep = 4;
   /// Deterministic fault injection for the supervisor tests: called once
-  /// per replica (from that replica's worker thread) before its first
+  /// per replica (from the crew thread that runs it) before its first
   /// attempt; may return nullptr. The injector is polled across all of
   /// the replica's attempts.
   std::function<recover::FaultInjector*(int replica)> fault_for;

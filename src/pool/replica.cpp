@@ -62,6 +62,15 @@ class ReplicaProbe final : public recover::FaultInjector {
   const std::atomic<bool>* preempt_;
 };
 
+/// Strict improvement in the best-feasible order: lower TEIL, then
+/// smaller chip area. select_best scans in index order, so the lower
+/// replica id wins a full tie.
+bool improves(const ReplicaReport& candidate, const ReplicaReport& best) {
+  if (candidate.final_teil != best.final_teil)
+    return candidate.final_teil < best.final_teil;
+  return candidate.final_chip_area < best.final_chip_area;
+}
+
 std::uint64_t fnv1a(const std::string& text) {
   std::uint64_t h = 0xCBF29CE484222325ull;
   for (const char ch : text) {
@@ -146,6 +155,28 @@ std::uint64_t result_fingerprint(const Placement& placement,
     os << "pass: overflow " << pass.route_overflow << " unrouted "
        << pass.unrouted_nets << " wrv " << pass.width_rule_violations << "\n";
   return fnv1a(os.str());
+}
+
+int select_best(const std::vector<ReplicaReport>& replicas) {
+  int best = -1;
+  for (int i = 0; i < static_cast<int>(replicas.size()); ++i) {
+    const ReplicaReport& r = replicas[static_cast<std::size_t>(i)];
+    if (r.outcome != ReplicaOutcome::kSucceeded) continue;
+    if (best < 0 || improves(r, replicas[static_cast<std::size_t>(best)]))
+      best = i;
+  }
+  return best;
+}
+
+ReplicaReport failed_report(int replica, const std::string& why) {
+  ReplicaReport r;
+  r.replica = replica;
+  r.outcome = ReplicaOutcome::kFailed;
+  AttemptRecord rec;
+  rec.outcome = AttemptOutcome::kError;
+  rec.error = why;
+  r.attempts.push_back(std::move(rec));
+  return r;
 }
 
 ReplicaReport run_replica(const Netlist& nl, const ReplicaConfig& cfg) {

@@ -11,8 +11,10 @@
 // scripted.
 //
 // Everything here is single-threaded and deterministic; ReplicaPool
-// (pool.hpp) fans replicas out over worker threads, which is safe exactly
-// because a replica shares no mutable state with its siblings.
+// (pool.hpp) runs replicas as the slots of a WorkerCrew and PoolExecutor
+// (executor.hpp) on its worker threads, which is safe exactly because a
+// replica shares no mutable state with its siblings. Both pick the winner
+// with select_best, so the selection policy lives here once.
 #pragma once
 
 #include <atomic>
@@ -193,6 +195,17 @@ struct ReplicaConfig {
   /// receiver owns its own synchronization. Must not throw.
   std::function<void(const FlowProgress&)> on_progress;
 };
+
+/// The deterministic best-feasible choice among `replicas`: the
+/// kSucceeded report with the lowest final TEIL, then the smaller chip
+/// area, then the lower index. -1 when no replica succeeded.
+int select_best(const std::vector<ReplicaReport>& replicas);
+
+/// The report of a replica whose run threw past run_replica (bad_alloc, a
+/// throwing contract trap): failed, with one kError attempt saying `why`.
+/// Callers record it instead of letting the exception take down the
+/// threads that run the other replicas.
+ReplicaReport failed_report(int replica, const std::string& why);
 
 /// Runs one replica to its terminal state: attempt, classify, retry with
 /// resume-or-rotate, give up after max_attempts. Never throws for flow

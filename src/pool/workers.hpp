@@ -1,20 +1,21 @@
-// Fixed crew of slot-claiming worker threads for intra-run parallelism.
+// Fixed crew of slot-claiming worker threads: the library's parallel map.
 //
-// The ReplicaPool's executor (src/pool/executor.*) parallelizes across
-// independent flows; WorkerCrew parallelizes *inside* one algorithm: a
-// caller repeatedly hands it a batch of independent slots (speculative
-// move evaluations, per-replica state replays, the global router's
-// per-net phase-one enumerations) and blocks until every slot has run.
-// Threads are spawned once and parked between batches, so the per-batch
-// overhead is one wake/join handshake, not thread churn.
+// A caller hands the crew a batch of independent slots and blocks until
+// every slot has run. Two callers use it: ReplicaPool runs each replica of
+// a multi-start as one slot (src/pool/pool.*), and the global router runs
+// each net's phase-one enumeration as one (src/route/interchange.*).
+// PoolExecutor (src/pool/executor.*) is the other thread owner: a queue of
+// independent jobs, not a map. Threads are spawned once and parked between
+// batches, so the per-batch overhead is one wake/join handshake, not
+// thread churn.
 //
 // Determinism contract: the crew guarantees only that each slot index in
 // [0, num_slots) is executed exactly once per run() and that run() is a
 // full barrier (all slot effects happen-before run() returns). Which
 // worker claims which slot is scheduling-dependent — callers that need
 // thread-count-independent results must key all randomness and all
-// output locations off the *slot* index (see derive_slot_seed and the
-// parallel annealer's commit pass), never off the worker id.
+// output locations off the *slot* index (a replica's seed and report
+// slot, a net's alternatives), never off the worker id.
 //
 // The worker id passed to the job selects per-worker scratch (one
 // workspace per worker, like the router's SearchWorkspace pattern); two

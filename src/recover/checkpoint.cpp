@@ -242,7 +242,6 @@ const char* to_string(FlowPhase p) {
     case FlowPhase::kStage1: return "stage1";
     case FlowPhase::kStage2: return "stage2";
     case FlowPhase::kMultilevelRefine: return "multilevel-refine";
-    case FlowPhase::kParallelStage1: return "parallel-stage1";
   }
   return "unknown";
 }
@@ -299,8 +298,7 @@ std::vector<std::uint8_t> encode_checkpoint(const FlowCheckpoint& cp) {
   w.u64(cp.master_seed);
   w.u64(cp.digest);
   w.u8(static_cast<std::uint8_t>(cp.phase));
-  if (cp.phase == FlowPhase::kStage1 ||
-      cp.phase == FlowPhase::kParallelStage1) {
+  if (cp.phase == FlowPhase::kStage1) {
     put_stage1_cursor(w, cp.s1);
   } else if (cp.phase == FlowPhase::kMultilevelRefine) {
     put_stage1_result(w, cp.ml_coarse);
@@ -324,12 +322,11 @@ FlowCheckpoint decode_checkpoint(std::span<const std::uint8_t> bytes) {
   cp.master_seed = r.u64();
   cp.digest = r.u64();
   const std::uint8_t phase = r.u8();
-  if (phase > static_cast<std::uint8_t>(FlowPhase::kParallelStage1))
+  if (phase > static_cast<std::uint8_t>(FlowPhase::kMultilevelRefine))
     throw CheckpointError(CheckpointErrc::kCorrupt,
                           "bad phase " + std::to_string(phase));
   cp.phase = static_cast<FlowPhase>(phase);
-  if (cp.phase == FlowPhase::kStage1 ||
-      cp.phase == FlowPhase::kParallelStage1) {
+  if (cp.phase == FlowPhase::kStage1) {
     cp.s1 = get_stage1_cursor(r);
   } else if (cp.phase == FlowPhase::kMultilevelRefine) {
     cp.ml_coarse = get_stage1_result(r);

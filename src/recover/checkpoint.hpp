@@ -3,12 +3,12 @@
 // A FlowCheckpoint holds everything needed to restart an interrupted run
 // such that the continuation is byte-identical to the uninterrupted one:
 // the master seed, a digest of the netlist it was taken on, the phase
-// (stage 1 or stage 2), the phase cursor (schedule position, calibrations,
-// accumulated metrics, RNG stream state — see Stage1Cursor/Stage2Cursor),
-// and the placement essentials. Derived placement state (realized custom
-// geometry, pin sites, occupancy) is *recomputed* on load through pure
-// functions of the netlist, so it comes back bit-identical without being
-// stored.
+// (stage 1, stage 2 or multilevel refinement), the phase cursor (schedule
+// position, calibrations, accumulated metrics, RNG stream state — see
+// Stage1Cursor/Stage2Cursor), and the placement essentials. Derived
+// placement state (realized custom geometry, pin sites, occupancy) is
+// *recomputed* on load through pure functions of the netlist, so it comes
+// back bit-identical without being stored.
 //
 // File format (docs/ROBUSTNESS.md):
 //   magic "TWCP" | u32 version | u32 payload size | u32 CRC-32 | payload
@@ -34,10 +34,9 @@ namespace tw::recover {
 /// reject other versions with kBadVersion (no silent migration).
 /// Version history: 2 added stage-2 cursors; 3 added the multilevel
 /// refinement phase (kMultilevelRefine + its warm-start fields); 4 added
-/// the parallel stage-1 phase (kParallelStage1 — same cursor payload as
-/// kStage1, since per-slot RNG streams are re-derived from the master
-/// seed, but the phase tag selects the parallel engine on resume).
-inline constexpr std::uint32_t kCheckpointVersion = 4;
+/// a parallel stage-1 phase (phase byte 3); 5 retired it with its engine,
+/// so phase byte 3 is corrupt again.
+inline constexpr std::uint32_t kCheckpointVersion = 5;
 
 /// The annealer-owned essentials of one cell; everything else in CellState
 /// is a pure function of (netlist, these) and is rebuilt on restore.
@@ -63,8 +62,7 @@ void apply_placement(Placement& p, const PackedPlacement& packed);
 enum class FlowPhase : std::uint8_t {
   kStage1 = 0,            ///< TimberWolfMC flow, stage-1 anneal in flight
   kStage2 = 1,            ///< TimberWolfMC flow, stage-2 refinement in flight
-  kMultilevelRefine = 2,  ///< MultilevelFlow, refinement anneal in flight
-  kParallelStage1 = 3     ///< stage-1 anneal on the parallel engine
+  kMultilevelRefine = 2   ///< MultilevelFlow, refinement anneal in flight
 };
 const char* to_string(FlowPhase p);
 
@@ -77,10 +75,8 @@ struct FlowCheckpoint {
   std::uint64_t digest = 0;  ///< netlist_digest of the source netlist
   FlowPhase phase = FlowPhase::kStage1;
 
-  /// Valid when phase == kStage1, kParallelStage1 or kMultilevelRefine
-  /// (the multilevel refinement is a stage-1 anneal; its cursor rides
-  /// here — the parallel engine re-derives slot streams from the master
-  /// seed, so the serial cursor carries everything it needs).
+  /// Valid when phase == kStage1 or kMultilevelRefine (the multilevel
+  /// refinement is a stage-1 anneal; its cursor rides here).
   Stage1Cursor s1;
 
   /// Valid when phase == kMultilevelRefine: the warm start is complete and

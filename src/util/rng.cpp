@@ -46,23 +46,6 @@ std::uint64_t derive_attempt_seed(std::uint64_t master, int replica,
   return derive_seed(replica_master, "attempt-" + std::to_string(attempt));
 }
 
-std::uint64_t derive_slot_seed(std::uint64_t master, int step, long long batch,
-                               int slot) {
-  // Mix the three coordinates into the master through SplitMix64 rounds
-  // rather than string streams: slots are derived millions of times per
-  // run, so this path must not allocate.
-  std::uint64_t x = master;
-  x ^= 0x5105212C68756C74ull;  // domain tag: keep slot streams disjoint
-                               // from derive_seed(master, name) streams
-  // Each coordinate is folded into the *mixed* output of the previous
-  // round (not the raw counter state, whose low bits the small step /
-  // batch / slot integers would cancel against each other).
-  x = splitmix64(x) ^ static_cast<std::uint64_t>(static_cast<std::uint32_t>(step));
-  x = splitmix64(x) ^ static_cast<std::uint64_t>(batch);
-  x = splitmix64(x) ^ static_cast<std::uint64_t>(static_cast<std::uint32_t>(slot));
-  return splitmix64(x);
-}
-
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t x = seed;
   for (auto& w : s_) w = splitmix64(x);

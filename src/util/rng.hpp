@@ -40,14 +40,6 @@ std::uint64_t derive_replica_seed(std::uint64_t master, int replica);
 std::uint64_t derive_attempt_seed(std::uint64_t master, int replica,
                                   int attempt);
 
-/// Seed of one proposal slot of the parallel stage-1 annealer
-/// (src/place/stage1_parallel.*): stream (step, batch, slot) of the
-/// annealer's master seed. The slot index — not the worker that happens
-/// to claim the slot — names the stream, so the proposal sequence is
-/// independent of thread count by construction.
-std::uint64_t derive_slot_seed(std::uint64_t master, int step,
-                               long long batch, int slot);
-
 /// xoshiro256** generator. Satisfies std::uniform_random_bit_generator.
 /// Deliberately has no default seed: every generator is constructed from
 /// an explicitly threaded seed (see derive_seed) so a run is reproducible

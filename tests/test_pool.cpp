@@ -3,7 +3,7 @@
 // the injected plan exactly, graceful degradation when replicas exhaust
 // their retries, the typed all-failed error, the deterministic work-based
 // watchdog, thread-count independence, and the WorkerCrew slot-claiming
-// crew (stage-1 speculation batches, router phase one). The >= 4-replica
+// crew (pool replicas, router phase one). The >= 4-replica
 // concurrent cases double as the ThreadSanitizer smoke tests (debug-tsan
 // preset): every replica's fingerprint must equal its solo same-seed run,
 // which only holds when the workers share no mutable state.

@@ -274,6 +274,31 @@ TEST(Checkpoint, CorruptPayloadUnderValidCrcIsStillTyped) {
   EXPECT_GT(detected, 0) << "of " << payload.size();
 }
 
+TEST(Checkpoint, RetiredPhaseByteThreeIsCorrupt) {
+  // Phase byte 3 tagged the parallel stage-1 engine in format version 4;
+  // version 5 retired it, so today's decoder must reject the byte as
+  // corrupt instead of resuming a stage-1 cursor under it.
+  const std::string dir = temp_dir("tw_ckpt_phase3");
+  (void)make_checkpoint(dir);
+  std::string first;
+  for (const auto& entry : std::filesystem::directory_iterator(dir))
+    if (first.empty() || entry.path().string() < first)
+      first = entry.path().string();
+  const FlowCheckpoint cp = recover::load_checkpoint(first);
+  ASSERT_EQ(cp.phase, recover::FlowPhase::kStage1);
+  std::vector<std::uint8_t> payload = recover::encode_checkpoint(cp);
+  constexpr std::size_t kPhaseOffset = 16;  // u64 seed, u64 digest, u8 phase
+  ASSERT_EQ(payload[kPhaseOffset], 0);
+  EXPECT_NO_THROW((void)recover::decode_checkpoint(payload));
+  payload[kPhaseOffset] = 3;
+  try {
+    (void)recover::decode_checkpoint(payload);
+    FAIL() << "expected CheckpointError";
+  } catch (const CheckpointError& e) {
+    EXPECT_EQ(e.code(), CheckpointErrc::kCorrupt);
+  }
+}
+
 TEST(Checkpoint, SinkNumbersFilesAndFindsLatest) {
   const std::string dir = temp_dir("tw_ckpt_sink");
   const std::string path = make_checkpoint(dir);

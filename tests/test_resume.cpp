@@ -313,7 +313,8 @@ TEST(Resume, MultilevelRejectsForeignPhaseCheckpoint) {
 }
 
 TEST(Resume, OldCheckpointVersionIsTypedError) {
-  // A version-2 file (the pre-multilevel format) must be rejected with
+  // Version-2 files (the pre-multilevel format) and version-4 files (the
+  // last format with a parallel stage-1 phase) must be rejected with
   // kBadVersion by today's reader — no silent migration. The frame CRC
   // only covers the payload, so rewriting the version field alone forges
   // a structurally valid old-version file.
@@ -325,18 +326,20 @@ TEST(Resume, OldCheckpointVersionIsTypedError) {
   (void)TimberWolfMC(test_netlist(), params).run(p);
   const std::string path = *recover::find_latest_checkpoint(dir);
 
-  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
-  ASSERT_TRUE(f.is_open());
-  f.seekp(4);  // magic "TWCP" | u32 version | ...
-  const std::uint32_t old_version = 2;
-  f.write(reinterpret_cast<const char*>(&old_version), 4);
-  f.close();
+  for (const std::uint32_t old_version : {2u, 4u}) {
+    SCOPED_TRACE(old_version);
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    ASSERT_TRUE(f.is_open());
+    f.seekp(4);  // magic "TWCP" | u32 version | ...
+    f.write(reinterpret_cast<const char*>(&old_version), 4);
+    f.close();
 
-  try {
-    (void)recover::load_checkpoint(path);
-    FAIL() << "expected CheckpointError";
-  } catch (const CheckpointError& e) {
-    EXPECT_EQ(e.code(), CheckpointErrc::kBadVersion);
+    try {
+      (void)recover::load_checkpoint(path);
+      FAIL() << "expected CheckpointError";
+    } catch (const CheckpointError& e) {
+      EXPECT_EQ(e.code(), CheckpointErrc::kBadVersion);
+    }
   }
 }
 

@@ -29,12 +29,14 @@ Rules (each reports file:line and exits nonzero on any hit):
      find_latest_checkpoint — a raw ofstream to a checkpoint path would
      silently drop both guarantees (docs/ROBUSTNESS.md).
 
-  6. No raw threading outside src/pool: `std::thread`, `std::jthread`,
-     `std::async` and `.detach()` are banned elsewhere in src/. All
-     concurrency is confined to the replica pool, whose workers share no
-     mutable algorithm state (docs/ROBUSTNESS.md "Replica pool") — a
-     stray thread anywhere else would silently break the determinism
-     guarantee and the re-entrancy audit the pool depends on.
+  6. No raw threading outside the two thread owners: `std::thread`,
+     `std::jthread`, `std::async` and `.detach()` are banned in src/
+     except in src/pool/workers.* (WorkerCrew, the parallel map) and
+     src/pool/executor.cpp (PoolExecutor, the serve thread pool). Their
+     slots and jobs share no mutable algorithm state (docs/ROBUSTNESS.md
+     "Concurrency discipline") — a stray thread anywhere else would
+     silently break the determinism guarantee and the re-entrancy audit
+     the pool depends on.
 
   7. No direct placement mutation in the annealers: calls like
      `placement.set_center(...)` / `placement.restore(...)` are banned in
@@ -132,19 +134,23 @@ RULES = [
     ),
     (
         "raw-thread",
-        lambda rel: rel.parts[0] == "src" and rel.parts[:2] != ("src", "pool"),
+        lambda rel: rel.parts[0] == "src"
+        and str(rel) not in (
+            "src/pool/workers.hpp",
+            "src/pool/workers.cpp",
+            "src/pool/executor.cpp",
+        ),
         re.compile(r"std::j?thread\b|std::async\b|\.detach\s*\("),
-        "threads live only in src/pool (ReplicaPool for whole-run "
-        "replicas, WorkerCrew for in-run parallel maps: stage-1 "
-        "speculation batches and the router's phase one; size a crew "
-        "with host_workers()); library code elsewhere must stay "
+        "threads live only in WorkerCrew (src/pool/workers.*, the parallel "
+        "map: pool replicas and the router's phase one; size a crew with "
+        "host_workers()) and PoolExecutor (src/pool/executor.cpp, the "
+        "serve thread pool); library code elsewhere must stay "
         "single-threaded and deterministic",
     ),
     (
         "txn-mutation",
         lambda rel: str(rel) in (
             "src/place/stage1.cpp",
-            "src/place/stage1_parallel.cpp",
             "src/refine/stage2.cpp",
         ),
         re.compile(

@@ -88,7 +88,6 @@ RNG_IMPL_FILES = {"src/util/rng.hpp", "src/util/rng.cpp"}
 # txn-reach: the annealer TUs whose transitive callees are audited.
 ANNEALER_ROOT_FILES = {
     "src/place/stage1.cpp",
-    "src/place/stage1_parallel.cpp",
     "src/refine/stage2.cpp",
 }
 
@@ -134,8 +133,8 @@ GEOM_CARRIER_NAMES = {"Coord", "Point", "Span", "Rect", "Area"}
 
 # pool-capture: by-reference captures whose concurrent use is proven
 # disjoint by construction and documented in docs/ROBUSTNESS.md
-# ("Replica pool"): each worker writes only reports[id] for the ids it
-# claimed off the atomic counter, and the joins publish every slot.
+# ("Replica pool"): replica `id` is WorkerCrew slot `id` and writes only
+# reports[id], and the crew's run() barrier publishes every slot.
 POOL_SLOT_ALLOWLIST = {"reports"}
 
 CXX_KEYWORDS = {
