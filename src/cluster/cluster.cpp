@@ -238,7 +238,7 @@ Clustering cluster_netlist(const Netlist& nl, const ClusterParams& params) {
         pack_members(nl, clusters[k], params.member_spacing);
     rect_w[k] = packed.w;
     rect_h[k] = packed.h;
-    const CellId coarse_id = out.coarse.add_macro(
+    [[maybe_unused]] const CellId coarse_id = out.coarse.add_macro(
         "cl" + std::to_string(k), {Rect{0, 0, packed.w, packed.h}});
     TW_ASSERT(coarse_id == static_cast<CellId>(k), "coarse id=", coarse_id,
               " cluster=", k);

@@ -61,7 +61,14 @@ struct RouteCounters {
   friend bool operator==(const RouteCounters&, const RouteCounters&) = default;
 };
 
-class SearchWorkspace {
+// Aligned to 128 bytes because GlobalRouter keeps one workspace per
+// phase-one worker back to back in a vector, and every heap push or pop
+// writes `counters` and the heap's end pointer. Unaligned, neighbouring
+// workers' hot fields shared cache lines and each net cost 1.4-1.7 times
+// as much CPU on two or four workers as on one (docs/PERF.md "Parallel
+// phase one"). 128 bytes is two 64-byte lines, so the adjacent-line
+// prefetcher cannot pair neighbours either.
+class alignas(128) SearchWorkspace {
 public:
   static constexpr double kInf = std::numeric_limits<double>::infinity();
 

@@ -273,6 +273,12 @@ TEST(Sequential, MultiPinNetWithEquivalents) {
 
 // --- phase one on a WorkerCrew ----------------------------------------------
 
+// The router keeps its workers' workspaces back to back; each must start
+// on its own pair of cache lines, or neighbouring workers' heap and
+// counter writes false-share (see search_workspace.hpp).
+static_assert(alignof(SearchWorkspace) >= 128,
+              "phase-one workspaces must not share cache lines");
+
 /// Every field of two results, total_length to the bit.
 void expect_identical(const GlobalRouteResult& a, const GlobalRouteResult& b,
                       const std::string& what) {
