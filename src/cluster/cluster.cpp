@@ -325,10 +325,13 @@ Clustering cluster_netlist(const Netlist& nl, const ClusterParams& params) {
         for (std::size_t i = begin; i < end; ++i) {
           const auto k = static_cast<std::size_t>(incident[i]);
           const Point avg{sum_x[k] / cnt[k], sum_y[k] / cnt[k]};
-          out.coarse.add_fixed_pin(
-              incident[i],
-              "n" + std::to_string(net.id) + suffix + "@cl" + std::to_string(k),
-              coarse_net, to_boundary(avg, rect_w[k], rect_h[k]));
+          std::string pin_name = "n";
+          pin_name += std::to_string(net.id);
+          pin_name += suffix;
+          pin_name += "@cl";
+          pin_name += std::to_string(k);
+          out.coarse.add_fixed_pin(incident[i], pin_name, coarse_net,
+                                   to_boundary(avg, rect_w[k], rect_h[k]));
         }
         if (end == incident.size()) break;
         begin = end - 1;  // overlap one cluster with the next segment

@@ -104,6 +104,21 @@ NodeId search(const RoutingGraph& g, std::span<const NodeId> sources,
     ws.heap_push(hs, 0.0, s);
   }
 
+  // Dead ends, skipped by the target-seeking modes only (see the header).
+  // A target that is not an admitted source is settled across an open
+  // edge from an open neighbour or not at all; when no target has one,
+  // the search would settle everything it reaches and then fail.
+  const bool seek = stop != SearchStop::kAllReachable;
+  auto can_settle = [&](NodeId t) {
+    if (ws.dist(t) < kInf) return true;
+    for (EdgeId eid : g.incident(t))
+      if (!edge_blocked(eid) && !node_blocked(g.edge(eid).other(t)))
+        return true;
+    return false;
+  };
+  if (seek && std::none_of(targets.begin(), targets.end(), can_settle))
+    return kInvalidNode;
+
   SearchWorkspace::HeapEntry e;
   while (ws.heap_pop(e)) {
     const NodeId u = e.node;
@@ -125,6 +140,9 @@ NodeId search(const RoutingGraph& g, std::span<const NodeId> sources,
         w += (*q.extra_cost)[static_cast<std::size_t>(eid)];
       const double nd = e.d + w;
       if (nd < ws.dist(v)) {
+        // A stub that is not a target leads nowhere: its pop would relax
+        // only the edge back to `u`, and change no label.
+        if (seek && g.incident(v).size() == 1 && !ws.is_target(v)) continue;
         const double hv = h(v);
         if (nd + hv > q.cost_cap) continue;  // no wanted path (or hv kInf)
         ws.set_dist(v, nd, eid);

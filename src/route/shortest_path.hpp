@@ -6,9 +6,10 @@
 // heap — see search_workspace.hpp) and, when the workspace's geometric
 // scale allows it, as A* toward the bounding box of the target positions.
 // A* changes which nodes are explored but never the returned path
-// lengths; ties are broken deterministically by (priority, node id).
-// The legacy overloads without a workspace remain for convenience and
-// build a fresh workspace per call — hot paths should thread one through.
+// lengths; the heap pops by (f, -d, node), so every tie is broken
+// deterministically. The legacy overloads without a workspace remain for
+// convenience and build a fresh workspace per call — hot paths should
+// thread one through.
 #pragma once
 
 #include <limits>
@@ -63,6 +64,22 @@ enum class SearchStop {
 /// reachable). Under kFirstTarget/kAllTargets only target distances are
 /// guaranteed final; other settled nodes may carry non-final labels when
 /// A* terminated early.
+///
+/// The target-seeking modes (kFirstTarget, kAllTargets) also skip two
+/// kinds of dead end; kAllReachable settles every node it can reach.
+///  * Stubs: a degree-1 node that is not a target is never entered (it
+///    keeps no label). No path to a target runs through one, and its pop
+///    would relax only the edge it came in by. Channel graphs hang every
+///    pin off its slab node this way.
+///  * Sealed targets: once the sources are admitted, the search returns
+///    kInvalidNode before its first pop unless some target is an admitted
+///    source or has an open (unblocked) edge to an open neighbour. A spur
+///    search next to a one-node pin whose stub edge is blocked is this
+///    case.
+/// Neither rule changes a returned path, a target's label or a tie-break:
+/// the heap order is strict and a skipped pop would have changed nothing,
+/// so every other pop happens in the same order. Only the work counters
+/// (`nodes_popped`, `heap_pushes`) fall.
 NodeId search(const RoutingGraph& g, std::span<const NodeId> sources,
               std::span<const NodeId> targets, const PathQuery& q,
               SearchWorkspace& ws,

@@ -126,7 +126,8 @@ Netlist generate_circuit(const CircuitSpec& spec) {
   // --- nets & pins with cluster locality --------------------------------------
   auto add_pin_to_cell = [&](CellPlan& plan, NetId net) -> PinId {
     const Cell& cell = nl.cell(plan.id);
-    const std::string pname = "p" + std::to_string(plan.pins_added++);
+    std::string pname = "p";
+    pname += std::to_string(plan.pins_added++);
     if (!plan.custom) {
       const Point at =
           random_boundary_point(rng, cell.instances.front().tiles);
@@ -145,9 +146,10 @@ Netlist generate_circuit(const CircuitSpec& spec) {
             kSideLeft | kSideRight, kSideBottom | kSideTop, kSideAny};
         const std::uint8_t mask =
             masks[static_cast<std::size_t>(rng.uniform_int(0, 2))];
-        plan.groups.push_back(nl.add_group(
-            plan.id, "g" + std::to_string(plan.groups.size()), mask,
-            rng.bernoulli(0.5)));
+        std::string gname = "g";
+        gname += std::to_string(plan.groups.size());
+        plan.groups.push_back(
+            nl.add_group(plan.id, gname, mask, rng.bernoulli(0.5)));
       }
       if (!plan.groups.empty()) {
         const GroupId g = plan.groups[static_cast<std::size_t>(rng.uniform_int(

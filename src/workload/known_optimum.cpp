@@ -62,8 +62,11 @@ KnownOptimumCircuit known_optimum_circuit(const KnownOptimumSpec& spec) {
 
   const Point center{s / 2, s / 2};
   for (const auto& [a, b] : adj) {
-    const NetId n = nl.add_net("n" + std::to_string(a) + "_" +
-                               std::to_string(b));
+    std::string name = "n";
+    name += std::to_string(a);
+    name += '_';
+    name += std::to_string(b);
+    const NetId n = nl.add_net(name);
     nl.add_fixed_pin(cell_at[static_cast<std::size_t>(a)], "p", n, center);
     nl.add_fixed_pin(cell_at[static_cast<std::size_t>(b)], "p", n, center);
   }

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdlib>
+#include <vector>
 
 #include "route/graph.hpp"
 #include "util/rng.hpp"
@@ -40,6 +41,33 @@ inline RoutingGraph random_grid(Rng& rng, int w, int h, bool exact_manhattan) {
     g.add_edge(a, b, len(manhattan), 2);
   }
   return g;
+}
+
+/// Hangs `n` degree-1 stubs off random nodes of `g`, the way
+/// build_channel_graph hangs every pin off the node of its slab: a stub
+/// sits within 4 units of its anchor, and its edge has the manhattan
+/// length between the two (0 when they coincide) if `exact_manhattan`,
+/// else half that length rounded up plus a random 0-4 (so the A* scale
+/// of random_grid's random lengths, at most 1/2, survives). Anchors are
+/// drawn among the nodes `g` had before the call, and one node may carry
+/// several stubs. Returns the stubs' node ids.
+inline std::vector<NodeId> add_stubs(RoutingGraph& g, Rng& rng, int n,
+                                     bool exact_manhattan) {
+  const auto anchors = static_cast<std::int64_t>(g.num_nodes());
+  std::vector<NodeId> stubs;
+  for (int i = 0; i < n; ++i) {
+    const auto a = static_cast<NodeId>(rng.uniform_int(0, anchors - 1));
+    const Point pa = g.node_pos(a);
+    const Point ps{pa.x + rng.uniform_int(-4, 4), pa.y + rng.uniform_int(-4, 4)};
+    const NodeId s = g.add_node(ps);
+    const Coord manhattan = std::abs(ps.x - pa.x) + std::abs(ps.y - pa.y);
+    const Coord len = exact_manhattan
+                          ? manhattan
+                          : (manhattan + 1) / 2 + rng.uniform_int(0, 4);
+    g.add_edge(s, a, static_cast<double>(len), 2);
+    stubs.push_back(s);
+  }
+  return stubs;
 }
 
 }  // namespace tw::testing

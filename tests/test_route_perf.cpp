@@ -1,9 +1,12 @@
 // Regression tests for the router performance core (see docs/PERF.md,
 // "Global router"): randomized equivalence of A* against plain Dijkstra,
 // of the deviation k-shortest algorithm against brute force and against
-// its Dijkstra-driven twin, consistency + same-seed determinism of the
-// worklist-driven interchange, and the zero-allocation warm-query
-// guarantee of SearchWorkspace.
+// its Dijkstra-driven twin, of the target-seeking stop modes (which skip
+// dead ends) against an exhaustive sweep, consistency + same-seed
+// determinism of the worklist-driven interchange, and the zero-allocation
+// warm-query guarantee of SearchWorkspace. The fuzzed graphs carry pin
+// stubs, as channel graphs do, and their queries run between stubs (the
+// dead-end fuzz also between any nodes).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,8 +14,10 @@
 #include <cstdlib>
 #include <functional>
 #include <new>
+#include <numeric>
 #include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "route/interchange.hpp"
@@ -46,6 +51,7 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace tw {
 namespace {
 
+using testing::add_stubs;
 using testing::random_grid;
 
 // ---------------------------------------------------------------------------
@@ -53,15 +59,27 @@ using testing::random_grid;
 // every path length is an exactly representable double and cross-checks
 // can compare with ==.
 
-/// 1-3 distinct nodes, disjoint from `avoid`.
-std::vector<NodeId> random_node_set(Rng& rng, const RoutingGraph& g,
+/// A random grid with 2 to w*h pin stubs hung off it.
+struct StubGrid {
+  RoutingGraph g;
+  std::vector<NodeId> stubs;
+
+  StubGrid(Rng& rng, int w, int h, bool exact_manhattan)
+      : g(random_grid(rng, w, h, exact_manhattan)) {
+    const int n = static_cast<int>(rng.uniform_int(2, w * h));
+    stubs = add_stubs(g, rng, n, exact_manhattan);
+  }
+};
+
+/// 1-3 distinct nodes of `pool`, disjoint from `avoid`.
+std::vector<NodeId> random_node_set(Rng& rng, const std::vector<NodeId>& pool,
                                     const std::set<NodeId>& avoid) {
   std::set<NodeId> picked;
   const int want = static_cast<int>(rng.uniform_int(1, 3));
   for (int tries = 0; static_cast<int>(picked.size()) < want && tries < 64;
        ++tries) {
-    const auto n = static_cast<NodeId>(
-        rng.uniform_int(0, static_cast<std::int64_t>(g.num_nodes()) - 1));
+    const NodeId n = pool[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(pool.size()) - 1))];
     if (!avoid.count(n)) picked.insert(n);
   }
   return {picked.begin(), picked.end()};
@@ -90,11 +108,12 @@ TEST(RoutePerf, AStarMatchesDijkstraFuzz) {
     const bool manhattan = rng.uniform_int(0, 1) == 0;
     const int w = static_cast<int>(rng.uniform_int(2, 6));
     const int h = static_cast<int>(rng.uniform_int(2, 6));
-    RoutingGraph g = random_grid(rng, w, h, manhattan);
+    const StubGrid sg(rng, w, h, manhattan);
+    const RoutingGraph& g = sg.g;
 
-    const auto sources = random_node_set(rng, g, {});
+    const auto sources = random_node_set(rng, sg.stubs, {});
     const auto targets = random_node_set(
-        rng, g, std::set<NodeId>(sources.begin(), sources.end()));
+        rng, sg.stubs, std::set<NodeId>(sources.begin(), sources.end()));
     if (targets.empty()) continue;
 
     PathQuery q;
@@ -146,6 +165,179 @@ TEST(RoutePerf, AStarMatchesDijkstraFuzz) {
 }
 
 // ---------------------------------------------------------------------------
+// Dead ends. The target-seeking stop modes never enter a stub that is not
+// a target, and give up at once when every target is sealed off (each
+// has no open edge to an open neighbour, and none is a source). The
+// exhaustive kAllReachable sweep does neither, so it serves as the
+// reference: every target must get the same label and the same path
+// from both.
+
+bool contains(const std::vector<NodeId>& v, NodeId n) {
+  return std::find(v.begin(), v.end(), n) != v.end();
+}
+
+TEST(RoutePerf, TargetSeekingMatchesExhaustiveSweepFuzz) {
+  Rng rng(1717);
+  int reached = 0;
+  int sealed = 0;
+  for (int iter = 0; iter < 300; ++iter) {
+    const bool manhattan = rng.uniform_int(0, 1) == 0;
+    const int w = static_cast<int>(rng.uniform_int(2, 6));
+    const int h = static_cast<int>(rng.uniform_int(2, 6));
+    const StubGrid sg(rng, w, h, manhattan);
+    const RoutingGraph& g = sg.g;
+    // Half of the queries run between stubs, as the router's do; the
+    // others between any nodes. A quarter also make a source a target.
+    std::vector<NodeId> every_node(g.num_nodes());
+    std::iota(every_node.begin(), every_node.end(), NodeId{0});
+    const std::vector<NodeId>& pool =
+        rng.uniform_int(0, 1) == 0 ? sg.stubs : every_node;
+    const auto sources = random_node_set(rng, pool, {});
+    auto targets = random_node_set(
+        rng, pool, std::set<NodeId>(sources.begin(), sources.end()));
+    if (rng.uniform_int(0, 3) == 0) targets.push_back(sources.front());
+
+    PathQuery q;
+    std::vector<double> extra;
+    if (rng.uniform_int(0, 1) == 0) {
+      extra.resize(g.num_edges());
+      for (double& x : extra) x = static_cast<double>(rng.uniform_int(0, 5));
+      q.extra_cost = &extra;
+    }
+    // In half of the queries every edge of each target is blocked with
+    // probability 1/2. Any edge, and any node outside the query, is
+    // blocked with probability 1/10.
+    std::vector<char> blocked(g.num_edges(), 0);
+    const bool seal = rng.uniform_int(0, 1) == 0;
+    for (NodeId t : targets)
+      if (seal && rng.uniform_int(0, 1) == 0)
+        for (EdgeId e : g.incident(t)) blocked[static_cast<std::size_t>(e)] = 1;
+    for (auto&& b : blocked)
+      if (rng.uniform_int(0, 9) == 0) b = 1;
+    std::vector<char> blocked_nodes(g.num_nodes(), 0);
+    for (NodeId v : every_node)
+      if (!contains(sources, v) && !contains(targets, v) &&
+          rng.uniform_int(0, 9) == 0)
+        blocked_nodes[static_cast<std::size_t>(v)] = 1;
+    q.blocked_edges = &blocked;
+    q.blocked_nodes = &blocked_nodes;
+    const auto open = [&](NodeId t, EdgeId e) {
+      return blocked[static_cast<std::size_t>(e)] == 0 &&
+             blocked_nodes[static_cast<std::size_t>(g.edge(e).other(t))] == 0;
+    };
+    const bool all_sealed =
+        std::none_of(targets.begin(), targets.end(),
+                     [&](NodeId t) { return contains(sources, t); }) &&
+        std::none_of(targets.begin(), targets.end(), [&](NodeId t) {
+          return std::any_of(g.incident(t).begin(), g.incident(t).end(),
+                             [&](EdgeId e) { return open(t, e); });
+        });
+
+    for (bool astar : {true, false}) {
+      SCOPED_TRACE("iter " + std::to_string(iter) + (astar ? " A*" : ""));
+      SearchWorkspace ref;
+      SearchWorkspace all;
+      SearchWorkspace first;
+      for (SearchWorkspace* ws : {&ref, &all, &first}) {
+        ws->set_astar(astar);
+        ws->clear_blocks();
+      }
+      search(g, sources, targets, q, ref, SearchStop::kAllReachable);
+      search(g, sources, targets, q, all, SearchStop::kAllTargets);
+      const NodeId hit =
+          search(g, sources, targets, q, first, SearchStop::kFirstTarget);
+
+      double nearest = SearchWorkspace::kInf;
+      PathResult want;
+      PathResult got;
+      for (NodeId t : targets) {
+        EXPECT_EQ(all.dist(t), ref.dist(t)) << "target " << t;
+        const bool has_want = extract_path(g, ref, t, want);
+        ASSERT_EQ(extract_path(g, all, t, got), has_want) << "target " << t;
+        if (has_want) {
+          EXPECT_EQ(got, want) << "target " << t;
+        }
+        nearest = std::min(nearest, ref.dist(t));
+      }
+      // The first settled target is a nearest one; none when no target
+      // can be reached.
+      if (nearest == SearchWorkspace::kInf) {
+        EXPECT_EQ(hit, kInvalidNode);
+      } else {
+        ASSERT_NE(hit, kInvalidNode);
+        EXPECT_EQ(first.dist(hit), nearest);
+        ++reached;
+      }
+      // No stub outside the query gets a label, and sealed targets end
+      // the search before its first pop.
+      for (NodeId s : sg.stubs) {
+        if (contains(sources, s) || contains(targets, s)) continue;
+        EXPECT_EQ(all.dist(s), SearchWorkspace::kInf) << "stub " << s;
+        EXPECT_EQ(first.dist(s), SearchWorkspace::kInf) << "stub " << s;
+      }
+      EXPECT_LE(all.counters.nodes_popped, ref.counters.nodes_popped);
+      if (all_sealed) {
+        ++sealed;
+        EXPECT_EQ(all.counters.nodes_popped, 0);
+        EXPECT_EQ(first.counters.nodes_popped, 0);
+      }
+    }
+  }
+  EXPECT_GT(reached, 400);  // of 600 runs: the fuzz compared real paths
+  EXPECT_GT(sealed, 80);    // and sealed queries
+}
+
+TEST(RoutePerf, StarSearchSkipsStubsAndSealedTargets) {
+  // A hub with 40 pin stubs around it, each edge of manhattan length.
+  RoutingGraph g;
+  const NodeId hub = g.add_node({0, 0});
+  std::vector<NodeId> stubs;
+  std::vector<EdgeId> stub_edges;
+  for (int i = 0; i < 40; ++i) {
+    const Coord r = 5 + i;
+    const Point p = i % 4 == 0   ? Point{r, 0}
+                    : i % 4 == 1 ? Point{0, r}
+                    : i % 4 == 2 ? Point{-r, 0}
+                                 : Point{0, -r};
+    stubs.push_back(g.add_node(p));
+    stub_edges.push_back(
+        g.add_edge(stubs.back(), hub, static_cast<double>(r), 1));
+  }
+  const NodeId a[] = {stubs[0]};
+  const NodeId b[] = {stubs[1]};
+  const PathQuery q;
+  SearchWorkspace ws;
+
+  // Stub a to stub b enters a, the hub and b, and none of the 38 other
+  // stubs (an exhaustive search would push all 41 nodes).
+  ws.clear_blocks();
+  RouteCounters before = ws.counters;
+  EXPECT_EQ(search(g, a, b, q, ws), b[0]);
+  RouteCounters delta = ws.counters - before;
+  EXPECT_EQ(delta.heap_pushes, 3);
+  EXPECT_EQ(delta.nodes_popped, 3);
+  EXPECT_EQ(ws.dist(b[0]), 5.0 + 6.0);
+
+  // With b's stub edge blocked (the spur at the hub), the search returns
+  // before its first pop (it would otherwise pop a, the hub and 38 stubs).
+  ws.clear_blocks();
+  ws.block_edge(stub_edges[1]);
+  before = ws.counters;
+  EXPECT_EQ(search(g, a, b, q, ws), kInvalidNode);
+  delta = ws.counters - before;
+  EXPECT_EQ(delta.nodes_popped, 0);
+  EXPECT_EQ(delta.dijkstra_runs, 1);
+
+  // The exhaustive sweep still settles every node.
+  ws.clear_blocks();
+  before = ws.counters;
+  search(g, a, b, q, ws, SearchStop::kAllReachable);
+  delta = ws.counters - before;
+  EXPECT_EQ(delta.nodes_popped, 41);
+  for (NodeId s : stubs) EXPECT_LT(ws.dist(s), SearchWorkspace::kInf);
+}
+
+// ---------------------------------------------------------------------------
 // Deviation algorithm. Brute force enumerates every simple path by DFS;
 // the k shortest of those must match k_shortest_paths exactly by length.
 // The Dijkstra-driven twin (A* off — no exact-heuristic sweep, no goal
@@ -179,9 +371,10 @@ TEST(RoutePerf, KShortestMatchesBruteForceFuzz) {
     const bool manhattan = rng.uniform_int(0, 1) == 0;
     const int w = static_cast<int>(rng.uniform_int(2, 3));
     const int h = static_cast<int>(rng.uniform_int(2, 3));
-    RoutingGraph g = random_grid(rng, w, h, manhattan);
-    const NodeId s = 0;
-    const auto t = static_cast<NodeId>(g.num_nodes() - 1);
+    const StubGrid sg(rng, w, h, manhattan);
+    const RoutingGraph& g = sg.g;
+    const NodeId s = sg.stubs.front();
+    const NodeId t = sg.stubs.back();
 
     const auto ref = brute_force_lengths(g, s, t);
     const int k = static_cast<int>(rng.uniform_int(1, 12));
@@ -218,10 +411,11 @@ TEST(RoutePerf, KShortestBetweenSetsAStarTwinFuzz) {
     const bool manhattan = rng.uniform_int(0, 1) == 0;
     const int w = static_cast<int>(rng.uniform_int(2, 5));
     const int h = static_cast<int>(rng.uniform_int(2, 5));
-    RoutingGraph g = random_grid(rng, w, h, manhattan);
-    const auto sources = random_node_set(rng, g, {});
+    const StubGrid sg(rng, w, h, manhattan);
+    const RoutingGraph& g = sg.g;
+    const auto sources = random_node_set(rng, sg.stubs, {});
     const auto targets = random_node_set(
-        rng, g, std::set<NodeId>(sources.begin(), sources.end()));
+        rng, sg.stubs, std::set<NodeId>(sources.begin(), sources.end()));
     if (targets.empty()) continue;
     const int k = static_cast<int>(rng.uniform_int(1, 8));
 

@@ -3,7 +3,9 @@
 // phase one on a WorkerCrew: every result field, the counters, budget
 // admission and kill points are the same for any worker count. The suite
 // carries the "robustness" label, so the TSan CI leg runs the crew cases
-// across real threads.
+// across real threads. The golden cases pin every result field but the
+// work counters on the channel graphs stage 2 routes, so a change to the
+// search core that only saves work must leave them byte-identical.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -14,6 +16,8 @@
 #include "channel/channel_graph.hpp"
 #include "estimator/area_estimator.hpp"
 #include "place/legalize.hpp"
+#include "place/stage1.hpp"
+#include "pool/workers.hpp"
 #include "random_graph.hpp"
 #include "recover/fault.hpp"
 #include "route/interchange.hpp"
@@ -321,7 +325,8 @@ GlobalRouteResult expect_crew_invariant(const RoutingGraph& g,
 }
 
 /// A congested random grid (capacity 2; manhattan or random edge
-/// lengths, so A* runs with a full or a degraded scale) and 2-4 pin nets
+/// lengths, so A* runs with a full or a degraded scale) with two pin
+/// stubs per grid node on average, and 2-4 pin nets whose pins are stubs,
 /// with equivalent-pin alternatives. Extra chords get lengths in tenths,
 /// which doubles do not represent exactly, so total_length depends on
 /// the order of its sum. Every third net repeats its predecessor: a
@@ -335,7 +340,8 @@ struct RandomInstance {
   explicit RandomInstance(Rng& rng) {
     const int w = static_cast<int>(rng.uniform_int(4, 8));
     const int h = static_cast<int>(rng.uniform_int(4, 8));
-    g = testing::random_grid(rng, w, h, rng.uniform_int(0, 1) == 0);
+    const bool manhattan = rng.uniform_int(0, 1) == 0;
+    g = testing::random_grid(rng, w, h, manhattan);
     for (int c = w; c > 0; --c) {
       const auto a = static_cast<NodeId>(rng.uniform_int(0, w * h - 1));
       const auto b = static_cast<NodeId>(rng.uniform_int(0, w * h - 1));
@@ -343,6 +349,9 @@ struct RandomInstance {
         g.add_edge(a, b, static_cast<double>(rng.uniform_int(51, 399)) / 10.0,
                    1);
     }
+    const std::vector<NodeId> stubs =
+        testing::add_stubs(g, rng, 2 * w * h, manhattan);
+    const auto last_stub = static_cast<std::int64_t>(stubs.size()) - 1;
     const int n_nets = static_cast<int>(rng.uniform_int(10, 40));
     for (int i = 0; i < n_nets; ++i) {
       if (i % 3 == 2) {
@@ -355,7 +364,8 @@ struct RandomInstance {
       for (int p = 0; p < pins; ++p) {
         std::vector<NodeId> alts;
         for (int k = static_cast<int>(rng.uniform_int(1, 2)); k > 0; --k) {
-          const auto n = static_cast<NodeId>(rng.uniform_int(0, w * h - 1));
+          const NodeId n =
+              stubs[static_cast<std::size_t>(rng.uniform_int(0, last_stub))];
           if (used.insert(n).second) alts.push_back(n);
         }
         if (!alts.empty()) net.pins.push_back(std::move(alts));
@@ -380,22 +390,28 @@ TEST(RouterCrew, RandomGridsAreCrewSizeInvariant) {
   }
 }
 
-/// Stage 2's routing input for paper circuit p1: a random placement in
-/// its estimated core, legalized, then channel definition.
-struct P1Channels {
-  Netlist nl = generate_circuit(paper_circuit("p1").spec);
+/// Stage 2's routing input for a random placement of `spec` in its
+/// estimated core: legalized at stage 2's margin, then channel definition.
+struct RandomChannels {
+  Netlist nl;
   ChannelGraph cg;
   std::vector<NetTargets> nets;
 
-  P1Channels() {
+  RandomChannels(const CircuitSpec& spec, std::uint64_t seed)
+      : nl(generate_circuit(spec)) {
     Placement placement(nl);
     const Rect core = DynamicAreaEstimator(nl).compute_initial_core();
-    Rng rng(7);
+    Rng rng(seed);
     placement.randomize(rng, core);
     legalize_spread(placement, core, 2 * nl.tech().track_separation);
     cg = build_channel_graph(placement, core);
     nets = build_net_targets(nl, cg);
   }
+};
+
+/// The routing input of paper circuit p1 that the crew cases share.
+struct P1Channels : RandomChannels {
+  P1Channels() : RandomChannels(paper_circuit("p1").spec, 7) {}
 };
 
 TEST(RouterCrew, P1ChannelGraphIsCrewSizeInvariant) {
@@ -458,6 +474,114 @@ TEST(RouterCrew, KillPointFiresAtTheSamePoll) {
     // The router and its crew stay usable after the unwound route.
     const GlobalRouteResult after = router.route(p1.nets);
     EXPECT_EQ(after.unrouted_nets, 0);
+  }
+}
+
+// --- golden routes ------------------------------------------------------------
+
+/// FNV-1a over every GlobalRouteResult field except the work counters:
+/// each alternative's edges and length bits, the choice, the edge usage,
+/// the total_length bits, X, the unrouted nets and the interchange
+/// attempts.
+std::uint64_t route_digest(const GlobalRouteResult& r) {
+  std::uint64_t h = 14695981039346656037ull;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  const auto mix_int = [&mix](long long v) {
+    mix(static_cast<std::uint64_t>(v));
+  };
+  mix(r.alternatives.size());
+  for (const std::vector<Route>& alts : r.alternatives) {
+    mix(alts.size());
+    for (const Route& route : alts) {
+      mix(route.edges.size());
+      for (EdgeId e : route.edges) mix_int(e);
+      mix(std::bit_cast<std::uint64_t>(route.length));
+    }
+  }
+  for (int c : r.choice) mix_int(c);
+  for (int u : r.edge_usage) mix_int(u);
+  mix(std::bit_cast<std::uint64_t>(r.total_length));
+  mix_int(r.total_overflow);
+  mix_int(r.unrouted_nets);
+  mix_int(r.interchange_attempts);
+  return h;
+}
+
+/// Routes `nets` on one worker and on one per hardware thread; both
+/// results must digest to `golden`.
+void expect_golden_route(const RoutingGraph& g,
+                         const std::vector<NetTargets>& nets,
+                         GlobalRouterParams params, std::uint64_t golden) {
+  for (int workers : {1, host_workers()}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    params.workers = workers;
+    const GlobalRouteResult r = GlobalRouter(g, params).route(nets);
+    EXPECT_EQ(route_digest(r), golden);
+  }
+}
+
+TEST(RouterGolden, PaperFlowPassZero) {
+  // Pass 0's routing input for every item of the end-to-end benchmark's
+  // paper_flow (p1, and i3 under its three item seeds) for master seeds
+  // 1 and 2: stage 1 at A_c = 5 and p2_samples = 8, legalized at stage
+  // 2's margin, channel definition, and the router seed stage 2 draws
+  // first.
+  struct Case {
+    std::uint64_t master;
+    const char* item;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {1, "p1", 3245651705004968730ull},
+      {1, "i3", 10931824349756961170ull},
+      {1, "i3b", 1888165184384731614ull},
+      {1, "i3c", 9417962252938176960ull},
+      {2, "p1", 18384202355583934238ull},
+      {2, "i3", 16520112753788909099ull},
+      {2, "i3b", 8977461661628765080ull},
+      {2, "i3c", 3706906404818864199ull},
+  };
+  Stage1Params s1_params;
+  s1_params.attempts_per_cell = 5;
+  s1_params.p2_samples = 8;
+  for (const Case& c : cases) {
+    const std::string item = c.item;
+    SCOPED_TRACE("seed " + std::to_string(c.master) + " " + item);
+    const Netlist nl = generate_circuit(paper_circuit(item.substr(0, 2)).spec);
+    const std::uint64_t flow_seed = derive_seed(c.master, "flow/" + item);
+    Placement p(nl);
+    const Stage1Result s1 =
+        Stage1Placer(nl, s1_params, derive_seed(flow_seed, "stage1")).run(p);
+    legalize_spread(p, s1.core, 2 * nl.tech().track_separation);
+    const ChannelGraph cg = build_channel_graph(p, s1.core);
+    GlobalRouterParams params;
+    params.seed = Rng(derive_seed(flow_seed, "stage2"))();
+    expect_golden_route(cg.graph, build_net_targets(nl, cg), params,
+                        c.digest);
+  }
+}
+
+TEST(RouterGolden, RandomTinyPlacements) {
+  // Random placements of tiny circuits (with custom cells) in the
+  // estimator's core, legalized at stage 2's margin: channel graphs of
+  // 115-130 nodes, 96 of them pin stubs, that every route leaves
+  // overflowed (X = 7 to 53), so phase two works on each (246-702
+  // interchange attempts).
+  const std::uint64_t digests[] = {
+      12314875415003241962ull, 5706458871089867851ull,
+      5915749142606278963ull,  2617571554122558291ull,
+      17435246197064203617ull, 15454858959382228575ull};
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const RandomChannels in(tiny_circuit(seed), seed * 17);
+    GlobalRouterParams params;
+    params.seed = seed;
+    expect_golden_route(in.cg.graph, in.nets, params, digests[seed - 1]);
   }
 }
 
