@@ -1,20 +1,20 @@
 #include "recover/checkpoint.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "netlist/parser.hpp"
 #include "place/placement.hpp"
+#include "recover/durable.hpp"
 #include "util/log.hpp"
 
 namespace tw::recover {
 namespace {
 
-constexpr char kMagic[4] = {'T', 'W', 'C', 'P'};
+constexpr std::string_view kMagic = "TWCP";
 
 // --- field-group encoders (kept strictly in sync with the decoders; any
 // --- incompatible change must bump kCheckpointVersion) ----------------------
@@ -347,121 +347,41 @@ FlowCheckpoint decode_checkpoint(std::span<const std::uint8_t> bytes) {
 
 namespace {
 
-/// Frames `payload` and writes it atomically to `path` (temp + rename).
-void write_framed_payload(const std::string& path,
-                          std::span<const std::uint8_t> payload) {
-  ByteWriter header;
-  for (const char c : kMagic) header.u8(static_cast<std::uint8_t>(c));
-  header.u32(kCheckpointVersion);
-  header.u32(static_cast<std::uint32_t>(payload.size()));
-  header.u32(crc32(payload));
+constexpr NumberedFiles kCheckpointFiles{"ckpt-", ".twcp"};
 
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out)
-      throw CheckpointError(CheckpointErrc::kIo, "cannot open " + tmp);
-    out.write(reinterpret_cast<const char*>(header.bytes().data()),
-              static_cast<std::streamsize>(header.bytes().size()));
-    out.write(reinterpret_cast<const char*>(payload.data()),
-              static_cast<std::streamsize>(payload.size()));
-    out.flush();
-    if (!out)
-      throw CheckpointError(CheckpointErrc::kIo, "short write to " + tmp);
-    // Close before the rename and check it: a close-time flush failure
-    // (full disk, dying device) would otherwise be swallowed by the
-    // destructor and the truncated temp file renamed into place.
-    out.close();
-    if (out.fail())
-      throw CheckpointError(CheckpointErrc::kIo, "close failed on " + tmp);
+/// The newest checkpoint in `dir` that loads and that `wanted` takes,
+/// with its path. Torn, bit-rotted or foreign files under a checkpoint
+/// name are skipped: an older candidate beats poisoning the resume.
+template <typename Wanted>
+std::optional<std::pair<std::string, FlowCheckpoint>> newest_loadable(
+    const std::string& dir, Wanted wanted) {
+  const std::vector<int> numbers = kCheckpointFiles.list(dir);
+  for (auto it = numbers.rbegin(); it != numbers.rend(); ++it) {
+    std::string path = kCheckpointFiles.path(dir, *it);
+    try {
+      FlowCheckpoint cp = load_checkpoint(path);
+      if (wanted(cp)) return std::pair{std::move(path), std::move(cp)};
+    } catch (const CheckpointError&) {
+      // not loadable: try the next older file
+    }
   }
-  // The rename is the commit point: readers only ever see the final name
-  // with complete contents (or the previous checkpoint, or nothing).
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec)
-    throw CheckpointError(CheckpointErrc::kIo,
-                          "rename " + tmp + " -> " + path + ": " + ec.message());
+  return std::nullopt;
 }
 
 }  // namespace
 
 void write_checkpoint_file(const std::string& path, const FlowCheckpoint& cp) {
-  write_framed_payload(path, encode_checkpoint(cp));
+  const std::string err = write_atomic(
+      path, frame(kMagic, kCheckpointVersion, encode_checkpoint(cp)), nullptr,
+      DiskSite::kCheckpointWrite);
+  if (!err.empty()) throw CheckpointError(CheckpointErrc::kIo, err);
 }
 
 FlowCheckpoint load_checkpoint(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in)
-    throw CheckpointError(CheckpointErrc::kIo, "cannot open " + path);
-  std::vector<std::uint8_t> bytes(
-      (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  if (in.bad())
-    throw CheckpointError(CheckpointErrc::kIo, "read error on " + path);
-
-  ByteReader r(bytes);
-  if (r.remaining() < 16)
-    throw CheckpointError(CheckpointErrc::kTruncated,
-                          "file holds " + std::to_string(bytes.size()) +
-                              " byte(s), header needs 16");
-  for (const char c : kMagic)
-    if (r.u8() != static_cast<std::uint8_t>(c))
-      throw CheckpointError(CheckpointErrc::kBadMagic,
-                            path + " is not a checkpoint file");
-  const std::uint32_t version = r.u32();
-  if (version != kCheckpointVersion)
-    throw CheckpointError(CheckpointErrc::kBadVersion,
-                          "version " + std::to_string(version) +
-                              ", expected " +
-                              std::to_string(kCheckpointVersion));
-  const std::uint32_t size = r.u32();
-  const std::uint32_t crc = r.u32();
-  if (r.remaining() != size)
-    throw CheckpointError(CheckpointErrc::kTruncated,
-                          "payload holds " + std::to_string(r.remaining()) +
-                              " byte(s), header promises " +
-                              std::to_string(size));
-  const std::span<const std::uint8_t> payload(bytes.data() + 16, size);
-  if (crc32(payload) != crc)
-    throw CheckpointError(CheckpointErrc::kBadCrc,
-                          "CRC mismatch in " + path);
-  return decode_checkpoint(payload);
+  const auto bytes = read_file(path);
+  if (!bytes) throw CheckpointError(CheckpointErrc::kIo, "cannot read " + path);
+  return decode_checkpoint(unframe(*bytes, kMagic, kCheckpointVersion, path));
 }
-
-namespace {
-
-/// Parses "ckpt-NNNNNN.twcp" into NNNNNN; -1 for any other name.
-int checkpoint_number(const std::string& name) {
-  if (name.size() != std::string("ckpt-000000.twcp").size() ||
-      name.rfind("ckpt-", 0) != 0 ||
-      name.compare(name.size() - 5, 5, ".twcp") != 0)
-    return -1;
-  int n = 0;
-  for (std::size_t i = 5; i < name.size() - 5; ++i) {
-    const char c = name[i];
-    if (c < '0' || c > '9') return -1;
-    n = n * 10 + (c - '0');
-  }
-  return n;
-}
-
-/// All checkpoint files in `dir` as (number, path), unsorted. A missing
-/// or unreadable directory yields an empty list.
-std::vector<std::pair<int, std::string>> list_checkpoints(
-    const std::string& dir) {
-  std::vector<std::pair<int, std::string>> out;
-  std::error_code ec;
-  std::filesystem::directory_iterator it(dir, ec);
-  if (ec) return out;
-  for (const auto& entry : it) {
-    if (!entry.is_regular_file(ec)) continue;
-    const int n = checkpoint_number(entry.path().filename().string());
-    if (n >= 0) out.emplace_back(n, entry.path().string());
-  }
-  return out;
-}
-
-}  // namespace
 
 FileCheckpointSink::FileCheckpointSink(std::string dir, int keep,
                                        std::uint64_t quota_bytes,
@@ -478,71 +398,48 @@ FileCheckpointSink::FileCheckpointSink(std::string dir, int keep,
   // Continue numbering after whatever an earlier attempt left behind, and
   // start the byte ledger from what is already on disk so the quota
   // covers a predecessor's files too.
-  for (const auto& [n, path] : list_checkpoints(dir_)) {
-    counter_ = std::max(counter_, n);
-    std::uintmax_t sz = std::filesystem::file_size(path, ec);
-    if (!ec) bytes_ += static_cast<std::uint64_t>(sz);
+  for (const int n : kCheckpointFiles.list(dir_)) {
+    counter_ = n;
+    bytes_ += kCheckpointFiles.bytes(dir_, n);
   }
 }
 
 void FileCheckpointSink::prune_upto(int upto) {
-  for (const auto& [n, old] : list_checkpoints(dir_)) {
-    if (n > upto) continue;
-    std::error_code ec;
-    const std::uintmax_t sz = std::filesystem::file_size(old, ec);
-    std::error_code rmec;
-    std::filesystem::remove(old, rmec);
-    if (rmec) {
+  for (const int n : kCheckpointFiles.list(dir_)) {
+    if (n > upto) break;
+    const std::uint64_t size = kCheckpointFiles.bytes(dir_, n);
+    if (remove_file(kCheckpointFiles.path(dir_, n)))
+      bytes_ -= std::min(bytes_, size);
+    else
       ++prune_failures_;
-      log_warn("checkpoint prune failed: ", old, ": ", rmec.message(),
-               " (errno ", rmec.value(), ")");
-    } else if (!ec) {
-      bytes_ -= std::min(bytes_, static_cast<std::uint64_t>(sz));
-    }
   }
 }
 
 std::string FileCheckpointSink::save(const FlowCheckpoint& cp) {
-  char name[32];
-  std::snprintf(name, sizeof(name), "ckpt-%06d.twcp", counter_ + 1);
-  const std::string path = dir_ + "/" + name;
+  const std::string path = kCheckpointFiles.path(dir_, counter_ + 1);
+  const std::vector<std::uint8_t> framed =
+      frame(kMagic, kCheckpointVersion, encode_checkpoint(cp));
+  const std::uint64_t size = framed.size();
 
-  const std::vector<std::uint8_t> payload = encode_checkpoint(cp);
-  const auto frame = static_cast<std::uint64_t>(payload.size()) + 16;
-
-  if (quota_bytes_ > 0 && bytes_ + frame > quota_bytes_) {
+  if (quota_bytes_ > 0 && bytes_ + size > quota_bytes_) {
     // Make room the retention policy allows before giving up: the save
     // that would exceed the quota may only do so because older files it
     // would prune anyway are still on disk.
     if (keep_ > 0) prune_upto(counter_ - keep_ + 1);
-    if (bytes_ + frame > quota_bytes_)
+    if (bytes_ + size > quota_bytes_)
       throw CheckpointError(
           CheckpointErrc::kQuotaExceeded,
           dir_ + " holds " + std::to_string(bytes_) + " byte(s), frame of " +
-              std::to_string(frame) + " would exceed the quota of " +
+              std::to_string(size) + " would exceed the quota of " +
               std::to_string(quota_bytes_));
   }
 
-  if (disk_faults_ != nullptr) {
-    const DiskFault f = disk_faults_->write_fault(DiskSite::kCheckpointWrite);
-    if (f == DiskFault::kShortWrite) {
-      // Leave a genuinely truncated temp file behind — exactly what a
-      // dying disk leaves — then fail like the real short-write path.
-      std::ofstream out(path + ".tmp", std::ios::binary | std::ios::trunc);
-      out.write(reinterpret_cast<const char*>(payload.data()),
-                static_cast<std::streamsize>(std::min<std::size_t>(
-                    payload.size(), 7)));
-    }
-    if (f != DiskFault::kNone)
-      throw CheckpointError(CheckpointErrc::kIo,
-                            std::string("injected ") + to_string(f) +
-                                " writing " + path);
-  }
-
-  write_framed_payload(path, payload);
+  const std::string err =
+      write_atomic(path, framed, disk_faults_, DiskSite::kCheckpointWrite);
+  if (!err.empty()) throw CheckpointError(CheckpointErrc::kIo, err);
   ++counter_;
   ++saved_;
-  bytes_ += frame;
+  bytes_ += size;
   if (keep_ > 0) {
     // Prune only after the new file is durably in place, so the newest
     // `keep_` files always exist on disk. Each removal is an atomic
@@ -557,40 +454,18 @@ std::string FileCheckpointSink::save(const FlowCheckpoint& cp) {
 }
 
 std::optional<std::string> find_latest_checkpoint(const std::string& dir) {
-  std::vector<std::pair<int, std::string>> files = list_checkpoints(dir);
-  std::sort(files.begin(), files.end(),
-            [](const auto& a, const auto& b) { return a.first > b.first; });
-  for (const auto& [n, path] : files) {
-    try {
-      (void)load_checkpoint(path);
-      return path;
-    } catch (const CheckpointError&) {
-      // Torn, bit-rotted or foreign file under a checkpoint name: fall
-      // back to the next older candidate instead of poisoning the resume.
-      continue;
-    }
-  }
-  return std::nullopt;
+  auto hit = newest_loadable(dir, [](const FlowCheckpoint&) { return true; });
+  return hit ? std::optional(std::move(hit->first)) : std::nullopt;
 }
 
 std::optional<FlowCheckpoint> adopt_checkpoint(
     const std::string& dir, std::uint64_t digest,
     std::optional<std::uint64_t> seed) {
-  std::vector<std::pair<int, std::string>> files = list_checkpoints(dir);
-  std::sort(files.begin(), files.end(),
-            [](const auto& a, const auto& b) { return a.first > b.first; });
-  for (const auto& [n, path] : files) {
-    FlowCheckpoint cp;
-    try {
-      cp = load_checkpoint(path);
-    } catch (const CheckpointError&) {
-      continue;  // torn / bit-rotted / foreign file: try the next older one
-    }
-    if (cp.digest != digest) continue;      // stale directory
-    if (seed && cp.master_seed != *seed) continue;
-    return cp;
-  }
-  return std::nullopt;
+  // Skip a stale directory's files and, when asked, other seeds' files.
+  auto hit = newest_loadable(dir, [&](const FlowCheckpoint& cp) {
+    return cp.digest == digest && (!seed || cp.master_seed == *seed);
+  });
+  return hit ? std::optional(std::move(hit->second)) : std::nullopt;
 }
 
 }  // namespace tw::recover

@@ -12,8 +12,8 @@
 //
 // File format (docs/ROBUSTNESS.md):
 //   magic "TWCP" | u32 version | u32 payload size | u32 CRC-32 | payload
-// all little-endian. Files are written atomically (temp + rename), so a
-// crash mid-write never leaves a half-written file under the final name;
+// all little-endian. Files are written atomically (recover/durable.hpp), so
+// a crash mid-write never leaves a half-written file under the final name;
 // a torn or bit-flipped file fails the size or CRC check with a typed
 // CheckpointError instead of producing garbage state.
 #pragma once

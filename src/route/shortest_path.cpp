@@ -203,23 +203,4 @@ std::optional<PathResult> shortest_path_between_sets(
   return r;
 }
 
-std::vector<double> shortest_distances(const RoutingGraph& g,
-                                       std::span<const NodeId> sources,
-                                       const PathQuery& q) {
-  SearchWorkspace ws;
-  std::vector<double> out;
-  shortest_distances(g, sources, q, ws, out);
-  return out;
-}
-
-void shortest_distances(const RoutingGraph& g,
-                        std::span<const NodeId> sources, const PathQuery& q,
-                        SearchWorkspace& ws, std::vector<double>& out) {
-  ws.clear_blocks();
-  search(g, sources, {}, q, ws, SearchStop::kAllReachable);
-  const std::size_t n = g.num_nodes();
-  out.resize(n);
-  for (std::size_t i = 0; i < n; ++i) out[i] = ws.dist(static_cast<NodeId>(i));
-}
-
 }  // namespace tw

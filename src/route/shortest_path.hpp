@@ -110,14 +110,4 @@ std::optional<PathResult> shortest_path_between_sets(
     const RoutingGraph& g, std::span<const NodeId> sources,
     std::span<const NodeId> targets, const PathQuery& q, SearchWorkspace& ws);
 
-/// Distances from the source set to every node (infinity when
-/// unreachable). One Dijkstra answers "which pin is nearest to the tree"
-/// for all pins at once — the Prim-ordering hot path.
-std::vector<double> shortest_distances(const RoutingGraph& g,
-                                       std::span<const NodeId> sources,
-                                       const PathQuery& q = {});
-void shortest_distances(const RoutingGraph& g,
-                        std::span<const NodeId> sources, const PathQuery& q,
-                        SearchWorkspace& ws, std::vector<double>& out);
-
 }  // namespace tw

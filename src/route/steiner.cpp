@@ -228,12 +228,6 @@ std::vector<Route> m_best_routes(const RoutingGraph& g, const NetTargets& net,
 }
 
 std::optional<Route> greedy_route(const RoutingGraph& g, const NetTargets& net,
-                                  const std::vector<double>* extra_cost) {
-  SearchWorkspace ws;
-  return greedy_route(g, net, extra_cost, ws);
-}
-
-std::optional<Route> greedy_route(const RoutingGraph& g, const NetTargets& net,
                                   const std::vector<double>* extra_cost,
                                   SearchWorkspace& ws) {
   Route route;

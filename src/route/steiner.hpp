@@ -57,11 +57,9 @@ std::vector<Route> m_best_routes(const RoutingGraph& g, const NetTargets& net,
                                  SearchWorkspace& ws);
 
 /// Single greedy Prim/Dijkstra Steiner route, optionally under additive
-/// per-edge costs (congestion penalties). Used by the sequential baseline
-/// and by the global router's rip-up augmentation. nullopt when the net
-/// cannot be connected.
-std::optional<Route> greedy_route(const RoutingGraph& g, const NetTargets& net,
-                                  const std::vector<double>* extra_cost = nullptr);
+/// per-edge costs (congestion penalties; null for none), with every
+/// search run on `ws`. Used by the sequential baseline and by the global
+/// router's rip-up augmentation. nullopt when the net cannot be connected.
 std::optional<Route> greedy_route(const RoutingGraph& g, const NetTargets& net,
                                   const std::vector<double>* extra_cost,
                                   SearchWorkspace& ws);

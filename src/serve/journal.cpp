@@ -1,16 +1,16 @@
 #include "serve/journal.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
+#include <optional>
 #include <utility>
 
+#include "recover/durable.hpp"
 #include "util/log.hpp"
 
 namespace tw::serve {
 namespace {
 
-namespace fs = std::filesystem;
 using recover::ByteReader;
 using recover::ByteWriter;
 
@@ -20,37 +20,7 @@ enum class JournalOp : std::uint8_t {
   kCancelled = 2,
 };
 
-std::string segment_name(int number) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "seg-%06d.twj", number);
-  return buf;
-}
-
-/// seg-NNNNNN.twj -> NNNNNN, or -1 for foreign files.
-int segment_number(const std::string& name) {
-  if (name.size() != 14 || name.rfind("seg-", 0) != 0 ||
-      name.substr(10) != ".twj")
-    return -1;
-  int n = 0;
-  for (int i = 4; i < 10; ++i) {
-    const char c = name[static_cast<std::size_t>(i)];
-    if (c < '0' || c > '9') return -1;
-    n = n * 10 + (c - '0');
-  }
-  return n;
-}
-
-/// All segment numbers under `dir`, ascending. Missing dir -> empty.
-std::vector<int> list_segments(const std::string& dir) {
-  std::vector<int> numbers;
-  std::error_code ec;
-  for (const auto& e : fs::directory_iterator(dir, ec)) {
-    const int n = segment_number(e.path().filename().string());
-    if (n >= 0) numbers.push_back(n);
-  }
-  std::sort(numbers.begin(), numbers.end());
-  return numbers;
-}
+constexpr recover::NumberedFiles kSegments{"seg-", ".twj"};
 
 std::vector<std::uint8_t> encode_submitted(std::uint64_t job,
                                            const JobParams& params,
@@ -71,14 +41,15 @@ std::vector<std::uint8_t> encode_terminal(JournalOp op, std::uint64_t job) {
   return w.take();
 }
 
-/// Frames one record: u32 payload size | u32 CRC-32 | payload.
-std::vector<std::uint8_t> frame_record(const std::vector<std::uint8_t>& p) {
+/// Appends one framed record to `out`: u32 payload size | u32 CRC-32 |
+/// payload.
+void append_record(std::vector<std::uint8_t>& out,
+                   const std::vector<std::uint8_t>& p) {
   ByteWriter w;
   w.u32(static_cast<std::uint32_t>(p.size()));
   w.u32(recover::crc32(p));
-  std::vector<std::uint8_t> frame = w.take();
-  frame.insert(frame.end(), p.begin(), p.end());
-  return frame;
+  out.insert(out.end(), w.bytes().begin(), w.bytes().end());
+  out.insert(out.end(), p.begin(), p.end());
 }
 
 /// Decodes one segment's records into the shared replay state. Returns
@@ -87,10 +58,9 @@ std::vector<std::uint8_t> frame_record(const std::vector<std::uint8_t>& p) {
 bool replay_segment(const std::string& path, JournalReplay& out,
                     std::vector<LiveJob>& jobs,
                     std::vector<std::uint64_t>& finished) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return true;  // vanished between listing and open: nothing lost
-  std::vector<std::uint8_t> bytes(
-      (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  const auto file = recover::read_file(path);
+  if (!file) return true;  // vanished between listing and open: nothing lost
+  const std::vector<std::uint8_t>& bytes = *file;
 
   const auto find = [&jobs](std::uint64_t id) -> LiveJob* {
     for (LiveJob& j : jobs)
@@ -176,85 +146,75 @@ JobJournal::JobJournal(std::string dir, std::uint64_t max_segment_bytes,
       max_segment_bytes_(std::max<std::uint64_t>(1, max_segment_bytes)),
       disk_faults_(disk_faults) {
   std::error_code ec;
-  fs::create_directories(dir_, ec);
+  std::filesystem::create_directories(dir_, ec);
   if (ec)
     throw ServeError(ServeErrc::kIo, "cannot create journal dir " + dir_ +
                                          ": " + ec.message());
-  const std::vector<int> numbers = list_segments(dir_);
-  segments_ = static_cast<int>(numbers.size());
+  const std::vector<int> numbers = kSegments.list(dir_);
   for (const int n : numbers) {
-    std::error_code sec;
-    const std::uint64_t sz = fs::file_size(dir_ + "/" + segment_name(n), sec);
-    if (!sec) total_bytes_ += sz;
-    if (n == numbers.back()) seg_bytes_ = sec ? 0 : sz;
+    seg_bytes_ = kSegments.bytes(dir_, n);
+    total_bytes_ += seg_bytes_;
   }
   // Append to the newest existing segment; start segment 1 fresh.
+  segments_ = std::max<int>(1, static_cast<int>(numbers.size()));
   open_segment(numbers.empty() ? 1 : numbers.back());
-  if (numbers.empty()) segments_ = 1;
 }
 
 void JobJournal::open_segment(int number) {
   seg_ = number;
   out_.close();
   out_.clear();
-  out_.open(dir_ + "/" + segment_name(seg_), std::ios::binary | std::ios::app);
+  out_.open(kSegments.path(dir_, seg_), std::ios::binary | std::ios::app);
   if (!out_)
-    throw ServeError(ServeErrc::kIo,
-                     "cannot open journal segment " + dir_ + "/" +
-                         segment_name(seg_));
+    throw ServeError(ServeErrc::kIo, "cannot open journal segment " +
+                                         kSegments.path(dir_, seg_));
 }
 
 void JobJournal::append(const std::vector<std::uint8_t>& payload) {
-  const std::vector<std::uint8_t> frame = frame_record(payload);
+  std::vector<std::uint8_t> frame;
+  append_record(frame, payload);
+
+  const auto poll = [this](recover::DiskSite site) {
+    return disk_faults_ == nullptr ? recover::DiskFault::kNone
+                                   : disk_faults_->write_fault(site);
+  };
 
   // Rotate before the append that would burst the segment cap (never
   // split a record; an oversized record gets a segment of its own).
   if (seg_bytes_ > 0 && seg_bytes_ + frame.size() > max_segment_bytes_) {
-    if (disk_faults_ != nullptr) {
-      const recover::DiskFault f =
-          disk_faults_->write_fault(recover::DiskSite::kJournalRotate);
-      if (f != recover::DiskFault::kNone)
-        throw ServeError(ServeErrc::kIo,
-                         std::string("injected ") + recover::to_string(f) +
-                             " rotating journal segment " +
-                             segment_name(seg_ + 1));
-    }
+    if (const recover::DiskFault f = poll(recover::DiskSite::kJournalRotate);
+        f != recover::DiskFault::kNone)
+      throw ServeError(ServeErrc::kIo,
+                       std::string("injected ") + recover::to_string(f) +
+                           " rotating to " + kSegments.path(dir_, seg_ + 1));
     open_segment(seg_ + 1);
     ++segments_;
     seg_bytes_ = 0;
   }
 
-  if (disk_faults_ != nullptr) {
-    const recover::DiskFault f =
-        disk_faults_->write_fault(recover::DiskSite::kJournalAppend);
-    if (f == recover::DiskFault::kShortWrite) {
-      // Model the torn tail a real short write leaves: part of the frame
-      // reaches the segment, then the write fails. Replay must drop it.
-      const std::size_t cut = std::min<std::size_t>(frame.size(), 5);
-      out_.write(reinterpret_cast<const char*>(frame.data()),
-                 static_cast<std::streamsize>(cut));
-      out_.flush();
-      seg_bytes_ += cut;
-      total_bytes_ += cut;
-      throw ServeError(ServeErrc::kIo,
-                       "injected short_write appending to journal segment " +
-                           segment_name(seg_));
-    }
-    if (f != recover::DiskFault::kNone)
-      throw ServeError(ServeErrc::kIo,
-                       std::string("injected ") + recover::to_string(f) +
-                           " appending to journal segment " +
-                           segment_name(seg_));
-  }
-
+  const recover::DiskFault f = poll(recover::DiskSite::kJournalAppend);
+  // An injected short write leaves the torn tail a real one leaves: part
+  // of the frame reaches the segment, then the write fails. Replay must
+  // drop it. Any other injected fault writes nothing.
+  std::size_t n = frame.size();
+  if (f == recover::DiskFault::kShortWrite)
+    n = std::min<std::size_t>(n, 5);
+  else if (f != recover::DiskFault::kNone)
+    n = 0;
   out_.write(reinterpret_cast<const char*>(frame.data()),
-             static_cast<std::streamsize>(frame.size()));
+             static_cast<std::streamsize>(n));
   out_.flush();
+  if (out_) {
+    seg_bytes_ += n;
+    total_bytes_ += n;
+  }
+  if (f != recover::DiskFault::kNone)
+    throw ServeError(ServeErrc::kIo,
+                     std::string("injected ") + recover::to_string(f) +
+                         " appending to " + kSegments.path(dir_, seg_));
   if (!out_)
-    throw ServeError(ServeErrc::kIo, "journal append failed: " + dir_ + "/" +
-                                         segment_name(seg_));
-  seg_bytes_ += frame.size();
-  total_bytes_ += frame.size();
+    throw ServeError(ServeErrc::kIo,
+                     "journal append failed: " + kSegments.path(dir_, seg_));
   ++appended_;
 }
 
@@ -276,61 +236,33 @@ void JobJournal::compact(const std::vector<LiveJob>& live) {
   // existing one, so replay order puts it last and its re-submits win
   // nothing / lose nothing against the old records (see replay_segment).
   const int target = seg_ + 1;
-  const std::string path = dir_ + "/" + segment_name(target);
-  const std::string tmp = path + ".tmp";
-  std::uint64_t written = 0;
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out)
-      throw ServeError(ServeErrc::kIo, "cannot open " + tmp);
-    for (const LiveJob& j : live) {
-      const std::vector<std::uint8_t> sub =
-          frame_record(encode_submitted(j.job, j.params, j.netlist_yal));
-      out.write(reinterpret_cast<const char*>(sub.data()),
-                static_cast<std::streamsize>(sub.size()));
-      written += sub.size();
-      if (j.cancelled) {
-        const std::vector<std::uint8_t> can =
-            frame_record(encode_terminal(JournalOp::kCancelled, j.job));
-        out.write(reinterpret_cast<const char*>(can.data()),
-                  static_cast<std::streamsize>(can.size()));
-        written += can.size();
-      }
-      // A replayed cancel marker is not terminal (the job is still owed a
-      // result); kCancelled only finalizes a job *not* in `live`.
-    }
-    if (!out)
-      throw ServeError(ServeErrc::kIo, "short write to " + tmp);
+  std::vector<std::uint8_t> bytes;
+  for (const LiveJob& j : live) {
+    append_record(bytes, encode_submitted(j.job, j.params, j.netlist_yal));
+    // A replayed cancel marker is not terminal (the job is still owed a
+    // result); kCancelled only finalizes a job *not* in `live`.
+    if (j.cancelled)
+      append_record(bytes, encode_terminal(JournalOp::kCancelled, j.job));
   }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec)
-    throw ServeError(ServeErrc::kIo, "rename " + tmp + " -> " + path +
-                                         " failed: " + ec.message());
+  const std::string err =
+      recover::write_atomic(kSegments.path(dir_, target), bytes, disk_faults_,
+                            recover::DiskSite::kJournalRotate);
+  if (!err.empty())
+    throw ServeError(ServeErrc::kIo, "journal compaction: " + err);
 
   // The compacted segment is durable; everything older is now redundant.
   // Unlink failures leave extra-but-consistent history, so they only warn.
   out_.close();
-  int kept_segments = 1;
-  std::uint64_t kept_bytes = written;
-  for (const int n : list_segments(dir_)) {
-    if (n >= target) continue;
-    std::error_code rec;
-    fs::remove(dir_ + "/" + segment_name(n), rec);
-    if (rec) {
-      ++kept_segments;
-      std::error_code sec;
-      const std::uint64_t sz =
-          fs::file_size(dir_ + "/" + segment_name(n), sec);
-      if (!sec) kept_bytes += sz;
-      log_warn("journal compaction: cannot remove old segment ",
-               segment_name(n), ": ", rec.message());
+  segments_ = 1;
+  seg_bytes_ = total_bytes_ = bytes.size();
+  for (const int n : kSegments.list(dir_)) {
+    if (n >= target) break;
+    if (!recover::remove_file(kSegments.path(dir_, n))) {
+      ++segments_;
+      total_bytes_ += kSegments.bytes(dir_, n);
     }
   }
   open_segment(target);
-  segments_ = kept_segments;
-  seg_bytes_ = written;
-  total_bytes_ = kept_bytes;
   log_info("journal compacted: ", dir_, " now holds ", live.size(),
            " live job(s) in ", segments_, " segment(s), ", total_bytes_,
            " byte(s)");
@@ -340,22 +272,20 @@ JournalReplay JobJournal::replay(const std::string& dir) {
   JournalReplay out;
   std::vector<LiveJob> jobs;
   std::vector<std::uint64_t> finished;
-  const std::vector<int> numbers = list_segments(dir);
+  const std::vector<int> numbers = kSegments.list(dir);
   out.segments = static_cast<int>(numbers.size());
   for (const int n : numbers) {
-    const std::string path = dir + "/" + segment_name(n);
+    const std::string path = kSegments.path(dir, n);
     const bool clean = replay_segment(path, out, jobs, finished);
     if (!clean) {
       // A torn tail is the expected signature of a crash mid-append, but
       // only the newest segment was ever mid-append; damage anywhere else
       // is on-disk corruption and gets its own flag.
-      if (n == numbers.back())
-        out.torn_tail = true;
-      else
-        out.torn_interior = true;
+      const bool newest = n == numbers.back();
+      (newest ? out.torn_tail : out.torn_interior) = true;
       log_warn("journal ", path, ": torn/corrupt record dropped (",
-               n == numbers.back() ? "newest segment: crash tail"
-                                   : "interior segment: disk damage",
+               newest ? "newest segment: crash tail"
+                      : "interior segment: disk damage",
                ")");
     }
   }

@@ -22,7 +22,7 @@
 // everything else, but flags it separately (torn_interior).
 //
 // compact() bounds total size: it rewrites only still-live jobs into one
-// fresh segment (atomic temp + rename, numbered above every existing
+// fresh segment (recover::write_atomic, numbered above every existing
 // segment) and then unlinks the old segments. A crash between the rename
 // and the unlinks is safe: replay of old-segments-plus-compacted-segment
 // converges to the same live set, because re-submits of an id already
@@ -30,8 +30,8 @@
 //
 // Disk faults (full disk, short write) surface as typed ServeError(kIo),
 // never a crash or a silently-dropped record; the injection seam
-// (recover::DiskFaultInjector, sites kJournalAppend / kJournalRotate)
-// lets tests script them deterministically.
+// (recover::DiskFaultInjector, sites kJournalAppend and kJournalRotate,
+// the latter for rotation and compaction) lets tests script them.
 #pragma once
 
 #include <cstdint>

@@ -1,42 +1,22 @@
 #include "serve/result_cache.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
+#include <string_view>
 #include <vector>
 
+#include "recover/durable.hpp"
 #include "util/log.hpp"
 
 namespace tw::serve {
 namespace {
 
-namespace fs = std::filesystem;
 using recover::ByteReader;
 using recover::ByteWriter;
 
-constexpr std::uint8_t kMagic[4] = {'T', 'W', 'R', 'C'};
+constexpr std::string_view kMagic = "TWRC";
 constexpr std::uint32_t kCacheVersion = 1;
-
-std::string entry_name(int counter) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "res-%06d.twr", counter);
-  return buf;
-}
-
-/// res-NNNNNN.twr -> NNNNNN, or -1 for foreign files.
-int entry_number(const std::string& name) {
-  if (name.size() != 14 || name.rfind("res-", 0) != 0 ||
-      name.substr(10) != ".twr")
-    return -1;
-  int n = 0;
-  for (int i = 4; i < 10; ++i) {
-    const char c = name[static_cast<std::size_t>(i)];
-    if (c < '0' || c > '9') return -1;
-    n = n * 10 + (c - '0');
-  }
-  return n;
-}
+constexpr recover::NumberedFiles kEntries{"res-", ".twr"};
 
 std::vector<std::uint8_t> encode_entry(const CacheKey& key,
                                        const CachedResult& r) {
@@ -56,17 +36,7 @@ std::vector<std::uint8_t> encode_entry(const CacheKey& key,
 bool decode_entry(const std::vector<std::uint8_t>& bytes, CacheKey& key,
                   CachedResult& r) {
   try {
-    ByteReader fr(bytes);
-    for (const std::uint8_t m : kMagic)
-      if (fr.u8() != m) return false;
-    if (fr.u32() != kCacheVersion) return false;
-    const std::size_t size = fr.length_prefix(1);
-    const std::uint32_t crc = fr.u32();
-    if (size != fr.remaining()) return false;
-    const std::span<const std::uint8_t> payload(
-        bytes.data() + (bytes.size() - size), size);
-    if (recover::crc32(payload) != crc) return false;
-    ByteReader pr(payload);
+    ByteReader pr(recover::unframe(bytes, kMagic, kCacheVersion, "entry"));
     key.netlist = pr.u64();
     key.params = pr.u64();
     const std::uint8_t status = pr.u8();
@@ -98,42 +68,29 @@ ResultCache::ResultCache(std::string dir, std::uint64_t budget_bytes,
       budget_bytes_(budget_bytes),
       disk_faults_(disk_faults) {
   std::error_code ec;
-  fs::create_directories(dir_, ec);
+  std::filesystem::create_directories(dir_, ec);
   if (ec)
     throw ServeError(ServeErrc::kIo,
                      "cannot create cache dir " + dir_ + ": " + ec.message());
 
   // Load in counter order so that on a duplicate key the newest file
   // wins, matching what put() would have left in memory.
-  std::vector<int> numbers;
-  for (const auto& e : fs::directory_iterator(dir_, ec)) {
-    const int n = entry_number(e.path().filename().string());
-    if (n >= 0) numbers.push_back(n);
-  }
-  std::sort(numbers.begin(), numbers.end());
-  for (const int n : numbers) {
-    counter_ = std::max(counter_, n);
-    const std::string path = dir_ + "/" + entry_name(n);
-    std::ifstream in(path, std::ios::binary);
-    std::vector<std::uint8_t> bytes(
-        (std::istreambuf_iterator<char>(in)),
-        std::istreambuf_iterator<char>());
+  for (const int n : kEntries.list(dir_)) {
+    counter_ = n;
+    const std::string path = kEntries.path(dir_, n);
+    const auto bytes = recover::read_file(path);
     CacheKey key;
     CachedResult r;
-    if (!in.good() && bytes.empty()) {
-      log_warn("result cache: unreadable entry ", path, "; skipping");
-      continue;
-    }
-    if (!decode_entry(bytes, key, r)) {
-      log_warn("result cache: invalid entry ", path,
+    if (!bytes || !decode_entry(*bytes, key, r)) {
+      log_warn("result cache: unreadable or invalid entry ", path,
                " (torn write or foreign file); skipping");
       continue;
     }
     // Replacing a same-key entry from an older file: drop the old size.
     if (const auto it = index_.find(key); it != index_.end())
       bytes_ -= std::min(bytes_, it->second.bytes);
-    index_[key] = Entry{n, static_cast<std::uint64_t>(bytes.size()), r};
-    bytes_ += bytes.size();
+    index_[key] = Entry{n, bytes->size(), r};
+    bytes_ += bytes->size();
     ++loaded_;
   }
   prune();
@@ -148,13 +105,9 @@ std::optional<CachedResult> ResultCache::lookup(const CacheKey& key) const {
 void ResultCache::put(const CacheKey& key, const CachedResult& result) {
   if (!cacheable(result.status)) return;
 
-  const std::vector<std::uint8_t> payload = encode_entry(key, result);
-  ByteWriter w;
-  for (const std::uint8_t m : kMagic) w.u8(m);
-  w.u32(kCacheVersion);
-  w.u32(static_cast<std::uint32_t>(payload.size()));
-  w.u32(recover::crc32(payload));
-  const std::uint64_t total = w.bytes().size() + payload.size();
+  const std::vector<std::uint8_t> framed =
+      recover::frame(kMagic, kCacheVersion, encode_entry(key, result));
+  const std::uint64_t total = framed.size();
   if (budget_bytes_ > 0 && total > budget_bytes_)
     throw ServeError(ServeErrc::kIo,
                      "cache entry of " + std::to_string(total) +
@@ -162,42 +115,10 @@ void ResultCache::put(const CacheKey& key, const CachedResult& result) {
                          std::to_string(budget_bytes_));
 
   const int n = ++counter_;
-  const std::string path = dir_ + "/" + entry_name(n);
-  const std::string tmp = path + ".tmp";
-
-  if (disk_faults_ != nullptr) {
-    const recover::DiskFault f =
-        disk_faults_->write_fault(recover::DiskSite::kCacheWrite);
-    if (f == recover::DiskFault::kShortWrite) {
-      // Leave a genuinely truncated temp file behind, like a real
-      // mid-write failure would; the atomic rename never happens.
-      std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-      const std::vector<std::uint8_t>& hb = w.bytes();
-      out.write(reinterpret_cast<const char*>(hb.data()),
-                static_cast<std::streamsize>(
-                    std::min<std::size_t>(hb.size(), 3)));
-    }
-    if (f != recover::DiskFault::kNone)
-      throw ServeError(ServeErrc::kIo,
-                       std::string("injected ") + recover::to_string(f) +
-                           " writing cache entry " + tmp);
-  }
-
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    const std::vector<std::uint8_t>& hb = w.bytes();
-    out.write(reinterpret_cast<const char*>(hb.data()),
-              static_cast<std::streamsize>(hb.size()));
-    out.write(reinterpret_cast<const char*>(payload.data()),
-              static_cast<std::streamsize>(payload.size()));
-    if (!out)
-      throw ServeError(ServeErrc::kIo, "cannot write cache entry " + tmp);
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec)
-    throw ServeError(ServeErrc::kIo, "rename " + tmp + " -> " + path +
-                                         " failed: " + ec.message());
+  const std::string err =
+      recover::write_atomic(kEntries.path(dir_, n), framed, disk_faults_,
+                            recover::DiskSite::kCacheWrite);
+  if (!err.empty()) throw ServeError(ServeErrc::kIo, "cache entry: " + err);
   if (const auto it = index_.find(key); it != index_.end())
     bytes_ -= std::min(bytes_, it->second.bytes);
   index_[key] = Entry{n, total, result};
@@ -211,14 +132,8 @@ void ResultCache::prune() {
     auto victim = index_.begin();
     for (auto it = index_.begin(); it != index_.end(); ++it)
       if (it->second.counter < victim->second.counter) victim = it;
-    const std::string path = dir_ + "/" + entry_name(victim->second.counter);
-    std::error_code ec;
-    fs::remove(path, ec);
-    if (ec) {
+    if (!recover::remove_file(kEntries.path(dir_, victim->second.counter)))
       ++prune_failures_;
-      log_warn("result cache prune failed: ", path, ": ", ec.message(),
-               " (errno ", ec.value(), ")");
-    }
     bytes_ -= std::min(bytes_, victim->second.bytes);
     ++evictions_;
     index_.erase(victim);
@@ -227,24 +142,13 @@ void ResultCache::prune() {
   // Sweep superseded files (same key rewritten under a newer counter):
   // anything on disk not backing a live entry and older than the newest
   // file is garbage.
-  std::error_code ec;
-  for (const auto& e : fs::directory_iterator(dir_, ec)) {
-    const int n = entry_number(e.path().filename().string());
-    if (n < 0 || n >= counter_) continue;
-    bool live = false;
-    for (const auto& [key, entry] : index_)
-      if (entry.counter == n) {
-        live = true;
-        break;
-      }
-    if (live) continue;
-    std::error_code rec;
-    fs::remove(e.path(), rec);
-    if (rec) {
+  for (const int n : kEntries.list(dir_)) {
+    if (n >= counter_) continue;
+    const bool live =
+        std::any_of(index_.begin(), index_.end(),
+                    [n](const auto& kv) { return kv.second.counter == n; });
+    if (!live && !recover::remove_file(kEntries.path(dir_, n)))
       ++prune_failures_;
-      log_warn("result cache prune failed: ", e.path().string(), ": ",
-               rec.message(), " (errno ", rec.value(), ")");
-    }
   }
 }
 

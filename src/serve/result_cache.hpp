@@ -10,9 +10,9 @@
 // depends on when the cancel arrived and kFailed may be environmental;
 // neither is cached — an identical resubmission re-runs them.
 //
-// Entries are counter-named files (res-NNNNNN.twr, atomic temp + rename,
-// CRC-framed) in one directory; the counter resumes above the largest
-// file present, and when two files carry the same key the newer wins.
+// Entries are counter-named files (res-NNNNNN.twr, CRC-framed, written by
+// recover::write_atomic) in one directory; the counter resumes above the
+// largest file present, and the newer of two files with one key wins.
 // The directory is bounded by a *byte* budget, not an entry count —
 // that is the resource the disk actually runs out of. Oldest files are
 // evicted FIFO after each put until the directory fits; an entry larger

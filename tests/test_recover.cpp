@@ -1,8 +1,9 @@
 // The recover subsystem in isolation: bounds-checked serialization,
 // checkpoint framing (magic/version/size/CRC, atomic temp+rename writes),
-// corruption and truncation handling — a damaged file must always yield a
-// typed CheckpointError, never UB — plus RunBudget / FaultPlan semantics
-// and the graceful wind-down of a budget-limited flow.
+// the shared durable-file primitives (numbered names, frame checks, the
+// one atomic write), corruption and truncation handling — a damaged file
+// must always yield a typed CheckpointError, never UB — plus RunBudget /
+// FaultPlan semantics and the graceful wind-down of a budget-limited flow.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -14,6 +15,7 @@
 #include "flow/timberwolf.hpp"
 #include "recover/budget.hpp"
 #include "recover/checkpoint.hpp"
+#include "recover/durable.hpp"
 #include "recover/fault.hpp"
 #include "recover/serialize.hpp"
 #include "workload/paper_circuits.hpp"
@@ -486,6 +488,87 @@ TEST(Checkpoint, FindLatestSkipsCorruptNewest) {
     f.put('\xFF');
   }
   EXPECT_FALSE(recover::find_latest_checkpoint(dir).has_value());
+}
+
+// ------------------------------------------------------------ durable files
+
+TEST(RecoverDurable, NumberedFilesListOnlyTheirOwnNamesAscending) {
+  const std::string dir = temp_dir("tw_durable_names");
+  std::filesystem::create_directories(dir + "/ckpt-000004.twcp");  // a dir
+  for (const char* name :
+       {"ckpt-000010.twcp", "ckpt-000002.twcp", "ckpt-000002.twcp.tmp",
+        "ckpt-00003.twcp", "ckpt-0000005.twcp", "ckpt-00000x.twcp",
+        "res-000001.twr", "xckpt-000001.twcp"})
+    std::ofstream(dir + "/" + name) << "x";
+  const recover::NumberedFiles files{"ckpt-", ".twcp"};
+  EXPECT_EQ(files.list(dir), (std::vector<int>{2, 10}));
+  EXPECT_EQ(files.bytes(dir, 10), 1u);
+  EXPECT_EQ(files.bytes(dir, 11), 0u);
+  EXPECT_EQ(files.path(dir, 7), dir + "/ckpt-000007.twcp");
+  EXPECT_TRUE(files.list(dir + "/missing").empty());
+  EXPECT_FALSE(recover::read_file(dir + "/ckpt-000004.twcp").has_value());
+  EXPECT_FALSE(recover::read_file(dir + "/missing").has_value());
+  EXPECT_EQ(recover::read_file(dir + "/ckpt-000010.twcp"),
+            (std::vector<std::uint8_t>{'x'}));
+}
+
+TEST(RecoverDurable, UnframeChecksInOrderWithTypedCodes) {
+  const std::vector<std::uint8_t> payload = {1, 2, 3, 4, 5};
+  const std::vector<std::uint8_t> good = recover::frame("ABCD", 7, payload);
+  ASSERT_EQ(good.size(), 16 + payload.size());
+  const auto span = recover::unframe(good, "ABCD", 7, "good");
+  EXPECT_EQ(std::vector<std::uint8_t>(span.begin(), span.end()), payload);
+
+  const auto code_of = [](const std::vector<std::uint8_t>& bytes,
+                          std::string_view magic, std::uint32_t version) {
+    try {
+      (void)recover::unframe(bytes, magic, version, "bad");
+    } catch (const CheckpointError& e) {
+      return e.code();
+    }
+    ADD_FAILURE() << "unframe accepted a damaged frame";
+    return CheckpointErrc::kIo;
+  };
+  EXPECT_EQ(code_of({good.begin(), good.begin() + 15}, "ABCD", 7),
+            CheckpointErrc::kTruncated);
+  EXPECT_EQ(code_of(good, "ABCE", 7), CheckpointErrc::kBadMagic);
+  EXPECT_EQ(code_of(good, "ABCD", 8), CheckpointErrc::kBadVersion);
+  std::vector<std::uint8_t> longer = good;
+  longer.push_back(0);
+  EXPECT_EQ(code_of(longer, "ABCD", 7), CheckpointErrc::kTruncated);
+  EXPECT_EQ(code_of({good.begin(), good.end() - 1}, "ABCD", 7),
+            CheckpointErrc::kTruncated);
+  std::vector<std::uint8_t> flipped = good;
+  flipped.back() ^= 0x01;
+  EXPECT_EQ(code_of(flipped, "ABCD", 7), CheckpointErrc::kBadCrc);
+}
+
+TEST(RecoverDurable, WriteAtomicNeverRenamesAFailedWrite) {
+  const std::string dir = temp_dir("tw_durable_write");
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/file";
+  const std::vector<std::uint8_t> first = {1, 2, 3, 4};
+  const std::vector<std::uint8_t> second = {5, 6, 7, 8, 9, 10};
+  const DiskSite site = DiskSite::kJournalRotate;
+
+  DiskFaultPlan plan;
+  plan.fail_at(site, 1, DiskFault::kShortWrite);
+  plan.fail_at(site, 2, DiskFault::kEnospc);
+  EXPECT_EQ(recover::write_atomic(path, first, &plan, site), "");
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  // A short write leaves a genuinely truncated temp; ENOSPC writes
+  // nothing. Neither touches the committed file.
+  EXPECT_NE(recover::write_atomic(path, second, &plan, site), "");
+  EXPECT_EQ(std::filesystem::file_size(path + ".tmp"), second.size() / 2);
+  EXPECT_NE(recover::write_atomic(path, second, &plan, site), "");
+  EXPECT_EQ(recover::read_file(path), first);
+  EXPECT_EQ(plan.count(site), 3);
+  // A real failure (no directory to write into) is reported, not thrown.
+  EXPECT_NE(recover::write_atomic(dir + "/missing/file", second, nullptr, site),
+            "");
+  EXPECT_EQ(recover::write_atomic(path, second, nullptr, site), "");
+  EXPECT_EQ(recover::read_file(path), second);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
 }
 
 // ----------------------------------------------------- budgeted flow runs

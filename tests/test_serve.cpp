@@ -1,7 +1,9 @@
 // Placement service (src/serve): wire-protocol framing against truncated,
 // corrupted and hostile byte streams; segmented write-ahead journal
 // replay with rotation, torn tails and crash-safe compaction; the
-// byte-budgeted on-disk result cache; the scheduler's typed admission
+// byte-budgeted on-disk result cache; the durable-file layer the journal,
+// the cache and the checkpoint sink share (close-time ENOSPC, golden
+// on-disk bytes); the scheduler's typed admission
 // control (quotas, priority-aware overload shedding, parse rejection),
 // dedup against running and cached work, checkpoint preemption with
 // byte-identical resume, disk-fault degraded modes, and crash recovery
@@ -21,8 +23,11 @@
 #include <deque>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <mutex>
+#include <optional>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "netlist/parser.hpp"
@@ -558,6 +563,71 @@ TEST(JournalTest, InjectedAppendFaultsAreTypedAndTornTailIsGenuine) {
   EXPECT_EQ(r.live[0].job, 1u);
 }
 
+/// The code of the typed `Error` that `fn` throws; nullopt when it returns.
+template <typename Error, typename Fn>
+auto error_code_of(Fn fn)
+    -> std::optional<decltype(std::declval<const Error&>().code())> {
+  try {
+    fn();
+  } catch (const Error& e) {
+    return e.code();
+  }
+  return std::nullopt;
+}
+
+TEST(JournalTest, InjectedRotateFaultsAtRotationAndCompactionAreTyped) {
+  // DiskSite::kJournalRotate covers both ways the journal starts a new
+  // segment: rotating past the cap, and compaction's rewrite.
+  const std::string dir = fresh_dir("tw_srv_jrotate") + "/journal";
+  recover::DiskFaultPlan plan;
+  plan.fail_at(recover::DiskSite::kJournalRotate, 0,
+               recover::DiskFault::kEnospc);
+  plan.fail_at(recover::DiskSite::kJournalRotate, 2,
+               recover::DiskFault::kShortWrite);
+  // Every record bursts a 64-byte cap, so every append but the first
+  // rotates.
+  JobJournal j(dir, /*max_segment_bytes=*/64, &plan);
+  const std::string netlist(100, 'r');
+  j.record_submitted(1, fast_params(1), netlist);
+
+  // Rotation (poll 0) fails: the record is refused, nothing is lost.
+  EXPECT_EQ(error_code_of<ServeError>(
+                [&] { j.record_submitted(2, fast_params(2), netlist); }),
+            ServeErrc::kIo);
+  EXPECT_EQ(j.segments(), 1);
+  j.record_submitted(2, fast_params(2), netlist);  // poll 1
+  EXPECT_EQ(j.segments(), 2);
+  const JournalReplay before = JobJournal::replay(dir);
+  ASSERT_EQ(before.live.size(), 2u);
+
+  // Compaction (poll 2) fails with a short write: the torn temp never
+  // reaches a segment name and the old segments stay in place.
+  EXPECT_EQ(error_code_of<ServeError>([&] { j.compact(before.live); }),
+            ServeErrc::kIo);
+  EXPECT_TRUE(std::filesystem::exists(dir + "/seg-000003.twj.tmp"));
+  EXPECT_FALSE(std::filesystem::exists(dir + "/seg-000003.twj"));
+  EXPECT_EQ(j.segments(), 2);
+  const JournalReplay after = JobJournal::replay(dir);
+  EXPECT_FALSE(after.torn_tail);
+  EXPECT_EQ(after.records, before.records);
+  ASSERT_EQ(after.live.size(), 2u);
+  EXPECT_EQ(after.live[0].job, 1u);
+  EXPECT_EQ(after.live[1].job, 2u);
+
+  // Later appends (poll 3 rotates) and a retried compaction (poll 4)
+  // succeed.
+  j.record_finished(1);
+  const JournalReplay live = JobJournal::replay(dir);
+  ASSERT_EQ(live.live.size(), 1u);
+  j.compact(live.live);
+  EXPECT_EQ(j.segments(), 1);
+  EXPECT_EQ(plan.count(recover::DiskSite::kJournalRotate), 5);
+  const JournalReplay compacted = JobJournal::replay(dir);
+  ASSERT_EQ(compacted.live.size(), 1u);
+  EXPECT_EQ(compacted.live[0].job, 2u);
+  EXPECT_EQ(compacted.live[0].netlist_yal, netlist);
+}
+
 // ---------------------------------------------------------------------------
 // Result cache
 
@@ -710,6 +780,163 @@ TEST(ResultCacheTest, TornEntryFromAKilledDaemonIsSkippedOnLoad) {
   cache.put(CacheKey{11, 11}, sample_result(11));
   ResultCache reloaded(dir, 1u << 20);
   EXPECT_TRUE(reloaded.lookup(CacheKey{11, 11}).has_value());
+}
+
+// ---------------------------------------------------------------------------
+// Durable files: the checkpoint sink, the result cache and the journal
+// share one atomic write, one numbered-file scheme and (checkpoints and
+// cache entries) one frame (recover/durable.hpp).
+
+/// Removes a directory when the test leaves it, on a failed ASSERT too.
+struct RemoveOnExit {
+  std::string dir;
+  ~RemoveOnExit() {
+    std::error_code ec;
+    std::filesystem::remove_all(dir, ec);
+  }
+};
+
+TEST(RecoverDurable, CloseTimeEnospcIsTypedAndRenamesNothing) {
+  // A symlink to /dev/full at a store's next temp path is the one
+  // unprivileged way to make ENOSPC strike when the buffered bytes reach
+  // the disk. Each store must fail typed, rename nothing and keep its
+  // prior state. Nothing here may read through a link: a read of
+  // /dev/full never ends, so every ASSERT comes before any read-back.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const std::string root = fresh_dir("tw_durable_enospc");
+  const RemoveOnExit cleanup{root};
+  const auto plant = [](const std::string& tmp) {
+    std::filesystem::create_symlink("/dev/full", tmp);
+  };
+
+  {  // Checkpoint sink: no checkpoint file appears.
+    const std::string dir = root + "/ckpt";
+    recover::FileCheckpointSink sink(dir);
+    plant(dir + "/ckpt-000001.twcp.tmp");
+    ASSERT_EQ(error_code_of<recover::CheckpointError>(
+                  [&] { (void)sink.save(recover::FlowCheckpoint{}); }),
+              recover::CheckpointErrc::kIo);
+    EXPECT_FALSE(std::filesystem::exists(dir + "/ckpt-000001.twcp"));
+    EXPECT_EQ(sink.saved(), 0);
+    EXPECT_EQ(sink.bytes(), 0u);
+    EXPECT_FALSE(recover::find_latest_checkpoint(dir).has_value());
+  }
+  {  // Result cache: nothing indexed, and a reload agrees.
+    const std::string dir = root + "/cache";
+    ResultCache cache(dir, 1u << 20);
+    plant(dir + "/res-000001.twr.tmp");
+    ASSERT_EQ(error_code_of<ServeError>(
+                  [&] { cache.put(CacheKey{1, 1}, sample_result(1)); }),
+              ServeErrc::kIo);
+    EXPECT_FALSE(std::filesystem::exists(dir + "/res-000001.twr"));
+    EXPECT_EQ(cache.size(), 0);
+    EXPECT_EQ(cache.bytes(), 0u);
+    EXPECT_FALSE(cache.lookup(CacheKey{1, 1}).has_value());
+    const ResultCache reloaded(dir, 1u << 20);
+    EXPECT_EQ(reloaded.size(), 0);
+    EXPECT_EQ(reloaded.loaded(), 0);
+  }
+  {  // Journal compaction: the old segment and both live jobs survive.
+    const std::string dir = root + "/journal";
+    JobJournal j(dir);
+    j.record_submitted(1, fast_params(1), "first live job");
+    j.record_submitted(2, fast_params(2), "second live job");
+    const JournalReplay before = JobJournal::replay(dir);
+    ASSERT_EQ(before.live.size(), 2u);
+    plant(dir + "/seg-000002.twj.tmp");
+    ASSERT_EQ(error_code_of<ServeError>([&] { j.compact(before.live); }),
+              ServeErrc::kIo);
+    EXPECT_FALSE(std::filesystem::exists(dir + "/seg-000002.twj"));
+    EXPECT_EQ(j.segments(), 1);
+    const JournalReplay after = JobJournal::replay(dir);
+    EXPECT_EQ(after.records, 2);
+    ASSERT_EQ(after.live.size(), 2u);
+    EXPECT_EQ(after.live[0].netlist_yal, "first live job");
+    EXPECT_EQ(after.live[1].netlist_yal, "second live job");
+  }
+}
+
+/// FNV-1a over a file's bytes.
+std::uint64_t file_digest(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::uint64_t h = 0xCBF29CE484222325ull;
+  for (std::istreambuf_iterator<char> it(in), end; it != end; ++it) {
+    h ^= static_cast<unsigned char>(*it);
+    h *= 0x100000001B3ull;
+  }
+  return h;
+}
+
+/// A stage-2 checkpoint with every field group populated.
+recover::FlowCheckpoint golden_checkpoint() {
+  recover::FlowCheckpoint cp;
+  cp.master_seed = 42;
+  cp.digest = 0x0123456789ABCDEFull;
+  cp.phase = recover::FlowPhase::kStage2;
+  cp.s1_done.final_teic = 1500.75;
+  cp.s1_done.final_teil = 1234.5;
+  cp.s1_done.residual_overlap = 17;
+  cp.s1_done.core = Rect{-200, -150, 200, 150};
+  cp.s1_done.t_infinity = 812.25;
+  cp.s1_done.temperature_steps = 3;
+  cp.s1_done.attempts = 9000;
+  cp.s1_done.accepts = 4100;
+  cp.s1_done.trace.push_back({812.25, 1600.5, 0.875, 120});
+  cp.s1_done.trace.push_back({406.125, 1550.0, 0.5, 60});
+  cp.stage1_teil = 1234.5;
+  cp.stage1_chip_area = 120000;
+  cp.s2.pass = 1;
+  cp.s2.anneal.t = 3.5;
+  cp.s2.anneal.steps = 7;
+  cp.s2.anneal.last_cost = 1100.125;
+  cp.s2.p2 = 0.25;
+  cp.s2.working_core = Rect{-210, -160, 210, 160};
+  cp.s2.expansions = {{1, 2, 3, 4}, {5, 6, 7, 8}};
+  cp.s2.rp.teil = 1180.5;
+  cp.s2.rp.regions = 12;
+  cp.s2.rp.router_counters.nodes_popped = 4321;
+  cp.s2.done.resize(1);
+  cp.s2.done[0].route_length = 987.5;
+  cp.s2.rng = {11, 22, 33, 44};
+  cp.placement.cells.resize(2);
+  cp.placement.cells[0].center = Point{-50, 25};
+  cp.placement.cells[0].orient = Orient::FE;
+  cp.placement.cells[0].pin_site = {0, 3, 5};
+  cp.placement.cells[1].center = Point{75, -40};
+  cp.placement.cells[1].instance = 1;
+  cp.placement.cells[1].aspect = 1.5;
+  return cp;
+}
+
+TEST(RecoverDurable, OnDiskBytesMatchGoldenDigests) {
+  // Digests recorded from the stores' own writers before they shared
+  // recover/durable.hpp: the format is unchanged, so files an older
+  // build left on disk stay readable.
+  const std::string root = fresh_dir("tw_durable_golden");
+  const RemoveOnExit cleanup{root};
+
+  const std::string ckpt = root + "/golden.twcp";
+  recover::write_checkpoint_file(ckpt, golden_checkpoint());
+  EXPECT_EQ(file_digest(ckpt), 0x5759391efb1b81f7ull);
+  EXPECT_EQ(recover::encode_checkpoint(recover::load_checkpoint(ckpt)),
+            recover::encode_checkpoint(golden_checkpoint()));
+
+  {
+    ResultCache cache(root + "/cache", 1u << 20);
+    cache.put(CacheKey{0x1111, 0x2222}, sample_result(0xabcdef));
+  }
+  EXPECT_EQ(file_digest(root + "/cache/res-000001.twr"),
+            0xd9d81eb0fba86621ull);
+
+  {
+    JobJournal j(root + "/journal");
+    j.record_submitted(1, fast_params(1), "golden netlist one");
+    j.record_submitted(2, fast_params(2), "golden netlist two");
+    j.record_cancelled(2);
+    j.record_finished(1);
+  }
+  EXPECT_EQ(file_digest(root + "/journal/seg-000001.twj"),
+            0xeeb093b3a92e4f33ull);
 }
 
 // ---------------------------------------------------------------------------

@@ -67,10 +67,19 @@ Rules (each reports file:line and exits nonzero on any hit):
      FaultInjector::poll — so the rule keys on the unambiguous tokens
      and the headers, which any real socket code must include.)
 
+  10. No file renames outside src/recover/durable.*: `rename(`,
+     `renameat(` and `renameat2(` (also as `std::filesystem::rename(`)
+     are banned elsewhere in src/. A rename is how a temp file commits
+     into place, and recover::write_atomic is the one write that checks
+     every step (flush, close) before it renames; the checkpoint sink,
+     the result cache and the journal all go through it. A second copy
+     would drift, as three did before, and rename a failed write into
+     place (docs/ROBUSTNESS.md "Atomic writes").
+
 Lines may opt out with a trailing `// lint: allow(<rule>)` where <rule>
 is one of: float-geom, raw-random, nondeterminism, raw-assert,
 checkpoint-io, raw-thread, txn-mutation, route-workspace,
-daemon-syscalls — or one of
+daemon-syscalls, atomic-write — or one of
 tools/semlint.py's semantic rules (rng-value, txn-reach, layer-dag,
 float-flow, pool-capture), which that tool audits itself.
 
@@ -187,6 +196,16 @@ RULES = [
         "socket/daemon syscalls live only in src/serve (the placement "
         "service, docs/ROBUSTNESS.md); library code must stay free of "
         "process-boundary I/O",
+    ),
+    (
+        "atomic-write",
+        lambda rel: rel.parts[0] == "src"
+        and str(rel) not in ("src/recover/durable.hpp",
+                             "src/recover/durable.cpp"),
+        re.compile(r"\brename(at2?)?\s*\("),
+        "files are committed into place only by recover::write_atomic "
+        "(src/recover/durable.hpp), which checks flush and close before "
+        "it renames",
     ),
 ]
 

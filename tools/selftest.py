@@ -34,7 +34,7 @@ TOOLS_DIR = pathlib.Path(__file__).resolve().parent
 LINT_RULES = {
     "float-geom", "raw-random", "nondeterminism", "raw-assert",
     "checkpoint-io", "raw-thread", "txn-mutation", "route-workspace",
-    "daemon-syscalls",
+    "daemon-syscalls", "atomic-write",
 }
 SEMLINT_RULES = {
     "rng-value", "txn-reach", "layer-dag", "float-flow", "pool-capture",
