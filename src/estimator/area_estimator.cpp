@@ -7,16 +7,6 @@
 namespace tw {
 namespace {
 
-int side_idx(Side s) {
-  switch (s) {
-    case Side::kLeft: return 0;
-    case Side::kRight: return 1;
-    case Side::kBottom: return 2;
-    case Side::kTop: return 3;
-  }
-  throw std::logic_error("bad side");
-}
-
 Point outward_normal(Side s) {
   switch (s) {
     case Side::kLeft: return {-1, 0};
@@ -90,7 +80,7 @@ DynamicAreaEstimator::DynamicAreaEstimator(const Netlist& nl,
         // approximately known, Section 2.4).
         const auto sides = sides_in_mask(p.side_mask);
         const double share = 1.0 / static_cast<double>(sides.size());
-        for (Side s : sides) counts[static_cast<std::size_t>(side_idx(s))] += share;
+        for (Side s : sides) counts[static_cast<std::size_t>(side_index(s))] += share;
       }
     }
   }
@@ -154,7 +144,7 @@ double DynamicAreaEstimator::local_pin_density(CellId c, InstanceId k,
   const Coord len = is_vertical(side) ? inst.height : inst.width;
   if (len <= 0) return 0.0;
   const double count =
-      side_pin_count_[static_cast<std::size_t>(c)][static_cast<std::size_t>(side_idx(side))];
+      side_pin_count_[static_cast<std::size_t>(c)][static_cast<std::size_t>(side_index(side))];
   return count / static_cast<double>(len);
 }
 

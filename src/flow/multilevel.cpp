@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -10,6 +9,7 @@
 #include "anneal/schedule.hpp"
 #include "baseline/shelf.hpp"
 #include "estimator/area_estimator.hpp"
+#include "flow/recorder.hpp"
 #include "util/log.hpp"
 
 namespace tw {
@@ -38,18 +38,9 @@ double probe_warm_t_factor(const Netlist& nl, Placement& placement,
   constexpr double kMinFactor = 0.005;
   constexpr double kMaxFactor = 0.2;
 
-  // T_infinity exactly as the refinement's Stage1Placer computes it
-  // (Eqns 19-21 over expanded cell areas), so the returned factor lands
-  // on the same temperature scale.
-  const double e0 = estimator.nominal_expansion();
-  double eff_area = 0.0;
-  for (const auto& c : nl.cells()) {
-    const CellInstance& inst = c.instances.front();
-    eff_area += (static_cast<double>(inst.width) + 2.0 * e0) *
-                (static_cast<double>(inst.height) + 2.0 * e0);
-  }
-  const double t_inf = t_infinity(
-      temperature_scale(eff_area / static_cast<double>(nl.num_cells())));
+  // T_infinity exactly as the refinement's Stage1Placer computes it, so
+  // the returned factor lands on the same temperature scale.
+  const double t_inf = t_infinity(stage1_temperature_scale(nl, estimator));
 
   RangeLimiter limiter(core.width(), core.height(), t_inf, rho);
   const Coord wx = limiter.window_x(fallback * t_inf);
@@ -109,23 +100,8 @@ MultilevelResult MultilevelFlow::run(Placement& placement) {
 
 MultilevelResult MultilevelFlow::resume(
     Placement& placement, const recover::FlowCheckpoint& checkpoint) {
-  const std::uint64_t want = recover::netlist_digest(nl_);
-  if (checkpoint.digest != want)
-    throw recover::CheckpointError(
-        recover::CheckpointErrc::kNetlistMismatch,
-        "checkpoint digest " + std::to_string(checkpoint.digest) +
-            " != netlist digest " + std::to_string(want));
-  if (checkpoint.master_seed != params_.seed)
-    throw recover::CheckpointError(
-        recover::CheckpointErrc::kSeedMismatch,
-        "checkpoint seed " + std::to_string(checkpoint.master_seed) +
-            " != flow seed " + std::to_string(params_.seed));
-  if (checkpoint.phase != recover::FlowPhase::kMultilevelRefine)
-    throw recover::CheckpointError(
-        recover::CheckpointErrc::kCorrupt,
-        std::string("checkpoint phase ") + to_string(checkpoint.phase) +
-            " is not multilevel-refine");
-  recover::apply_placement(placement, checkpoint.placement);
+  restore_checkpoint(placement, checkpoint, nl_, params_.seed,
+                     {recover::FlowPhase::kMultilevelRefine});
   return run_impl(placement, &checkpoint);
 }
 
@@ -134,24 +110,7 @@ MultilevelResult MultilevelFlow::run_impl(
   MultilevelResult r;
   r.warm_source = warm_->name();
   const bool resumed = checkpoint != nullptr;
-
-  std::optional<recover::FileCheckpointSink> sink;
-  std::uint64_t digest = 0;
-  if (!params_.recover.checkpoint_dir.empty()) {
-    sink.emplace(params_.recover.checkpoint_dir,
-                 params_.recover.checkpoint_keep,
-                 params_.recover.checkpoint_quota_bytes,
-                 params_.recover.disk_faults);
-    digest = recover::netlist_digest(nl_);
-  }
-
-  const auto preempt_point = [this](const char* where) {
-    // Cancellation wins over preemption, as in TimberWolfMC::run_impl.
-    if (params_.recover.budget != nullptr &&
-        params_.recover.budget->preempt_requested() &&
-        !params_.recover.budget->cancelled())
-      throw recover::Preempted(where);
-  };
+  FlowRecorder recorder(nl_, params_.seed, params_.recover);
 
   // --- warm start ------------------------------------------------------------
   // The probed factor only matters on the fresh path: a resumed
@@ -188,39 +147,15 @@ MultilevelResult MultilevelFlow::run_impl(
   Stage1Params rp = params_.refine;
   rp.warm_start_t_factor = refine_factor;
   Stage1Placer refine(nl_, rp, derive_seed(params_.seed, "ml-refine"));
-  Stage1Hooks hooks;
-  hooks.budget = params_.recover.budget;
-  hooks.faults = params_.recover.faults;
-  hooks.checkpoint_every = params_.recover.checkpoint_every;
-  if (sink || params_.recover.on_progress) {
-    hooks.on_checkpoint = [&](const Stage1Cursor& cur) {
-      if (sink) {
-        recover::FlowCheckpoint fc;
-        fc.master_seed = params_.seed;
-        fc.digest = digest;
-        fc.phase = recover::FlowPhase::kMultilevelRefine;
-        fc.ml_coarse = r.warm.coarse;
-        fc.ml_warm_teil = r.warm.teil;
-        fc.ml_clusters = r.warm.clusters;
-        fc.ml_dropped_nets = r.warm.dropped_nets;
-        fc.s1 = cur;
-        fc.placement = recover::pack_placement(placement);
-        sink->save(fc);
-        preempt_point("multilevel refine step boundary");
-      }
-      if (params_.recover.on_progress) {
-        FlowProgress pg;
-        pg.phase = recover::FlowPhase::kMultilevelRefine;
-        pg.step = cur.next_step;
-        pg.pass = 0;
-        pg.t = cur.t;
-        if (!cur.partial.trace.empty())
-          pg.cost = cur.partial.trace.back().avg_cost;
-        params_.recover.on_progress(pg);
-      }
-    };
-  }
-  refine.set_hooks(std::move(hooks));
+  refine.set_hooks(recorder.hooks<Stage1Cursor>(
+      recover::FlowPhase::kMultilevelRefine, placement,
+      [&r](recover::FlowCheckpoint& cp, const Stage1Cursor& cur) {
+        cp.ml_coarse = r.warm.coarse;
+        cp.ml_warm_teil = r.warm.teil;
+        cp.ml_clusters = r.warm.clusters;
+        cp.ml_dropped_nets = r.warm.dropped_nets;
+        cp.s1 = cur;
+      }));
   r.refine = resumed ? refine.resume(placement, checkpoint->s1)
                      : refine.run(placement);
 
@@ -232,11 +167,7 @@ MultilevelResult MultilevelFlow::run_impl(
            " area=", r.final_chip_area,
            " overlap=", r.refine.residual_overlap);
 
-  if (r.refine.outcome != recover::RunOutcome::kCompleted)
-    r.outcome = r.refine.outcome;  // budget outcomes win over kResumed
-  else
-    r.outcome = resumed ? recover::RunOutcome::kResumed
-                        : recover::RunOutcome::kCompleted;
+  r.outcome = flow_outcome(r.refine.outcome, resumed);
   return r;
 }
 

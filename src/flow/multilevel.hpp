@@ -54,8 +54,8 @@ struct MultilevelParams {
   /// displacements, measure the mean uphill wire-cost delta, and start at
   /// the temperature whose uphill acceptance would be ~25%, clamped to
   /// [0.005, 0.2] of T_infinity (refine_t_factor is the fallback when the
-  /// probe cannot measure). A cheap warm start (random) probes hot and
-  /// gets room to fix it; a good one (cluster) probes cool and is only
+  /// probe cannot measure). A poor warm start probes hot and gets room
+  /// to fix it; a good one (cluster) probes cool and is only
   /// polished. The probe restores every cell it touches and draws from
   /// its own derived stream, so it shifts no other decision; resumed runs
   /// skip it entirely (they continue at the checkpoint temperature).

@@ -126,8 +126,10 @@ public:
   /// checkpointed state; the continuation is byte-identical to the
   /// uninterrupted run under the same FlowParams. Throws CheckpointError
   /// (kNetlistMismatch / kSeedMismatch) when the checkpoint was taken on a
-  /// different netlist or master seed. The returned outcome is kResumed
-  /// when the continuation completed normally; budget outcomes win.
+  /// different netlist or master seed, and kCorrupt when its phase is not
+  /// stage 1 or stage 2 (a multilevel-refine checkpoint). The returned
+  /// outcome is kResumed when the continuation completed normally; budget
+  /// outcomes win.
   FlowResult resume(Placement& placement,
                     const recover::FlowCheckpoint& checkpoint);
 

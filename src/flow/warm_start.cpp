@@ -28,16 +28,6 @@ void recenter(Placement& placement, const Rect& core) {
 
 }  // namespace
 
-WarmStartInfo RandomWarmStart::prepare(Placement& placement, const Rect& core,
-                                       std::uint64_t seed,
-                                       recover::RunBudget* /*budget*/) {
-  Rng rng(seed);
-  placement.randomize(rng, core);
-  WarmStartInfo info;
-  info.teil = placement.teil();
-  return info;
-}
-
 WarmStartInfo QuadraticWarmStart::prepare(Placement& placement,
                                           const Rect& core,
                                           std::uint64_t seed,

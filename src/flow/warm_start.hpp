@@ -4,14 +4,12 @@
 // from it at a reduced starting temperature
 // (Stage1Params::warm_start_t_factor).
 //
-// Three sources share the interface:
+// Two sources share the interface:
 //   * ClusterWarmStart   — the multilevel path: cluster the netlist, run
 //     stage 1 on the coarse netlist, project cluster placements onto the
 //     member cells (the uncluster step), legalize;
 //   * QuadraticWarmStart — the resistive-network baseline
-//     (src/baseline/quadratic): analytic minimizer + row legalization;
-//   * RandomWarmStart    — a uniform random configuration, the control
-//     arm (equivalent to a cold start at the same reduced temperature).
+//     (src/baseline/quadratic): analytic minimizer + row legalization.
 //
 // Every source is a deterministic function of (netlist, params, seed);
 // MultilevelFlow threads its master seed through derive_seed so a flow
@@ -50,15 +48,6 @@ class WarmStart {
   virtual WarmStartInfo prepare(Placement& placement, const Rect& core,
                                 std::uint64_t seed,
                                 recover::RunBudget* budget) = 0;
-};
-
-/// Uniform random configuration inside the core — the control arm.
-class RandomWarmStart final : public WarmStart {
- public:
-  const char* name() const override { return "random"; }
-  WarmStartInfo prepare(Placement& placement, const Rect& core,
-                        std::uint64_t seed,
-                        recover::RunBudget* budget) override;
 };
 
 /// The quadratic (resistive-network) baseline as a warm start.

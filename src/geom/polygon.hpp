@@ -19,6 +19,9 @@ namespace tw {
 /// Which direction the outward normal of a boundary edge points.
 enum class Side : std::uint8_t { kLeft, kRight, kBottom, kTop };
 
+/// 0..3 in declaration order: the index of per-side arrays (L, R, B, T).
+inline int side_index(Side s) { return static_cast<int>(s); }
+
 inline bool is_vertical(Side s) { return s == Side::kLeft || s == Side::kRight; }
 const char* to_string(Side s);
 /// The side facing this one (kLeft <-> kRight, kBottom <-> kTop).

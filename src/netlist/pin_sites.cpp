@@ -4,19 +4,6 @@
 #include <stdexcept>
 
 namespace tw {
-namespace {
-
-int side_index(Side s) {
-  switch (s) {
-    case Side::kLeft: return 0;
-    case Side::kRight: return 1;
-    case Side::kBottom: return 2;
-    case Side::kTop: return 3;
-  }
-  throw std::logic_error("bad side");
-}
-
-}  // namespace
 
 std::vector<PinSite> make_pin_sites(const CellInstance& inst,
                                     int sites_per_edge, Coord pitch) {

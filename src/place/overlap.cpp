@@ -285,6 +285,17 @@ Coord OverlapEngine::cell_overlap(CellId c) const {
   return sum;
 }
 
+Rect OverlapEngine::expanded_chip_bbox() const {
+  Rect bb;
+  bool first = true;
+  for (const std::vector<Rect>& tiles : tiles_)
+    for (const Rect& t : tiles) {
+      bb = first ? t : bb.bounding_union(t);
+      first = false;
+    }
+  return bb;
+}
+
 Coord OverlapEngine::total_overlap() const {
   const auto n = static_cast<CellId>(tiles_.size());
   Coord sum = 0;

@@ -78,6 +78,10 @@ public:
     return tiles_[static_cast<std::size_t>(c)];
   }
 
+  /// Bounding box of every cell's expanded tiles: the chip the cells and
+  /// their interconnect allowances span.
+  Rect expanded_chip_bbox() const;
+
   /// The per-side expansions currently applied to a cell (L, R, B, T).
   const std::array<Coord, 4>& expansions(CellId c) const {
     return expansion_[static_cast<std::size_t>(c)];

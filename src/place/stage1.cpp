@@ -16,82 +16,31 @@ Stage1Placer::Stage1Placer(const Netlist& nl, Stage1Params params,
                            std::uint64_t seed)
     : nl_(nl), params_(params), rng_(seed), estimator_(nl, params.wire) {}
 
-Stage1Placer::MoveOutcome Stage1Placer::decide(MoveTxn& txn, double t,
-                                               const char* what) {
-  TW_ASSERT(t >= 0.0, "t=", t);  // t == 0: quench, improvements only
-  MoveOutcome out;
-  out.attempted_valid = true;
-  out.delta = txn.evaluate();
-  if (metropolis_accept(out.delta, t, rng_)) {
-    out.accepted = true;
-    txn.commit(current_);
-    if (audit_ != nullptr) audit_->on_accept(current_, what);
-    if (hooks_.faults != nullptr)
-      hooks_.faults->poll(recover::FaultSite::kStage1Accept);
-  } else {
-    txn.revert();
-  }
-  return out;
-}
-
-Stage1Placer::MoveOutcome Stage1Placer::try_displacement(MoveTxn& txn,
-                                                         CellId i,
-                                                         Point target,
-                                                         double t) {
-  txn.begin(i);
-  txn.set_center(i, target);
-  return decide(txn, t, "stage1 move");
-}
-
-Stage1Placer::MoveOutcome Stage1Placer::try_orient_change(MoveTxn& txn,
-                                                          CellId i, Orient o,
-                                                          double t) {
-  txn.begin(i);
-  txn.set_orient(i, o);
-  return decide(txn, t, "stage1 move");
-}
-
-Stage1Placer::MoveOutcome Stage1Placer::try_interchange(const Placement& p,
-                                                        MoveTxn& txn, CellId i,
-                                                        CellId j,
-                                                        bool invert_aspects,
-                                                        double t) {
-  const Point ci = p.state(i).center;
-  const Point cj = p.state(j).center;
-  txn.begin(i, j);
-  txn.set_center(i, cj);
-  txn.set_center(j, ci);
-  if (invert_aspects) {
-    txn.set_orient(i, aspect_inverted(p.state(i).orient));
-    txn.set_orient(j, aspect_inverted(p.state(j).orient));
-  }
-  return decide(txn, t, "stage1 move");
-}
-
-Stage1Placer::MoveOutcome Stage1Placer::try_pin_move(MoveTxn& txn, CellId i,
-                                                     double t) {
-  const Cell& cell = nl_.cell(i);
+MoveOutcome pin_move(const Netlist& nl, const MetropolisJudge& judge,
+                     CellId i, double t, const char* what) {
+  MoveTxn& txn = judge.txn;
+  Rng& rng = judge.rng;
+  const Cell& cell = nl.cell(i);
 
   // Candidate movable units: groups, plus loose (kEdge) pins.
   std::vector<int>& loose = txn.scratch_ints();
   loose.clear();
   for (std::size_t k = 0; k < cell.pins.size(); ++k)
-    if (nl_.pin(cell.pins[k]).commit == PinCommit::kEdge)
+    if (nl.pin(cell.pins[k]).commit == PinCommit::kEdge)
       loose.push_back(static_cast<int>(k));
   const std::size_t units = cell.groups.size() + loose.size();
   if (units == 0) return {};
 
-  // Pick the unit first so only the moved pins' nets are (re)evaluated:
-  // C2 cannot change, and C3 is confined to this cell.
+  // Pick the unit first so only the moved pins' nets are (re)evaluated.
   const auto pick = static_cast<std::size_t>(
-      rng_.uniform_int(0, static_cast<std::int64_t>(units) - 1));
+      rng.uniform_int(0, static_cast<std::int64_t>(units) - 1));
   std::vector<NetId>& nets = txn.scratch_nets();
   nets.clear();
   if (pick < cell.groups.size()) {
-    for (PinId pid : cell.groups[pick].pins) nets.push_back(nl_.pin(pid).net);
+    for (PinId pid : cell.groups[pick].pins) nets.push_back(nl.pin(pid).net);
   } else {
     const int local = loose[pick - cell.groups.size()];
-    nets.push_back(nl_.pin(cell.pins[static_cast<std::size_t>(local)]).net);
+    nets.push_back(nl.pin(cell.pins[static_cast<std::size_t>(local)]).net);
   }
   std::sort(nets.begin(), nets.end());
   nets.erase(std::unique(nets.begin(), nets.end()), nets.end());
@@ -101,28 +50,72 @@ Stage1Placer::MoveOutcome Stage1Placer::try_pin_move(MoveTxn& txn, CellId i,
     const auto g = static_cast<GroupId>(pick);
     const auto sides = sides_in_mask(cell.groups[pick].side_mask);
     const Side side = sides[static_cast<std::size_t>(
-        rng_.uniform_int(0, static_cast<std::int64_t>(sides.size()) - 1))];
+        rng.uniform_int(0, static_cast<std::int64_t>(sides.size()) - 1))];
     const int start =
-        static_cast<int>(rng_.uniform_int(0, cell.sites_per_edge - 1));
+        static_cast<int>(rng.uniform_int(0, cell.sites_per_edge - 1));
     txn.assign_group(g, side, start);
   } else {
     const int local = loose[pick - cell.groups.size()];
-    const Pin& pin = nl_.pin(cell.pins[static_cast<std::size_t>(local)]);
+    const Pin& pin = nl.pin(cell.pins[static_cast<std::size_t>(local)]);
     const int count = num_sites_in_mask(pin.side_mask, cell.sites_per_edge);
     const int site = nth_site_in_mask(
-        pin.side_mask,
-        static_cast<int>(rng_.uniform_int(0, count - 1)),
+        pin.side_mask, static_cast<int>(rng.uniform_int(0, count - 1)),
         cell.sites_per_edge);
     txn.assign_pin_to_site(local, site);
   }
-  return decide(txn, t, "stage1 pin move");
+  return {true, judge(t, what)};
 }
 
-Stage1Placer::MoveOutcome Stage1Placer::try_aspect_change(MoveTxn& txn,
-                                                          CellId i, double t) {
+double stage1_temperature_scale(const Netlist& nl,
+                                const DynamicAreaEstimator& estimator) {
+  const double e0 = estimator.nominal_expansion();
+  double eff_area = 0.0;
+  for (const auto& c : nl.cells()) {
+    const CellInstance& inst = c.instances.front();
+    eff_area += (static_cast<double>(inst.width) + 2.0 * e0) *
+                (static_cast<double>(inst.height) + 2.0 * e0);
+  }
+  return temperature_scale(eff_area / static_cast<double>(nl.num_cells()));
+}
+
+bool Stage1Placer::try_displacement(const MetropolisJudge& judge, CellId i,
+                                    Point target, double t) {
+  MoveTxn& txn = judge.txn;
+  txn.begin(i);
+  txn.set_center(i, target);
+  return judge(t, "stage1 move");
+}
+
+bool Stage1Placer::try_orient_change(const MetropolisJudge& judge, CellId i,
+                                     Orient o, double t) {
+  MoveTxn& txn = judge.txn;
+  txn.begin(i);
+  txn.set_orient(i, o);
+  return judge(t, "stage1 move");
+}
+
+bool Stage1Placer::try_interchange(const Placement& p,
+                                   const MetropolisJudge& judge, CellId i,
+                                   CellId j, bool invert_aspects, double t) {
+  MoveTxn& txn = judge.txn;
+  const Point ci = p.state(i).center;
+  const Point cj = p.state(j).center;
+  txn.begin(i, j);
+  txn.set_center(i, cj);
+  txn.set_center(j, ci);
+  if (invert_aspects) {
+    txn.set_orient(i, aspect_inverted(p.state(i).orient));
+    txn.set_orient(j, aspect_inverted(p.state(j).orient));
+  }
+  return judge(t, "stage1 move");
+}
+
+MoveOutcome Stage1Placer::try_aspect_change(const MetropolisJudge& judge,
+                                            CellId i, double t) {
   const Cell& cell = nl_.cell(i);
   if (!cell.has_aspect_freedom()) return {};
 
+  MoveTxn& txn = judge.txn;
   txn.begin(i);
   double aspect;
   if (!cell.discrete_aspects.empty()) {
@@ -132,14 +125,16 @@ Stage1Placer::MoveOutcome Stage1Placer::try_aspect_change(MoveTxn& txn,
     aspect = rng_.uniform_real(cell.aspect_lo, cell.aspect_hi);
   }
   txn.set_aspect(i, aspect);
-  return decide(txn, t, "stage1 move");
+  return {true, judge(t, "stage1 move")};
 }
 
-Stage1Placer::MoveOutcome Stage1Placer::try_instance_change(
-    const Placement& p, MoveTxn& txn, CellId i, double t) {
+MoveOutcome Stage1Placer::try_instance_change(const Placement& p,
+                                              const MetropolisJudge& judge,
+                                              CellId i, double t) {
   const Cell& cell = nl_.cell(i);
   if (cell.instances.size() < 2) return {};
 
+  MoveTxn& txn = judge.txn;
   const InstanceId cur = p.state(i).instance;
   txn.begin(i);
   // A different instance, uniformly among the alternatives.
@@ -148,7 +143,7 @@ Stage1Placer::MoveOutcome Stage1Placer::try_instance_change(
     k = static_cast<InstanceId>(rng_.uniform_int(
         0, static_cast<std::int64_t>(cell.instances.size()) - 1));
   txn.set_instance(i, k);
-  return decide(txn, t, "stage1 move");
+  return {true, judge(t, "stage1 move")};
 }
 
 Stage1Result Stage1Placer::run(Placement& placement) {
@@ -175,15 +170,7 @@ Stage1Result Stage1Placer::run_impl(Placement& placement,
   // them here also primes the estimator's internal core-dependent state.
   const Rect core = estimator_.compute_initial_core(params_.core_aspect);
 
-  const double e0 = estimator_.nominal_expansion();
-  double eff_area = 0.0;
-  for (const auto& c : nl_.cells()) {
-    const CellInstance& inst = c.instances.front();
-    eff_area += (static_cast<double>(inst.width) + 2.0 * e0) *
-                (static_cast<double>(inst.height) + 2.0 * e0);
-  }
-  const double avg_cell_area = eff_area / static_cast<double>(nl_.num_cells());
-  const double scale = temperature_scale(avg_cell_area);
+  const double scale = stage1_temperature_scale(nl_, estimator_);
   double t;
   int first_step = 0;
   if (cursor != nullptr) {
@@ -257,10 +244,11 @@ Stage1Result Stage1Placer::run_impl(Placement& placement,
     result.p2 = p2_base;
   }
 
-  current_ = model.full();
+  CostTerms current = model.full();  // resynced each temperature step
   CostAudit audit(model, params_.audit);
-  audit_ = &audit;
   MoveTxn txn(placement, overlap, model);
+  const MetropolisJudge judge{txn,           rng_, current, audit,
+                              hooks_.faults, recover::FaultSite::kStage1Accept};
 
   const CoolingSchedule schedule = CoolingSchedule::stage1();
   RangeLimiter limiter(core.width(), core.height(), result.t_infinity,
@@ -282,7 +270,7 @@ Stage1Result Stage1Placer::run_impl(Placement& placement,
   std::vector<CellState> best;
   auto track_best = [&]() {
     if (budget == nullptr) return;
-    const double c = model.total(current_);
+    const double c = model.total(current);
     if (c >= best_cost) return;
     best_cost = c;
     best.clear();
@@ -290,25 +278,13 @@ Stage1Result Stage1Placer::run_impl(Placement& placement,
     for (CellId i = 0; i < num_cells; ++i) best.push_back(placement.snapshot(i));
   };
 
-  const int checkpoint_every = std::max(1, hooks_.checkpoint_every);
   bool stopped = false;
 
   // --- the annealing loop ----------------------------------------------------
   for (int step = first_step; step < params_.max_temperature_steps; ++step) {
-    // Checkpoint at the step boundary *before* the fault poll, so a kill
-    // at step k can resume from the step-k checkpoint.
-    if (hooks_.on_checkpoint && step % checkpoint_every == 0) {
-      Stage1Cursor cur;
-      cur.next_step = step;
-      cur.t = t;
-      cur.p2_base = p2_base;
-      cur.partial = result;
-      cur.rng = rng_.state();
-      hooks_.on_checkpoint(cur);
-    }
-    if (hooks_.faults != nullptr)
-      hooks_.faults->poll(recover::FaultSite::kStage1Step);
-    if (budget != nullptr && budget->stop_requested()) {
+    if (hooks_.step_boundary(step, recover::FaultSite::kStage1Step, [&] {
+          return Stage1Cursor{step, t, p2_base, result, rng_.state()};
+        })) {
       stopped = true;
       break;
     }
@@ -317,7 +293,7 @@ Stage1Result Stage1Placer::run_impl(Placement& placement,
           std::clamp(std::log(t / t_final) / log_span, 0.0, 1.0);
       model.set_p2(p2_base * std::pow(params_.overlap_penalty_growth,
                                       1.0 - progress));
-      current_ = model.full();
+      current = model.full();
     }
     RunningStats cost_trace;
     AcceptanceCounter acc;
@@ -341,22 +317,21 @@ Stage1Result Stage1Placer::run_impl(Placement& placement,
         const Point target{std::clamp(c0.x + d.x, core.xlo, core.xhi),
                            std::clamp(c0.y + d.y, core.ylo, core.yhi)};
 
-        MoveOutcome out = try_displacement(txn, i, target, t);
-        acc.record(out.accepted);
-        if (!out.accepted) {
+        bool accepted = try_displacement(judge, i, target, t);
+        acc.record(accepted);
+        if (!accepted) {
           // A'(i, x, y): same displacement, aspect ratio inverted.
           const Orient o0 = placement.state(i).orient;
           txn.begin(i);
           txn.set_center(i, target);
           txn.set_orient(i, aspect_inverted(o0));
-          out = decide(txn, t, "stage1 move");
-          acc.record(out.accepted);
-          if (!out.accepted) {
+          accepted = judge(t, "stage1 move");
+          acc.record(accepted);
+          if (!accepted) {
             // A_o(i): randomly-chosen orientation change in place.
             const Orient o = kAllOrients[static_cast<std::size_t>(
                 rng_.uniform_int(0, 7))];
-            out = try_orient_change(txn, i, o, t);
-            acc.record(out.accepted);
+            acc.record(try_orient_change(judge, i, o, t));
           }
         }
 
@@ -366,17 +341,18 @@ Stage1Result Stage1Placer::run_impl(Placement& placement,
           for (PinId pid : nl_.cell(i).pins)
             if (!nl_.pin(pid).committed()) ++uncommitted;
           for (int k = 0; k < uncommitted; ++k) {
-            const MoveOutcome pm = try_pin_move(txn, i, t);
-            if (pm.attempted_valid) acc.record(pm.accepted);
+            const MoveOutcome pm =
+                pin_move(nl_, judge, i, t, "stage1 pin move");
+            if (pm.attempted) acc.record(pm.accepted);
           }
-          const MoveOutcome am = try_aspect_change(txn, i, t);
-          if (am.attempted_valid) acc.record(am.accepted);
+          const MoveOutcome am = try_aspect_change(judge, i, t);
+          if (am.attempted) acc.record(am.accepted);
         } else if (nl_.cell(i).instances.size() > 1) {
           // Instance selection (Section 1: "the cells may have several
           // possible instances, whereby TimberWolfMC is to select the one
           // which is most suitable").
-          const MoveOutcome im = try_instance_change(placement, txn, i, t);
-          if (im.attempted_valid) acc.record(im.accepted);
+          const MoveOutcome im = try_instance_change(placement, judge, i, t);
+          if (im.attempted) acc.record(im.accepted);
         }
       } else {
         // --- pairwise interchange --------------------------------------------
@@ -385,14 +361,13 @@ Stage1Result Stage1Placer::run_impl(Placement& placement,
         CellId j = i;
         while (j == i)
           j = static_cast<CellId>(rng_.uniform_int(0, num_cells - 1));
-        MoveOutcome out = try_interchange(placement, txn, i, j, false, t);
-        acc.record(out.accepted);
-        if (!out.accepted) {
-          out = try_interchange(placement, txn, i, j, true, t);
-          acc.record(out.accepted);
-        }
+        const bool accepted =
+            try_interchange(placement, judge, i, j, false, t);
+        acc.record(accepted);
+        if (!accepted)
+          acc.record(try_interchange(placement, judge, i, j, true, t));
       }
-      cost_trace.add(model.total(current_));
+      cost_trace.add(model.total(current));
     }
 
     result.attempts += acc.attempted;
@@ -406,13 +381,13 @@ Stage1Result Stage1Placer::run_impl(Placement& placement,
 
     // Drift checkpoint *before* the resync below masks the inner loop's
     // accumulated error.
-    audit.on_temperature_step(current_, "stage1 temperature step");
+    audit.on_temperature_step(current, "stage1 temperature step");
 
     // Resynchronize the running totals to kill floating-point drift.
-    current_ = model.full();
+    current = model.full();
     track_best();
 
-    log_debug("stage1 T=", t, " cost=", model.total(current_),
+    log_debug("stage1 T=", t, " cost=", model.total(current),
               " acc=", acc.rate(), " win=", limiter.window_x(t));
 
     // Stopping criterion: an inner loop executed with the window at its
@@ -426,22 +401,21 @@ Stage1Result Stage1Placer::run_impl(Placement& placement,
     // Graceful degradation: one improvements-only sweep, then keep the
     // better of (quenched current, best-so-far) — never an arbitrary
     // mid-anneal state.
-    quench(placement, txn, core, inner);
-    current_ = model.full();
-    if (model.total(current_) > best_cost) {
+    quench(placement, judge, core, inner);
+    current = model.full();
+    if (model.total(current) > best_cost) {
       // Bulk rollback to the tracked best state: not a per-move
       // transaction, so it legitimately bypasses MoveTxn.
       for (CellId i = 0; i < num_cells; ++i)
         placement.restore(i, best[static_cast<std::size_t>(i)]);  // lint: allow(txn-mutation) // lint: allow(txn-reach)
       overlap.refresh_all();
-      current_ = model.full();
+      current = model.full();
     }
     result.outcome = budget->stop_outcome();
     log_info("stage1 stopped early (", recover::to_string(result.outcome),
              ") after ", result.temperature_steps, " step(s)");
   }
 
-  audit_ = nullptr;
   if constexpr (check::kLevel >= check::kLevelFull) {
     const ValidationReport pr =
         validate_placement(placement, {.core = core});
@@ -455,7 +429,8 @@ Stage1Result Stage1Placer::run_impl(Placement& placement,
   return result;
 }
 
-void Stage1Placer::quench(Placement& placement, MoveTxn& txn, const Rect& core,
+void Stage1Placer::quench(const Placement& placement,
+                          const MetropolisJudge& judge, const Rect& core,
                           long long inner) {
   // T = 0: metropolis_accept takes only delta <= 0 (and consumes no RNG),
   // so one sweep of minimum-window displacements monotonically cleans up
@@ -469,11 +444,10 @@ void Stage1Placer::quench(Placement& placement, MoveTxn& txn, const Rect& core,
     const Point d = select_displacement(rng_, span, span, params_.selector);
     const Point target{std::clamp(c0.x + d.x, core.xlo, core.xhi),
                        std::clamp(c0.y + d.y, core.ylo, core.yhi)};
-    const MoveOutcome out = try_displacement(txn, i, target, 0.0);
-    if (!out.accepted) {
+    if (!try_displacement(judge, i, target, 0.0)) {
       const Orient o =
           kAllOrients[static_cast<std::size_t>(rng_.uniform_int(0, 7))];
-      (void)try_orient_change(txn, i, o, 0.0);
+      (void)try_orient_change(judge, i, o, 0.0);
     }
   }
 }

@@ -17,14 +17,19 @@
 // after an inner loop executed with the range-limiter window at its
 // minimum span (with a step-count safety net for rho = 1, whose window
 // never contracts).
+//
+// Stage 2 re-runs this annealer at low temperature (Section 4.3), so the
+// anneal lifecycle lives here once for both: AnnealHooks and its step
+// boundary, the Metropolis judge, the pin move and S_T.
 #pragma once
 
+#include <algorithm>
 #include <functional>
-#include <optional>
 
 #include "anneal/displacement.hpp"
 #include "anneal/range_limiter.hpp"
 #include "anneal/schedule.hpp"
+#include "check/contracts.hpp"
 #include "check/cost_audit.hpp"
 #include "place/cost.hpp"
 #include "place/move_txn.hpp"
@@ -152,17 +157,81 @@ struct Stage1Cursor {
   std::array<std::uint64_t, 4> rng{};  ///< RNG stream state
 };
 
-/// Optional run-lifecycle instrumentation (see docs/ROBUSTNESS.md). All
+/// Optional run-lifecycle instrumentation of one anneal (see
+/// docs/ROBUSTNESS.md), the same for both stages over their cursors. All
 /// pointers are non-owning and may be null; checkpoint emission and fault
 /// polling never consume RNG state, so an instrumented run is
 /// byte-identical to a bare one.
-struct Stage1Hooks {
+template <class Cursor>
+struct AnnealHooks {
   recover::RunBudget* budget = nullptr;      ///< work budget + cancellation
   recover::FaultInjector* faults = nullptr;  ///< kill points (FaultPlan, watchdog)
   /// Called at the top of every `checkpoint_every`-th temperature step.
-  std::function<void(const Stage1Cursor&)> on_checkpoint;
+  std::function<void(const Cursor&)> on_checkpoint;
   int checkpoint_every = 5;
+
+  /// The top of temperature step `step`: the checkpoint (`cursor()` is
+  /// built only when one is due), then the stage's fault poll at `site`,
+  /// then the budget. The checkpoint comes before the poll so a kill at
+  /// step k resumes from the step-k checkpoint. True when the budget asks
+  /// the anneal to stop.
+  template <class MakeCursor>
+  bool step_boundary(int step, recover::FaultSite site,
+                     MakeCursor&& cursor) const {
+    if (on_checkpoint && step % std::max(1, checkpoint_every) == 0)
+      on_checkpoint(cursor());
+    if (faults != nullptr) faults->poll(site);
+    return budget != nullptr && budget->stop_requested();
+  }
 };
+using Stage1Hooks = AnnealHooks<Stage1Cursor>;
+
+/// The Metropolis judge of both stages, bound for one anneal to its
+/// transaction, RNG stream, running cost totals, drift audit and the
+/// stage's accept-site poll. Inline so stage 1's move loop stays tight.
+struct MetropolisJudge {
+  MoveTxn& txn;
+  Rng& rng;
+  CostTerms& current;
+  CostAudit& audit;
+  recover::FaultInjector* faults;
+  recover::FaultSite accept_site;
+
+  /// Evaluates the open transaction, then either commits it (folding the
+  /// delta into `current`), audits it as `what` and polls the accept
+  /// site, or reverts it. t == 0 (the quench) takes improvements only.
+  bool operator()(double t, const char* what) const {
+    TW_ASSERT(t >= 0.0, "t=", t);
+    if (!metropolis_accept(txn.evaluate(), t, rng)) {
+      txn.revert();
+      return false;
+    }
+    txn.commit(current);
+    audit.on_accept(current, what);
+    if (faults != nullptr) faults->poll(accept_site);
+    return true;
+  }
+};
+
+/// A judged move; `attempted` is false when it had nothing to act on.
+struct MoveOutcome {
+  bool attempted = false;
+  bool accepted = false;
+};
+
+/// The pin move of both stages on custom cell `i`: one movable unit (a
+/// pin group or a loose edge pin), chosen uniformly, goes to a random
+/// legal site, and `judge` decides. Only the moved pins' nets are
+/// evaluated: C2 cannot change, and C3 is confined to this cell. Draws
+/// nothing when the cell has no movable unit.
+MoveOutcome pin_move(const Netlist& nl, const MetropolisJudge& judge,
+                     CellId i, double t, const char* what);
+
+/// S_T of `nl` (Eqns 19-20): the mean area of the cells' first instances,
+/// each grown by the estimator's nominal expansion on every side. Stage 1
+/// and the multilevel flow's temperature probe share it.
+double stage1_temperature_scale(const Netlist& nl,
+                                const DynamicAreaEstimator& estimator);
 
 class Stage1Placer {
 public:
@@ -185,40 +254,30 @@ public:
   const DynamicAreaEstimator& estimator() const { return estimator_; }
 
 private:
-  struct MoveOutcome {
-    bool attempted_valid = false;
-    bool accepted = false;
-    double delta = 0.0;
-  };
-
-  /// Metropolis-judges the open transaction: evaluates it, then commits
-  /// (folding the delta into `current_` and notifying the audit/fault
-  /// hooks) or reverts. `what` labels the audit checkpoint.
-  MoveOutcome decide(MoveTxn& txn, double t, const char* what);
-
-  MoveOutcome try_displacement(MoveTxn& txn, CellId i, Point target, double t);
-  MoveOutcome try_orient_change(MoveTxn& txn, CellId i, Orient o, double t);
-  MoveOutcome try_interchange(const Placement& p, MoveTxn& txn, CellId i,
-                              CellId j, bool invert_aspects, double t);
-  MoveOutcome try_pin_move(MoveTxn& txn, CellId i, double t);
-  MoveOutcome try_aspect_change(MoveTxn& txn, CellId i, double t);
-  MoveOutcome try_instance_change(const Placement& p, MoveTxn& txn, CellId i,
+  bool try_displacement(const MetropolisJudge& judge, CellId i, Point target,
+                        double t);
+  bool try_orient_change(const MetropolisJudge& judge, CellId i, Orient o,
+                         double t);
+  bool try_interchange(const Placement& p, const MetropolisJudge& judge,
+                       CellId i, CellId j, bool invert_aspects, double t);
+  MoveOutcome try_aspect_change(const MetropolisJudge& judge, CellId i,
+                                double t);
+  MoveOutcome try_instance_change(const Placement& p,
+                                  const MetropolisJudge& judge, CellId i,
                                   double t);
 
   Stage1Result run_impl(Placement& placement, const Stage1Cursor* cursor);
 
   /// One improvements-only sweep (T = 0): the graceful wind-down after a
   /// budget expiry or cancellation.
-  void quench(Placement& placement, MoveTxn& txn, const Rect& core,
-              long long inner);
+  void quench(const Placement& placement, const MetropolisJudge& judge,
+              const Rect& core, long long inner);
 
   const Netlist& nl_;
   Stage1Params params_;
   Rng rng_;
   DynamicAreaEstimator estimator_;
   Stage1Hooks hooks_;
-  CostTerms current_;  ///< running totals, resynced each temperature step
-  CostAudit* audit_ = nullptr;  ///< drift checkpoints, set for the run() scope
 };
 
 }  // namespace tw

@@ -278,14 +278,6 @@ void PoolExecutor::cancel(std::uint64_t job) {
     it->second->cancel.store(true, std::memory_order_relaxed);
 }
 
-void PoolExecutor::preempt(std::uint64_t job) {
-  std::lock_guard<std::mutex> lock(shared_->mu);
-  const auto it = shared_->jobs.find(job);
-  if (it != shared_->jobs.end() && it->second->running > 0 &&
-      !it->second->spec.checkpoint_root.empty())
-    it->second->preempt.store(true, std::memory_order_relaxed);
-}
-
 void PoolExecutor::shutdown() {
   std::vector<std::thread> workers;
   {

@@ -110,6 +110,14 @@ class PoolExecutor {
   /// Enqueues the job's replicas. Jobs submitted after shutdown() are
   /// completed immediately with every replica failed (outcome recorded as
   /// an error attempt), never silently dropped.
+  ///
+  /// When every worker is busy, the submission checkpoint-preempts the
+  /// lowest-priority running job below its own priority: that job's
+  /// running replicas park at their next checkpoint-write boundary (the
+  /// checkpoint is saved first, so zero work is lost) and re-enter the
+  /// queue, to resume byte-identically when a worker frees up. Jobs that
+  /// take no checkpoints, or replicas that finish before reaching a
+  /// boundary, simply complete.
   void submit(ExecutorJob job);
 
   /// Cooperative per-job cancellation: running replicas wind down to
@@ -117,17 +125,6 @@ class PoolExecutor {
   /// replicas start, observe the flag at their first poll boundary, and
   /// wind down immediately. No-op for unknown/finished jobs.
   void cancel(std::uint64_t job);
-
-  /// Requests checkpoint preemption of a running job: its running
-  /// replicas park at their next checkpoint-write boundary (the
-  /// checkpoint is saved first, so zero work is lost) and re-enter the
-  /// queue at the job's priority, to resume byte-identically when a
-  /// worker frees up. Best-effort and cooperative: jobs that take no
-  /// checkpoints, or replicas that finish before reaching a boundary,
-  /// simply complete. submit() calls this automatically for the
-  /// lowest-priority running job when a higher-priority submission finds
-  /// every worker busy. No-op for unknown/finished jobs.
-  void preempt(std::uint64_t job);
 
   /// Stops accepting work, cancels every in-flight job, drains the task
   /// queue (each job still gets its on_done) and joins the workers.

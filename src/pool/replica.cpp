@@ -117,12 +117,6 @@ const char* to_string(AttemptOutcome o) {
   return "unknown";
 }
 
-bool attempt_usable(AttemptOutcome o) {
-  return o == AttemptOutcome::kCompleted ||
-         o == AttemptOutcome::kBudgetExhausted ||
-         o == AttemptOutcome::kCancelled;
-}
-
 const char* to_string(ReplicaOutcome o) {
   switch (o) {
     case ReplicaOutcome::kSucceeded: return "succeeded";

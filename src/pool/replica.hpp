@@ -79,10 +79,6 @@ enum class AttemptOutcome : std::uint8_t {
 
 const char* to_string(AttemptOutcome o);
 
-/// True when the attempt produced a usable placement (completed or
-/// budget-bounded, and validated).
-bool attempt_usable(AttemptOutcome o);
-
 /// One supervised attempt, as recorded in the replica's history.
 struct AttemptRecord {
   int attempt = 0;            ///< zero-based attempt index

@@ -13,35 +13,6 @@
 #include "util/log.hpp"
 
 namespace tw {
-namespace {
-
-int side_idx(Side s) {
-  switch (s) {
-    case Side::kLeft: return 0;
-    case Side::kRight: return 1;
-    case Side::kBottom: return 2;
-    case Side::kTop: return 3;
-  }
-  return 0;
-}
-
-/// Chip bbox of all cells including their current expansions.
-Rect expanded_chip_bbox(const Placement& placement,
-                        const OverlapEngine& overlap) {
-  Rect bb;
-  bool first = true;
-  const auto n = static_cast<CellId>(placement.netlist().num_cells());
-  for (CellId c = 0; c < n; ++c) {
-    for (const Rect& t : overlap.expanded_tiles(c)) {
-      bb = first ? t : bb.bounding_union(t);
-      first = false;
-    }
-  }
-  return bb;
-}
-
-}  // namespace
-
 Stage2Refiner::Stage2Refiner(const Netlist& nl, Stage2Params params,
                              std::uint64_t seed)
     : nl_(nl), params_(params), rng_(seed) {}
@@ -69,7 +40,7 @@ std::vector<std::array<Coord, 4>> Stage2Refiner::derive_expansions(
       const PlacedEdge& pe = cg.edges[ei];
       if (pe.is_core()) continue;  // the chip boundary does not move
       auto& e = exp[static_cast<std::size_t>(pe.cell)];
-      const int s = side_idx(pe.edge.side);
+      const int s = side_index(pe.edge.side);
       e[static_cast<std::size_t>(s)] =
           std::max(e[static_cast<std::size_t>(s)], half);
     }
@@ -78,10 +49,10 @@ std::vector<std::array<Coord, 4>> Stage2Refiner::derive_expansions(
 }
 
 int Stage2Refiner::anneal(Placement& placement, OverlapEngine& overlap,
-                          CostModel& model, const Rect& core,
-                          Stage2AnnealState entry, double t_inf, double scale,
-                          bool final_pass, const AnnealContext& ctx,
+                          CostModel& model, const Stage2Cursor& at,
+                          double t_inf, double scale, bool final_pass,
                           bool& stopped) {
+  const Rect& core = at.working_core;
   const CoolingSchedule schedule = CoolingSchedule::stage2();
   RangeLimiter limiter(core.width(), core.height(), t_inf, params_.rho);
   const auto num_cells = static_cast<CellId>(nl_.num_cells());
@@ -91,12 +62,13 @@ int Stage2Refiner::anneal(Placement& placement, OverlapEngine& overlap,
   CostTerms current = model.full();
   CostAudit audit(model, params_.audit);
   MoveTxn txn(placement, overlap, model);
+  const MetropolisJudge judge{txn,           rng_, current, audit,
+                              hooks_.faults, recover::FaultSite::kStage2Accept};
   recover::RunBudget* budget = hooks_.budget;
-  const int checkpoint_every = std::max(1, hooks_.checkpoint_every);
-  double t = entry.t;
-  int steps = entry.steps;
-  int stall = entry.stall;
-  double last_cost = entry.last_cost;
+  double t = at.anneal.t;
+  int steps = at.anneal.steps;
+  int stall = at.anneal.stall;
+  double last_cost = at.anneal.last_cost;
   stopped = false;
 
   // One inner loop of moves at temperature `sweep_t`. Budget checks apply
@@ -109,62 +81,9 @@ int Stage2Refiner::anneal(Placement& placement, OverlapEngine& overlap,
         budget->charge_move();
       }
       const CellId i = static_cast<CellId>(rng_.uniform_int(0, num_cells - 1));
-      const bool pin_move =
-          nl_.cell(i).is_custom() && rng_.bernoulli(0.25) &&
-          !placement.state(i).sites.empty();
-
-      if (pin_move) {
-        // Move one uncommitted pin or group to a new legal site. Only the
-        // moved pins' nets and this cell's site penalty can change.
-        const Cell& cell = nl_.cell(i);
-        std::vector<int>& loose = txn.scratch_ints();
-        loose.clear();
-        for (std::size_t k = 0; k < cell.pins.size(); ++k)
-          if (nl_.pin(cell.pins[k]).commit == PinCommit::kEdge)
-            loose.push_back(static_cast<int>(k));
-        const std::size_t units = cell.groups.size() + loose.size();
-        if (units == 0) continue;
-        const auto pick = static_cast<std::size_t>(
-            rng_.uniform_int(0, static_cast<std::int64_t>(units) - 1));
-
-        std::vector<NetId>& nets = txn.scratch_nets();
-        nets.clear();
-        if (pick < cell.groups.size()) {
-          for (PinId pid : cell.groups[pick].pins)
-            nets.push_back(nl_.pin(pid).net);
-        } else {
-          const int local = loose[pick - cell.groups.size()];
-          nets.push_back(
-              nl_.pin(cell.pins[static_cast<std::size_t>(local)]).net);
-        }
-        std::sort(nets.begin(), nets.end());
-        nets.erase(std::unique(nets.begin(), nets.end()), nets.end());
-
-        txn.begin_pins(i, nets);
-        if (pick < cell.groups.size()) {
-          const auto sides = sides_in_mask(cell.groups[pick].side_mask);
-          const Side side = sides[static_cast<std::size_t>(rng_.uniform_int(
-              0, static_cast<std::int64_t>(sides.size()) - 1))];
-          txn.assign_group(
-              static_cast<GroupId>(pick), side,
-              static_cast<int>(rng_.uniform_int(0, cell.sites_per_edge - 1)));
-        } else {
-          const int local = loose[pick - cell.groups.size()];
-          const Pin& pin = nl_.pin(cell.pins[static_cast<std::size_t>(local)]);
-          const auto legal = sites_in_mask(pin.side_mask, cell.sites_per_edge);
-          txn.assign_pin_to_site(
-              local, legal[static_cast<std::size_t>(rng_.uniform_int(
-                         0, static_cast<std::int64_t>(legal.size()) - 1))]);
-        }
-
-        if (metropolis_accept(txn.evaluate(), sweep_t, rng_)) {
-          txn.commit(current);
-          audit.on_accept(current, "stage2 pin move");
-          if (hooks_.faults != nullptr)
-            hooks_.faults->poll(recover::FaultSite::kStage2Accept);
-        } else {
-          txn.revert();
-        }
+      if (nl_.cell(i).is_custom() && rng_.bernoulli(0.25) &&
+          !placement.state(i).sites.empty()) {
+        (void)pin_move(nl_, judge, i, sweep_t, "stage2 pin move");
         continue;
       }
 
@@ -175,42 +94,21 @@ int Stage2Refiner::anneal(Placement& placement, OverlapEngine& overlap,
                                           PointSelect::kStructured);
       txn.set_center(i, {std::clamp(c0.x + d.x, core.xlo, core.xhi),
                          std::clamp(c0.y + d.y, core.ylo, core.yhi)});
-
-      if (metropolis_accept(txn.evaluate(), sweep_t, rng_)) {
-        txn.commit(current);
-        audit.on_accept(current, "stage2 move");
-        if (hooks_.faults != nullptr)
-          hooks_.faults->poll(recover::FaultSite::kStage2Accept);
-      } else {
-        txn.revert();
-      }
+      (void)judge(sweep_t, "stage2 move");
     }
     return true;
   };
 
+  // A checkpoint is `at` with the anneal's current position.
+  const auto cursor = [&] {
+    Stage2Cursor cur = at;
+    cur.anneal = {t, steps, stall, last_cost};
+    cur.rng = rng_.state();
+    return cur;
+  };
   for (; steps < params_.max_temperature_steps; ++steps) {
-    // Checkpoint at the step boundary *before* the fault poll, so a kill
-    // at step k can resume from the step-k checkpoint.
-    if (hooks_.on_checkpoint && steps % checkpoint_every == 0) {
-      Stage2Cursor cur;
-      cur.pass = ctx.pass;
-      cur.anneal = {t, steps, stall, last_cost};
-      cur.p2 = ctx.p2;
-      cur.working_core = *ctx.working_core;
-      cur.expansions = *ctx.expansions;
-      cur.rp = *ctx.rp;
-      cur.done = *ctx.done;
-      cur.rng = rng_.state();
-      hooks_.on_checkpoint(cur);
-    }
-    if (hooks_.faults != nullptr)
-      hooks_.faults->poll(recover::FaultSite::kStage2Step);
-    if (budget != nullptr && budget->stop_requested()) {
-      stopped = true;
-      break;
-    }
-
-    if (!sweep(t, /*budgeted=*/true)) {
+    if (hooks_.step_boundary(steps, recover::FaultSite::kStage2Step, cursor) ||
+        !sweep(t, /*budgeted=*/true)) {
       stopped = true;
       break;
     }
@@ -297,23 +195,17 @@ Stage2Result Stage2Refiner::run_impl(Placement& placement, const Rect& core,
   bool stopped = false;
 
   for (int pass = first_pass; pass < params_.refinement_steps; ++pass) {
+    // `at` is this pass at its anneal's entry, what its checkpoints carry.
     // A cursor restarts its pass mid-anneal: steps 0-2 (and the pass-entry
     // fault poll) already happened before the checkpoint, so their outputs
     // come from the cursor instead of being recomputed.
-    const bool resumed_pass = cursor != nullptr && pass == first_pass;
-    RefinementPass rp;
-    Stage2AnnealState entry;
-    double p2 = 0.0;
-    std::vector<std::array<Coord, 4>> expansions;
-
-    if (resumed_pass) {
-      rp = cursor->rp;
-      p2 = cursor->p2;
-      expansions = cursor->expansions;
+    Stage2Cursor at;
+    RefinementPass& rp = at.rp;
+    if (cursor != nullptr && pass == first_pass) {
+      at = *cursor;
       for (CellId c = 0; c < num_cells; ++c)
-        overlap.set_expansions(c, expansions[static_cast<std::size_t>(c)]);
-      model.set_p2(p2);
-      entry = cursor->anneal;
+        overlap.set_expansions(c, at.expansions[static_cast<std::size_t>(c)]);
+      model.set_p2(at.p2);
     } else {
       if (hooks_.faults != nullptr)
         hooks_.faults->poll(recover::FaultSite::kStage2Pass);
@@ -361,9 +253,9 @@ Stage2Result Stage2Refiner::run_impl(Placement& placement, const Rect& core,
       rp.width_rule_violations = validate_channel_widths(cg, route_edges);
 
       // Step 3: placement refinement with static expansions.
-      expansions = derive_expansions(nl_, cg, densities);
+      at.expansions = derive_expansions(nl_, cg, densities);
       for (CellId c = 0; c < num_cells; ++c)
-        overlap.set_expansions(c, expansions[static_cast<std::size_t>(c)]);
+        overlap.set_expansions(c, at.expansions[static_cast<std::size_t>(c)]);
 
       // Grow the working core when the expanded cells no longer fit: the
       // refinement provides additional space as required.
@@ -374,7 +266,7 @@ Stage2Result Stage2Refiner::run_impl(Placement& placement, const Rect& core,
           const CellState& st = placement.state(c);
           const Coord w = oriented_width(st.orient, g.width, g.height);
           const Coord h = oriented_height(st.orient, g.width, g.height);
-          const auto& e = expansions[static_cast<std::size_t>(c)];
+          const auto& e = at.expansions[static_cast<std::size_t>(c)];
           need += static_cast<double>(w + e[0] + e[1]) *
                   static_cast<double>(h + e[2] + e[3]);
         }
@@ -402,32 +294,22 @@ Stage2Result Stage2Refiner::run_impl(Placement& placement, const Rect& core,
       const CostTerms t0 = model.full();
       const double c2_floor =
           0.01 * static_cast<double>(nl_.total_cell_area());
-      p2 = params_.cost.eta * t0.c1 / std::max(t0.c2_raw, c2_floor);
-      model.set_p2(p2);
-
-      entry.t = t_start;
-      entry.steps = 0;
-      entry.stall = 0;
-      entry.last_cost = model.total(model.full());
+      at.p2 = params_.cost.eta * t0.c1 / std::max(t0.c2_raw, c2_floor);
+      model.set_p2(at.p2);
+      at.anneal = {t_start, 0, 0, model.total(model.full())};
     }
+    at.pass = pass;
+    at.working_core = working_core;
+    at.done = result.passes;
 
     const bool final_pass = pass == params_.refinement_steps - 1;
-    AnnealContext ctx;
-    ctx.pass = pass;
-    ctx.p2 = p2;
-    ctx.working_core = &working_core;
-    ctx.expansions = &expansions;
-    ctx.rp = &rp;
-    ctx.done = &result.passes;
     bool anneal_stopped = false;
-    rp.temperature_steps = anneal(placement, overlap, model, working_core,
-                                  entry, t_inf, scale, final_pass, ctx,
-                                  anneal_stopped);
+    rp.temperature_steps = anneal(placement, overlap, model, at, t_inf, scale,
+                                  final_pass, anneal_stopped);
 
     rp.teic = placement.teic();
     rp.teil = placement.teil();
-    const Rect bb = expanded_chip_bbox(placement, overlap);
-    rp.chip_area = bb.area();
+    rp.chip_area = overlap.expanded_chip_bbox().area();
     result.passes.push_back(rp);
     log_info("stage2 pass ", pass + 1, ": teil=", rp.teil,
              " area=", rp.chip_area, " routeL=", rp.route_length,
@@ -459,8 +341,8 @@ Stage2Result Stage2Refiner::run_impl(Placement& placement, const Rect& core,
   result.final_core = working_core;
   result.final_teic = placement.teic();
   result.final_teil = placement.teil();
-  OverlapEngine final_overlap(placement, working_core, {});
-  result.final_chip_bbox = expanded_chip_bbox(placement, final_overlap);
+  result.final_chip_bbox =
+      OverlapEngine(placement, working_core, {}).expanded_chip_bbox();
   result.final_chip_area = result.passes.empty()
                                ? result.final_chip_bbox.area()
                                : result.passes.back().chip_area;

@@ -95,14 +95,8 @@ struct Stage2Cursor {
   std::array<std::uint64_t, 4> rng{};  ///< RNG stream state
 };
 
-/// Run-lifecycle instrumentation; see Stage1Hooks.
-struct Stage2Hooks {
-  recover::RunBudget* budget = nullptr;
-  recover::FaultInjector* faults = nullptr;
-  /// Called at the top of every `checkpoint_every`-th anneal step.
-  std::function<void(const Stage2Cursor&)> on_checkpoint;
-  int checkpoint_every = 5;
-};
+/// Run-lifecycle instrumentation; see AnnealHooks.
+using Stage2Hooks = AnnealHooks<Stage2Cursor>;
 
 class Stage2Refiner {
 public:
@@ -134,26 +128,15 @@ public:
       const std::vector<int>& densities);
 
 private:
-  /// Cursor ingredients the anneal needs to emit checkpoints (all
-  /// non-owning; valid for the duration of the anneal call).
-  struct AnnealContext {
-    int pass = 0;
-    double p2 = 0.0;
-    const Rect* working_core = nullptr;
-    const std::vector<std::array<Coord, 4>>* expansions = nullptr;
-    const RefinementPass* rp = nullptr;
-    const std::vector<RefinementPass>* done = nullptr;
-  };
-
-  /// One low-temperature anneal (step 3), entered at `entry` (fresh runs
-  /// pass t = T', steps = stall = 0). `final_pass` switches to the
-  /// cost-unchanged stopping criterion. Returns the temperature-step count;
-  /// sets `stopped` when the budget expired (after an improvements-only
-  /// wind-down sweep).
+  /// One low-temperature anneal (step 3) in `at.working_core`, entered at
+  /// `at.anneal` (fresh runs pass t = T', steps = stall = 0); its
+  /// checkpoints are `at` with the anneal position and RNG state filled
+  /// in. `final_pass` switches to the cost-unchanged stopping criterion.
+  /// Returns the temperature-step count; sets `stopped` when the budget
+  /// expired (after an improvements-only wind-down sweep).
   int anneal(Placement& placement, OverlapEngine& overlap, CostModel& model,
-             const Rect& core, Stage2AnnealState entry, double t_inf,
-             double scale, bool final_pass, const AnnealContext& ctx,
-             bool& stopped);
+             const Stage2Cursor& at, double t_inf, double scale,
+             bool final_pass, bool& stopped);
 
   Stage2Result run_impl(Placement& placement, const Rect& core, double t_inf,
                         double scale, const Stage2Cursor* cursor);

@@ -492,6 +492,4 @@ void Daemon::request_stop() {
   impl_->events->wake();
 }
 
-const Scheduler& Daemon::scheduler() const { return *impl_->scheduler; }
-
 }  // namespace tw::serve

@@ -102,8 +102,6 @@ class Daemon {
   /// drains exactly as for a ShutdownRequest.
   void request_stop();
 
-  const Scheduler& scheduler() const;
-
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;

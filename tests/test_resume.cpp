@@ -312,6 +312,30 @@ TEST(Resume, MultilevelRejectsForeignPhaseCheckpoint) {
   }
 }
 
+TEST(Resume, FlowRejectsMultilevelCheckpoint) {
+  // The mirror case: a multilevel-refine checkpoint carries a stage-1
+  // cursor too, but the classic flow must refuse it with a typed error
+  // rather than continue stage 1 from the multilevel refinement's cursor.
+  const std::string dir = fresh_dir("tw_res_flowphase");
+  ClusterWarmStart warm({}, fast_coarse());
+  MultilevelParams params = fast_multilevel();
+  params.recover.checkpoint_dir = dir;
+  params.recover.checkpoint_every = 1;
+  Placement p(test_netlist());
+  (void)MultilevelFlow(test_netlist(), warm, params).run(p);
+  FlowCheckpoint cp =
+      recover::load_checkpoint(*recover::find_latest_checkpoint(dir));
+  ASSERT_EQ(cp.phase, recover::FlowPhase::kMultilevelRefine);
+
+  Placement p2(test_netlist());
+  try {
+    (void)TimberWolfMC(test_netlist(), fast_flow(kSeed)).resume(p2, cp);
+    FAIL() << "expected CheckpointError";
+  } catch (const CheckpointError& e) {
+    EXPECT_EQ(e.code(), CheckpointErrc::kCorrupt);
+  }
+}
+
 TEST(Resume, OldCheckpointVersionIsTypedError) {
   // Version-2 files (the pre-multilevel format) and version-4 files (the
   // last format with a parallel stage-1 phase) must be rejected with

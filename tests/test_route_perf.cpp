@@ -32,21 +32,29 @@
 // zero heap allocations. The counter is process-wide and atomic, because
 // GlobalRouter::route allocates on its phase-one crew's threads too; the
 // measured regions are single-threaded, so before/after deltas around
-// them are exact.
+// them are exact. The replacements stay out of line: inlined into a
+// caller, delete's free() lands on a pointer gcc saw come from operator
+// new, and gcc warns at each such site (-Wmismatched-new-delete).
 namespace {
 std::atomic<long long> g_new_calls{0};
 }  // namespace
 
-void* operator new(std::size_t n) {
+[[gnu::noinline]] void* operator new(std::size_t n) {
   g_new_calls.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void* operator new[](std::size_t n) {
+  return ::operator new(n);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace tw {
 namespace {
