@@ -23,14 +23,13 @@ void MoveTxn::begin(CellId a) {
   const CellId cells[] = {a};
   open(cells);
   pin_mode_ = false;
-  before_.c1 = model_->partial_c1(cells);
+  // One net-bound bracket for the whole transaction; its stage holds the
+  // nets' live bounds, which price the before-term.
+  placement_->bounds_open(cells);
+  before_.c1 = placement_->bounds_c1();
   before_.c2_raw = model_->partial_c2_raw(cells);
   before_.c3 = model_->partial_c3(cells);
   overlap_->save_cell(a, ov_saved_[0]);
-  // One maintenance bracket for the whole transaction (the before-terms
-  // above read the cache while it is still consistent).
-  placement_->bounds_open(cells);
-  bounds_open_ = true;
 }
 
 void MoveTxn::begin(CellId a, CellId b) {
@@ -38,13 +37,12 @@ void MoveTxn::begin(CellId a, CellId b) {
   const CellId cells[] = {a, b};
   open(cells);
   pin_mode_ = false;
-  before_.c1 = model_->partial_c1(cells);
+  placement_->bounds_open(cells);
+  before_.c1 = placement_->bounds_c1();
   before_.c2_raw = model_->partial_c2_raw(cells);
   before_.c3 = model_->partial_c3(cells);
   overlap_->save_cell(a, ov_saved_[0]);
   overlap_->save_cell(b, ov_saved_[1]);
-  placement_->bounds_open(cells);
-  bounds_open_ = true;
 }
 
 void MoveTxn::begin_pins(CellId c, std::span<const NetId> nets) {
@@ -95,14 +93,11 @@ double MoveTxn::evaluate() {
     after_.c2_raw = 0.0;
     after_.c3 = model_->partial_c3(cells);
   } else {
-    // Close the bounds bracket first (Phase B/C for every mutation in one
-    // sweep) so the after-terms read a consistent cache.
-    if (bounds_open_) {
-      placement_->bounds_close();
-      bounds_open_ = false;
-    }
+    // Stage every mutation's net bounds in one sweep; the live cache
+    // stays as it was until commit().
+    placement_->bounds_close();
     for (std::size_t k = 0; k < num_cells_; ++k) overlap_->refresh(cells_[k]);
-    after_.c1 = model_->partial_c1(cells);
+    after_.c1 = placement_->bounds_c1();
     after_.c2_raw = model_->partial_c2_raw(cells);
     after_.c3 = model_->partial_c3(cells);
   }
@@ -112,6 +107,7 @@ double MoveTxn::evaluate() {
 
 void MoveTxn::commit(CostTerms& running) {
   TW_ASSERT(active_ && evaluated_, "MoveTxn::commit without evaluate");
+  if (!pin_mode_) placement_->bounds_commit();
   running.c1 += after_.c1 - before_.c1;
   running.c2_raw += after_.c2_raw - before_.c2_raw;
   running.c3 += after_.c3 - before_.c3;
@@ -120,21 +116,15 @@ void MoveTxn::commit(CostTerms& running) {
 
 void MoveTxn::revert() {
   TW_ASSERT(active_, "MoveTxn::revert without begin");
-  if (pin_mode_) {
-    for (std::size_t k = 0; k < num_cells_; ++k)
-      placement_->restore(cells_[k], saved_[k]);
-  } else {
-    // The restores put the cells back into their exact begin()-time
-    // state, so instead of re-deriving the net-bound cache the bracket is
-    // rolled back: the bounds and pin positions checkpointed by
-    // bounds_open are written back verbatim. The restores run with
-    // maintenance suppressed (inside the still-open bracket, or inside
-    // the explicit rollback bracket when evaluate() already closed it).
-    if (!bounds_open_) placement_->bounds_rollback_begin();
-    for (std::size_t k = 0; k < num_cells_; ++k)
-      placement_->restore(cells_[k], saved_[k]);
-    placement_->bounds_rollback_end();
-    bounds_open_ = false;
+  // Cell transactions restore inside their still-open bracket (the
+  // restores' own maintenance nest-no-op), then drop the stage and write
+  // the checkpointed pin positions back: a rejected move never touches
+  // the live net bounds. Pin transactions' restore is a standalone
+  // mutation, staged and committed at once.
+  for (std::size_t k = 0; k < num_cells_; ++k)
+    placement_->restore(cells_[k], saved_[k]);
+  if (!pin_mode_) {
+    placement_->bounds_revert();
     for (std::size_t k = 0; k < num_cells_; ++k)
       overlap_->rollback_cell(cells_[k], ov_saved_[k]);
   }

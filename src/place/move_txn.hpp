@@ -64,7 +64,8 @@ public:
   double evaluate();
 
   /// Folds the evaluated delta into the annealer's running totals and
-  /// closes the transaction (the mutation stands).
+  /// closes the transaction (the mutation stands; a cell transaction
+  /// writes its staged net bounds into the placement's cache).
   void commit(CostTerms& running);
 
   /// Restores the snapshots (and the overlap engine's view of them) and
@@ -102,9 +103,6 @@ private:
   bool pin_mode_ = false;
   bool active_ = false;
   bool evaluated_ = false;
-  /// Cell transactions hold one Placement bounds bracket from begin()
-  /// until evaluate() (or revert(), when evaluate was never reached).
-  bool bounds_open_ = false;
   CostTerms before_;
   CostTerms after_;
 

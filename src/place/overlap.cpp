@@ -52,15 +52,13 @@ OverlapEngine::OverlapEngine(const Placement& placement, Rect core,
 void OverlapEngine::refresh(CellId c) {
   TW_ASSERT(c >= 0 && static_cast<std::size_t>(c) < tiles_.size(),
             "cell=", c, " of ", tiles_.size());
-  const bool indexed = !bins_.empty();
-  if (indexed) bins_remove(c);
   if (estimator_) {
     const CellState& st = placement_->state(c);
     expansion_[static_cast<std::size_t>(c)] = estimator_->side_expansions(
         c, st.instance, st.orient, st.center);
   }
   recache_tiles(c);
-  if (indexed) bins_insert(c);
+  rebin(c);
 }
 
 void OverlapEngine::refresh_all() {
@@ -71,12 +69,22 @@ void OverlapEngine::refresh_all() {
 }
 
 void OverlapEngine::recache_tiles(CellId c) {
-  const auto& e = expansion_[static_cast<std::size_t>(c)];
+  const auto k = static_cast<std::size_t>(c);
+  const auto& e = expansion_[k];
   TW_ASSERT(e[0] >= 0 && e[1] >= 0 && e[2] >= 0 && e[3] >= 0,
             "cell=", c, " negative expansion (", e[0], ", ", e[1], ", ",
             e[2], ", ", e[3], ")");
-  auto tiles = placement_->absolute_tiles(c);
-  for (auto& t : tiles) t = t.inflated(e[0], e[1], e[2], e[3]);
+  // Placement::absolute_tiles, inflated, written into the cell's own
+  // buffer (no allocation once it has grown to the cell's tile count).
+  const CellInstance& g = placement_->geometry(c);
+  const Orient o = placement_->state(c).orient;
+  const Point origin = placement_->origin(c);
+  std::vector<Rect>& tiles = tiles_[k];
+  tiles.resize(g.tiles.size());
+  for (std::size_t t = 0; t < g.tiles.size(); ++t)
+    tiles[t] = apply_orient(o, g.tiles[t], g.width, g.height)
+                   .translated(origin)
+                   .inflated(e[0], e[1], e[2], e[3]);
   // Default Rect{} is the valid degenerate point (0,0), which would leak
   // the origin into every union — seed with an explicitly empty rect.
   Rect box{0, 0, -1, -1};
@@ -90,18 +98,27 @@ void OverlapEngine::recache_tiles(CellId c) {
       box.yhi = std::max(box.yhi, t.yhi);
     }
   }
-  tiles_[static_cast<std::size_t>(c)] = std::move(tiles);
-  bbox_[static_cast<std::size_t>(c)] = box;
+  bbox_[k] = box;
+}
+
+void OverlapEngine::rebin(CellId c) {
+  if (bins_.empty()) return;  // index suspended (refresh_all's sweep)
+  // A cell whose new bbox maps to the same bin range stays where it is:
+  // the range alone decides its bins and its oversize status. Only the
+  // order of cells inside a bin could differ, and C2 sums are integers.
+  if (grid_.range(bbox_[static_cast<std::size_t>(c)]) ==
+      bin_range_[static_cast<std::size_t>(c)])
+    return;
+  bins_remove(c);
+  bins_insert(c);
 }
 
 void OverlapEngine::set_expansions(CellId c, std::array<Coord, 4> e) {
   TW_REQUIRE(c >= 0 && static_cast<std::size_t>(c) < expansion_.size(),
              "cell=", c, " of ", expansion_.size());
-  const bool indexed = !bins_.empty();
-  if (indexed) bins_remove(c);
   expansion_[static_cast<std::size_t>(c)] = e;
   recache_tiles(c);
-  if (indexed) bins_insert(c);
+  rebin(c);
 }
 
 void OverlapEngine::save_cell(CellId c, CellCkpt& out) const {
@@ -113,12 +130,10 @@ void OverlapEngine::save_cell(CellId c, CellCkpt& out) const {
 
 void OverlapEngine::rollback_cell(CellId c, const CellCkpt& ckpt) {
   const auto k = static_cast<std::size_t>(c);
-  const bool indexed = !bins_.empty();
-  if (indexed) bins_remove(c);
   expansion_[k] = ckpt.expansion;
   tiles_[k] = ckpt.tiles;
   bbox_[k] = ckpt.bbox;
-  if (indexed) bins_insert(c);
+  rebin(c);
 }
 
 void OverlapEngine::rebuild_index() {

@@ -107,6 +107,9 @@ public:
 
 private:
   void recache_tiles(CellId c);
+  /// Moves `c` to the bins of its current bbox (after recache_tiles or a
+  /// rollback); a no-op when the bin range is unchanged.
+  void rebin(CellId c);
   void rebuild_index();
   void bins_insert(CellId c);
   void bins_remove(CellId c);

@@ -15,21 +15,55 @@ namespace {
   return raw >= 0 && raw < 8;
 }
 
+/// apply_orient(o, ., w, h) followed by the translation to `origin`, as
+/// one affine map resolved once per cell: a pin then costs two
+/// multiply-adds per axis with coefficients in {-1, 0, 1} (exact integer
+/// arithmetic, so the positions equal the per-pin apply_orient's).
+struct PinFrame {
+  Point t, ex, ey;
+
+  PinFrame(Orient o, Coord w, Coord h, Point origin) {
+    const Point o0 = apply_orient(o, Point{0, 0}, w, h);
+    ex = apply_orient(o, Point{1, 0}, w, h) - o0;
+    ey = apply_orient(o, Point{0, 1}, w, h) - o0;
+    t = o0 + origin;
+  }
+  Point operator()(Point p) const {
+    return {t.x + ex.x * p.x + ey.x * p.y, t.y + ex.y * p.x + ey.y * p.y};
+  }
+};
+
 }  // namespace
 
 Placement::Placement(const Netlist& nl) : nl_(&nl) {
-  states_.resize(nl.num_cells());
-  cell_nets_.resize(nl.num_cells());
+  const std::size_t num_cells = nl.num_cells();
+  const std::size_t num_nets = nl.num_nets();
+  states_.resize(num_cells);
+  cell_nets_.resize(num_cells);
   local_index_.assign(nl.num_pins(), -1);
-  pin_pos_.assign(nl.num_pins(), Point{});
-  pin_pos_ok_.assign(nl.num_cells(), 0);
-  sound_.assign(nl.num_cells(), 0);
+  pin_pos_ok_.assign(num_cells, 0);
+  sound_.assign(num_cells, 0);
 
+  // Net-major position slots, in Net::pins order, and the net weights.
+  pin_slot_.assign(nl.num_pins(), -1);
+  net_pin_begin_.reserve(num_nets + 1);
+  net_weight_.reserve(num_nets);
+  std::int32_t slot = 0;
+  for (const auto& net : nl.nets()) {
+    net_pin_begin_.push_back(slot);
+    net_weight_.push_back({net.weight_h, net.weight_v});
+    for (const PinId pid : net.pins)
+      pin_slot_[static_cast<std::size_t>(pid)] = slot++;
+  }
+  net_pin_begin_.push_back(slot);
+  net_pos_.assign(static_cast<std::size_t>(slot), Point{});
+
+  // Cell-major pin records, in Cell::pins order.
+  cell_pin_begin_.reserve(num_cells + 1);
+  pin_recs_.reserve(nl.num_pins());
   for (const auto& c : nl.cells()) {
     const auto ci = static_cast<std::size_t>(c.id);
-    CellState& st = states_[ci];
-    st.pin_site.assign(c.pins.size(), -1);
-
+    states_[ci].pin_site.assign(c.pins.size(), -1);
     for (std::size_t k = 0; k < c.pins.size(); ++k)
       local_index_[static_cast<std::size_t>(c.pins[k])] = static_cast<int>(k);
 
@@ -38,23 +72,36 @@ Placement::Placement(const Netlist& nl) : nl_(&nl) {
     std::sort(nets.begin(), nets.end());
     nets.erase(std::unique(nets.begin(), nets.end()), nets.end());
 
-    if (c.is_custom()) {
-      st.aspect = c.clamp_aspect(std::sqrt(c.aspect_lo * c.aspect_hi));
-      realize_custom_state(c.id, st.aspect);
-      // Deterministic initial pin-site assignment: groups on their first
-      // allowed side, loose pins round-robin over their allowed sites.
-      for (std::size_t g = 0; g < c.groups.size(); ++g) {
-        const Side side = sides_in_mask(c.groups[g].side_mask).front();
-        assign_group(c.id, static_cast<GroupId>(g), side, 0);
-      }
-      int rr = 0;
-      for (std::size_t k = 0; k < c.pins.size(); ++k) {
-        const Pin& p = nl.pin(c.pins[k]);
-        if (p.commit != PinCommit::kEdge) continue;
-        const auto legal = sites_in_mask(p.side_mask, c.sites_per_edge);
-        assign_pin_to_site(c.id, static_cast<int>(k),
-                           legal[static_cast<std::size_t>(rr++) % legal.size()]);
-      }
+    cell_pin_begin_.push_back(static_cast<std::int32_t>(pin_recs_.size()));
+    for (const PinId pid : c.pins) {
+      const Pin& pin = nl.pin(pid);
+      const auto at = std::lower_bound(nets.begin(), nets.end(), pin.net);
+      pin_recs_.push_back({pid, pin.net,
+                           pin_slot_[static_cast<std::size_t>(pid)],
+                           static_cast<std::int32_t>(at - nets.begin()),
+                           pin.commit == PinCommit::kFixed});
+    }
+  }
+  cell_pin_begin_.push_back(static_cast<std::int32_t>(pin_recs_.size()));
+
+  for (const auto& c : nl.cells()) {
+    if (!c.is_custom()) continue;
+    CellState& st = states_[static_cast<std::size_t>(c.id)];
+    st.aspect = c.clamp_aspect(std::sqrt(c.aspect_lo * c.aspect_hi));
+    realize_custom_state(c.id, st.aspect);
+    // Deterministic initial pin-site assignment: groups on their first
+    // allowed side, loose pins round-robin over their allowed sites.
+    for (std::size_t g = 0; g < c.groups.size(); ++g) {
+      const Side side = sides_in_mask(c.groups[g].side_mask).front();
+      assign_group(c.id, static_cast<GroupId>(g), side, 0);
+    }
+    int rr = 0;
+    for (std::size_t k = 0; k < c.pins.size(); ++k) {
+      const Pin& p = nl.pin(c.pins[k]);
+      if (p.commit != PinCommit::kEdge) continue;
+      const auto legal = sites_in_mask(p.side_mask, c.sites_per_edge);
+      assign_pin_to_site(c.id, static_cast<int>(k),
+                         legal[static_cast<std::size_t>(rr++) % legal.size()]);
     }
   }
   // The mutator calls above ran with an empty cache (maintenance skipped);
@@ -99,24 +146,21 @@ Point Placement::pin_position(PinId p) const {
     if (!bounds_computable(c)) return pin_position_uncached(p);
     refresh_pin_positions(c);
   }
-  return pin_pos_[static_cast<std::size_t>(p)];
+  const std::int32_t slot = pin_slot_[static_cast<std::size_t>(p)];
+  return net_pos_[static_cast<std::size_t>(slot)];
 }
 
 void Placement::refresh_pin_positions(CellId c) const {
-  const Cell& cell = nl_->cell(c);
   const CellState& st = state(c);
   const CellInstance& g = geometry(c);
-  const Point o = origin(c);
-  for (std::size_t k = 0; k < cell.pins.size(); ++k) {
-    const PinId p = cell.pins[k];
-    Point local;
-    if (nl_->pin(p).commit == PinCommit::kFixed) {
-      local = g.pin_offsets[k];
-    } else {
-      local = st.sites[static_cast<std::size_t>(st.pin_site[k])].offset;
-    }
-    pin_pos_[static_cast<std::size_t>(p)] =
-        apply_orient(st.orient, local, g.width, g.height) + o;
+  const PinFrame frame(st.orient, g.width, g.height, origin(c));
+  const std::span<const PinRec> recs = pin_recs(c);
+  for (std::size_t k = 0; k < recs.size(); ++k) {
+    const Point local =
+        recs[k].fixed
+            ? g.pin_offsets[k]
+            : st.sites[static_cast<std::size_t>(st.pin_site[k])].offset;
+    net_pos_[static_cast<std::size_t>(recs[k].slot)] = frame(local);
   }
   pin_pos_ok_[static_cast<std::size_t>(c)] = 1;
 }
@@ -138,10 +182,8 @@ Point Placement::pin_position_uncached(PinId p) const {
 }
 
 Rect Placement::net_bbox(NetId n) const {
-  if (!net_bounds_.empty()) {
-    const NetBounds& b = net_bounds_[static_cast<std::size_t>(n)];
-    return {b.xlo, b.ylo, b.xhi, b.yhi};
-  }
+  if (!net_bounds_.empty())
+    return net_bounds_[static_cast<std::size_t>(n)].box();
   return net_bbox_scan(n);
 }
 
@@ -160,12 +202,7 @@ Rect Placement::net_bbox_scan(NetId n) const {
   return {xlo, ylo, xhi, yhi};
 }
 
-double Placement::net_cost(NetId n) const {
-  const Net& net = nl_->net(n);
-  const Rect bb = net_bbox(n);
-  return static_cast<double>(bb.width()) * net.weight_h +
-         static_cast<double>(bb.height()) * net.weight_v;
-}
+double Placement::net_cost(NetId n) const { return cost_of(n, net_bbox(n)); }
 
 double Placement::teic() const {
   double sum = 0.0;
@@ -257,23 +294,18 @@ void Placement::assign_pin_to_site(CellId c, int local_pin, int site) {
                  static_cast<std::size_t>(local_pin) < st.pin_site.size(),
              "cell=", c, " local_pin=", local_pin, " of ",
              st.pin_site.size());
-  TW_REQUIRE(!nl_->pin(nl_->cell(c).pins[static_cast<std::size_t>(local_pin)])
-                  .committed(),
+  TW_REQUIRE(!pin_recs(c)[static_cast<std::size_t>(local_pin)].fixed,
              "cell=", c, " local_pin=", local_pin, " is a fixed pin");
 
   // Fast path: a top-level single-pin move only touches one net, so the
-  // whole-cell Phase A/B sweep of BoundsScope would be wasted work.
-  const PinId pid = nl_->cell(c).pins[static_cast<std::size_t>(local_pin)];
-  const NetId net = nl_->pin(pid).net;
+  // whole-cell bracket of BoundsScope would be wasted work. The net is
+  // staged and committed the same way, for this one pin.
+  const PinRec& rec = pin_recs(c)[static_cast<std::size_t>(local_pin)];
   const bool track = bounds_depth_ == 0 && !net_bounds_.empty();
+  NetBounds staged;
   if (track) {
-    if (net_epoch_ == std::numeric_limits<std::uint32_t>::max()) {
-      std::fill(net_mark_.begin(), net_mark_.end(), 0);
-      net_epoch_ = 0;
-    }
-    ++net_epoch_;
-    rescan_.clear();
-    bounds_remove_pin(net, pin_position(pid));
+    staged = net_bounds_[static_cast<std::size_t>(rec.net)];
+    staged.remove(pin_position(rec.pin));
   }
 
   int& cur = st.pin_site[static_cast<std::size_t>(local_pin)];
@@ -285,15 +317,16 @@ void Placement::assign_pin_to_site(CellId c, int local_pin, int site) {
   // the whole cell's pin-position cache, patch the one entry in place.
   if (pin_pos_ok_[static_cast<std::size_t>(c)]) {
     const CellInstance& g = geometry(c);
-    pin_pos_[static_cast<std::size_t>(pid)] =
+    net_pos_[static_cast<std::size_t>(rec.slot)] =
         apply_orient(st.orient, st.sites[static_cast<std::size_t>(site)].offset,
                      g.width, g.height) +
         origin(c);
   }
 
   if (track) {
-    bounds_add_pin(net, pin_position(pid));
-    for (const NetId n : rescan_) rescan_net(n);
+    staged.add(pin_position(rec.pin));
+    if (staged.unsupported()) staged = rescan(rec.net);
+    net_bounds_[static_cast<std::size_t>(rec.net)] = staged;
   }
 }
 
@@ -426,13 +459,21 @@ int Placement::overloaded_sites() const {
 void Placement::resync_net_bounds() {
   TW_ASSERT(bounds_depth_ == 0, "resync inside a mutator, depth=",
             bounds_depth_);
-  ckpt_valid_ = false;
-  const std::size_t nets = nl_->num_nets();
-  net_bounds_.assign(nets, NetBounds{});
-  net_mark_.assign(nets, 0);
-  net_epoch_ = 0;
-  rescan_.clear();
-  for (NetId n = 0; n < static_cast<NetId>(nets); ++n) rescan_net(n);
+  net_bounds_.clear();
+  for (CellId c = 0; c < static_cast<CellId>(states_.size()); ++c) {
+    if (pin_pos_ok_[static_cast<std::size_t>(c)]) continue;
+    if (!bounds_computable(c)) return;  // stays dropped: lazy scans
+    refresh_pin_positions(c);
+  }
+  net_bounds_.resize(nl_->num_nets());
+  for (NetId n = 0; n < static_cast<NetId>(net_bounds_.size()); ++n)
+    net_bounds_[static_cast<std::size_t>(n)] = rescan(n);
+}
+
+void Placement::suspend_net_bounds() {
+  TW_ASSERT(bounds_depth_ == 0, "suspend inside a mutator, depth=",
+            bounds_depth_);
+  net_bounds_.clear();
 }
 
 void Placement::bounds_open(std::span<const CellId> cells) {
@@ -443,90 +484,52 @@ void Placement::bounds_open(std::span<const CellId> cells) {
   ++bounds_depth_;  // enclosed mutator brackets nest-no-op from here on
   num_open_cells_ = cells.size();
   for (std::size_t i = 0; i < cells.size(); ++i) open_cells_[i] = cells[i];
-  ckpt_valid_ = false;
-  if (net_bounds_.empty()) return;
-  for (std::size_t i = 0; i < num_open_cells_; ++i) {
-    if (!bounds_computable(open_cells_[i])) {
-      net_bounds_.clear();
-      return;
-    }
-  }
-  // Checkpoint the cells' net bounds and pin-position caches before Phase
-  // A touches them, so a rejected transaction can roll back by write-back
-  // instead of re-deriving (bounds_rollback_end). Buffers are reused.
-  bounds_ckpt_.clear();
-  num_ckpt_cells_ = num_open_cells_;
-  for (std::size_t i = 0; i < num_open_cells_; ++i) {
-    const CellId c = open_cells_[i];
-    for (const NetId n : cell_nets_[static_cast<std::size_t>(c)])
-      bounds_ckpt_.emplace_back(n, net_bounds_[static_cast<std::size_t>(n)]);
-    PinCkpt& pc = pin_ckpt_[i];
-    pc.cell = c;
-    pc.ok = pin_pos_ok_[static_cast<std::size_t>(c)];
-    if (pc.ok) {
-      const auto& pins = nl_->cell(c).pins;
-      pc.pos.resize(pins.size());
-      for (std::size_t k = 0; k < pins.size(); ++k)
-        pc.pos[k] = pin_pos_[static_cast<std::size_t>(pins[k])];
-    }
-  }
-  ckpt_valid_ = true;
-  if (net_epoch_ == std::numeric_limits<std::uint32_t>::max()) {
-    std::fill(net_mark_.begin(), net_mark_.end(), 0);
-    net_epoch_ = 0;
-  }
-  ++net_epoch_;
-  rescan_.clear();
-  for (std::size_t i = 0; i < num_open_cells_; ++i)
-    for (const PinId p : nl_->cell(open_cells_[i]).pins)
-      bounds_remove_pin(nl_->pin(p).net, pin_position(p));
+  stage_open();
 }
 
 void Placement::bounds_close() {
   TW_ASSERT(bounds_depth_ == 1 && num_open_cells_ > 0,
             "unbalanced bounds_close, depth=", bounds_depth_);
+  stage_close();
+}
+
+void Placement::bounds_commit() {
+  TW_ASSERT(bounds_depth_ == 1 && num_open_cells_ > 0,
+            "unbalanced bounds_commit, depth=", bounds_depth_);
   --bounds_depth_;
-  const std::size_t n = num_open_cells_;
+  stage_commit();
   num_open_cells_ = 0;
-  if (net_bounds_.empty()) return;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!bounds_computable(open_cells_[i])) {
-      net_bounds_.clear();
-      return;
+}
+
+void Placement::bounds_revert() {
+  TW_ASSERT(bounds_depth_ == 1 && num_open_cells_ > 0,
+            "unbalanced bounds_revert, depth=", bounds_depth_);
+  --bounds_depth_;
+  if (tracked_) {
+    // The cells are back in their bounds_open-time state, so the
+    // positions checkpointed then are valid again (the restores
+    // invalidated them).
+    const Point* pos = pos_ckpt_.data();
+    for (std::size_t i = 0; i < num_open_cells_; ++i) {
+      for (const PinRec& r : pin_recs(open_cells_[i]))
+        net_pos_[static_cast<std::size_t>(r.slot)] = *pos++;
+      pin_pos_ok_[static_cast<std::size_t>(open_cells_[i])] = 1;
     }
   }
-  for (std::size_t i = 0; i < n; ++i)
-    for (const PinId p : nl_->cell(open_cells_[i]).pins)
-      bounds_add_pin(nl_->pin(p).net, pin_position(p));
-  for (const NetId net : rescan_) rescan_net(net);
-}
-
-void Placement::bounds_rollback_begin() {
-  TW_ASSERT(bounds_depth_ == 0, "bounds_rollback_begin inside a mutator");
-  ++bounds_depth_;  // suppress the restores' own maintenance brackets
-}
-
-void Placement::bounds_rollback_end() {
-  TW_ASSERT(bounds_depth_ == 1, "unbalanced bounds_rollback_end, depth=",
-            bounds_depth_);
-  --bounds_depth_;
+  tracked_ = false;
   num_open_cells_ = 0;
-  if (!ckpt_valid_) return;  // cache was empty/uncomputable at open time
-  ckpt_valid_ = false;
-  if (!net_bounds_.empty())
-    for (const auto& [n, b] : bounds_ckpt_)
-      net_bounds_[static_cast<std::size_t>(n)] = b;
-  // The cells are back in their checkpoint-time state, so the cached pin
-  // positions captured then are valid again (the restores invalidated
-  // them).
-  for (std::size_t i = 0; i < num_ckpt_cells_; ++i) {
-    const PinCkpt& pc = pin_ckpt_[i];
-    if (!pc.ok) continue;
-    const auto& pins = nl_->cell(pc.cell).pins;
-    for (std::size_t k = 0; k < pins.size(); ++k)
-      pin_pos_[static_cast<std::size_t>(pins[k])] = pc.pos[k];
-    pin_pos_ok_[static_cast<std::size_t>(pc.cell)] = 1;
+}
+
+double Placement::bounds_c1() const {
+  TW_ASSERT(bounds_depth_ == 1 && num_open_cells_ > 0,
+            "bounds_c1 outside a bracket, depth=", bounds_depth_);
+  double sum = 0.0;
+  if (net_bounds_.empty()) {
+    for (const StagedNet& s : stage_) sum += net_cost(s.net);  // lazy scans
+  } else {
+    for (const StagedNet& s : stage_) sum += cost_of(s.net, s.b.box());
   }
+  return sum;
 }
 
 bool Placement::bounds_computable(CellId c) const {
@@ -538,8 +541,9 @@ bool Placement::bounds_computable(CellId c) const {
             static_cast<std::size_t>(st.instance) < cell.instances.size() &&
             st.pin_site.size() == cell.pins.size();
   if (ok) {
-    for (std::size_t k = 0; k < cell.pins.size(); ++k) {
-      if (nl_->pin(cell.pins[k]).commit == PinCommit::kFixed) continue;
+    const std::span<const PinRec> recs = pin_recs(c);
+    for (std::size_t k = 0; k < recs.size(); ++k) {
+      if (recs[k].fixed) continue;
       const int site = st.pin_site[k];
       if (site < 0 || static_cast<std::size_t>(site) >= st.sites.size()) {
         ok = false;
@@ -553,116 +557,126 @@ bool Placement::bounds_computable(CellId c) const {
 
 void Placement::bounds_begin(CellId c) {
   if (bounds_depth_++ > 0) return;
-  ckpt_valid_ = false;  // a standalone mutation stales any old checkpoint
-  if (net_bounds_.empty()) return;
-  if (!bounds_computable(c)) {
-    net_bounds_.clear();
-    return;
-  }
-  if (net_epoch_ == std::numeric_limits<std::uint32_t>::max()) {
-    std::fill(net_mark_.begin(), net_mark_.end(), 0);
-    net_epoch_ = 0;
-  }
-  ++net_epoch_;
-  rescan_.clear();
-  for (const PinId p : nl_->cell(c).pins)
-    bounds_remove_pin(nl_->pin(p).net, pin_position(p));
+  num_open_cells_ = 1;
+  open_cells_[0] = c;
+  tracked_ = false;
+  if (!net_bounds_.empty()) stage_open();
 }
 
-void Placement::bounds_end(CellId c) {
-  TW_ASSERT(bounds_depth_ > 0, "unbalanced bounds_end, cell=", c);
+void Placement::bounds_end() {
+  TW_ASSERT(bounds_depth_ > 0, "unbalanced bounds_end");
   if (--bounds_depth_ > 0) return;
-  if (net_bounds_.empty()) return;
-  if (!bounds_computable(c)) {
-    // The mutation left the cell structurally unsound (restore() of a
-    // corrupt snapshot): its pin positions cannot be computed, so the
-    // cache cannot be maintained. Drop it; validate_placement() reports
-    // the corruption, and the next resync rebuilds the cache.
-    net_bounds_.clear();
-    return;
-  }
-  for (const PinId p : nl_->cell(c).pins)
-    bounds_add_pin(nl_->pin(p).net, pin_position(p));
-  for (const NetId n : rescan_) rescan_net(n);
+  stage_close();
+  stage_commit();
+  num_open_cells_ = 0;
 }
 
-void Placement::bounds_mark(NetId n) {
-  net_mark_[static_cast<std::size_t>(n)] = net_epoch_;
-  rescan_.push_back(n);
+void Placement::stage_open() {
+  tracked_ = false;
+  bool live = !net_bounds_.empty();
+  for (std::size_t i = 0; live && i < num_open_cells_; ++i) {
+    if (!bounds_computable(open_cells_[i])) {
+      net_bounds_.clear();
+      live = false;
+    }
+  }
+  const auto bounds_of = [&](NetId n) {
+    return live ? net_bounds_[static_cast<std::size_t>(n)] : NetBounds{};
+  };
+  // The nets in partial_c1's order: the first cell's (sorted), then the
+  // second's not already staged, found by merging the two sorted lists.
+  stage_.clear();
+  const std::vector<NetId>& first =
+      cell_nets_[static_cast<std::size_t>(open_cells_[0])];
+  for (const NetId n : first) stage_.push_back({n, bounds_of(n)});
+  if (num_open_cells_ == 2) {
+    const std::vector<NetId>& second =
+        cell_nets_[static_cast<std::size_t>(open_cells_[1])];
+    stage_map_.resize(second.size());
+    std::size_t i = 0;
+    for (std::size_t k = 0; k < second.size(); ++k) {
+      while (i < first.size() && first[i] < second[k]) ++i;
+      if (i < first.size() && first[i] == second[k]) {
+        stage_map_[k] = static_cast<std::int32_t>(i);
+      } else {
+        stage_map_[k] = static_cast<std::int32_t>(stage_.size());
+        stage_.push_back({second[k], bounds_of(second[k])});
+      }
+    }
+  }
+  if (!live) return;
+  pos_ckpt_.clear();
+  for (std::size_t i = 0; i < num_open_cells_; ++i) {
+    const CellId c = open_cells_[i];
+    if (!pin_pos_ok_[static_cast<std::size_t>(c)]) refresh_pin_positions(c);
+    for (const PinRec& r : pin_recs(c))
+      pos_ckpt_.push_back(net_pos_[static_cast<std::size_t>(r.slot)]);
+  }
+  tracked_ = true;
 }
 
-void Placement::bounds_remove_pin(NetId n, Point pos) {
-  if (bounds_marked(n)) return;  // rescan will rebuild it anyway
-  NetBounds& b = net_bounds_[static_cast<std::size_t>(n)];
-  bool collapsed = false;
-  if (pos.x == b.xlo && --b.n_xlo == 0) collapsed = true;
-  if (pos.x == b.xhi && --b.n_xhi == 0) collapsed = true;
-  if (pos.y == b.ylo && --b.n_ylo == 0) collapsed = true;
-  if (pos.y == b.yhi && --b.n_yhi == 0) collapsed = true;
-  TW_ASSERT_FULL(b.n_xlo >= 0 && b.n_xhi >= 0 && b.n_ylo >= 0 && b.n_yhi >= 0,
-                 "net=", n, " negative boundary support");
-  if (collapsed) bounds_mark(n);
+void Placement::stage_close() {
+  if (!tracked_ || net_bounds_.empty()) return;
+  for (std::size_t i = 0; i < num_open_cells_; ++i) {
+    if (!bounds_computable(open_cells_[i])) {
+      // The mutation left the cell structurally unsound (restore() of a
+      // corrupt snapshot): its pin positions cannot be computed, so the
+      // cache cannot be maintained. Drop it; validate_placement() reports
+      // the corruption, and the next resync rebuilds the cache.
+      net_bounds_.clear();
+      return;
+    }
+  }
+  const auto staged = [&](std::size_t i, const PinRec& r) -> NetBounds& {
+    const auto k = static_cast<std::size_t>(r.net_idx);
+    return stage_[i == 0 ? k : static_cast<std::size_t>(stage_map_[k])].b;
+  };
+  // Old positions out, then new ones in; a boundary still unsupported
+  // after the adds is the only case that needs the net's other pins.
+  const Point* old = pos_ckpt_.data();
+  for (std::size_t i = 0; i < num_open_cells_; ++i)
+    for (const PinRec& r : pin_recs(open_cells_[i]))
+      staged(i, r).remove(*old++);
+  if constexpr (check::kLevel >= check::kLevelFull) {
+    for ([[maybe_unused]] const StagedNet& s : stage_)
+      TW_ASSERT_FULL(s.b.n_xlo >= 0 && s.b.n_xhi >= 0 && s.b.n_ylo >= 0 &&
+                         s.b.n_yhi >= 0,
+                     "net=", s.net, " negative boundary support");
+  }
+  for (std::size_t i = 0; i < num_open_cells_; ++i) {
+    refresh_pin_positions(open_cells_[i]);
+    for (const PinRec& r : pin_recs(open_cells_[i]))
+      staged(i, r).add(net_pos_[static_cast<std::size_t>(r.slot)]);
+  }
+  for (StagedNet& s : stage_)
+    if (s.b.unsupported()) s.b = rescan(s.net);
 }
 
-void Placement::bounds_add_pin(NetId n, Point pos) {
-  if (bounds_marked(n)) return;
-  NetBounds& b = net_bounds_[static_cast<std::size_t>(n)];
-  if (pos.x < b.xlo) {
-    b.xlo = pos.x;
-    b.n_xlo = 1;
-  } else if (pos.x == b.xlo) {
-    ++b.n_xlo;
-  }
-  if (pos.x > b.xhi) {
-    b.xhi = pos.x;
-    b.n_xhi = 1;
-  } else if (pos.x == b.xhi) {
-    ++b.n_xhi;
-  }
-  if (pos.y < b.ylo) {
-    b.ylo = pos.y;
-    b.n_ylo = 1;
-  } else if (pos.y == b.ylo) {
-    ++b.n_ylo;
-  }
-  if (pos.y > b.yhi) {
-    b.yhi = pos.y;
-    b.n_yhi = 1;
-  } else if (pos.y == b.yhi) {
-    ++b.n_yhi;
-  }
+void Placement::stage_commit() {
+  if (tracked_ && !net_bounds_.empty())  // else dropped at open or close
+    for (const StagedNet& s : stage_)
+      net_bounds_[static_cast<std::size_t>(s.net)] = s.b;
+  tracked_ = false;
 }
 
-void Placement::rescan_net(NetId n) {
-  NetBounds& b = net_bounds_[static_cast<std::size_t>(n)];
-  b = NetBounds{};
-  for (const PinId p : nl_->net(n).pins) {
-    const Point pos = pin_position(p);
-    if (pos.x < b.xlo) {
-      b.xlo = pos.x;
-      b.n_xlo = 1;
-    } else if (pos.x == b.xlo) {
-      ++b.n_xlo;
-    }
-    if (pos.x > b.xhi) {
-      b.xhi = pos.x;
-      b.n_xhi = 1;
-    } else if (pos.x == b.xhi) {
-      ++b.n_xhi;
-    }
-    if (pos.y < b.ylo) {
-      b.ylo = pos.y;
-      b.n_ylo = 1;
-    } else if (pos.y == b.ylo) {
-      ++b.n_ylo;
-    }
-    if (pos.y > b.yhi) {
-      b.yhi = pos.y;
-      b.n_yhi = 1;
-    } else if (pos.y == b.yhi) {
-      ++b.n_yhi;
-    }
+Placement::NetBounds Placement::rescan(NetId n) const {
+  const auto k = static_cast<std::size_t>(n);
+  const Point* first = net_pos_.data() + net_pin_begin_[k];
+  const Point* last = net_pos_.data() + net_pin_begin_[k + 1];
+  NetBounds b;
+  for (const Point* p = first; p != last; ++p) {
+    b.xlo = std::min(b.xlo, p->x);
+    b.xhi = std::max(b.xhi, p->x);
+    b.ylo = std::min(b.ylo, p->y);
+    b.yhi = std::max(b.yhi, p->y);
   }
+  for (const Point* p = first; p != last; ++p) {
+    b.n_xlo += p->x == b.xlo;
+    b.n_xhi += p->x == b.xhi;
+    b.n_ylo += p->y == b.ylo;
+    b.n_yhi += p->y == b.yhi;
+  }
+  return b;
 }
 
 std::string Placement::net_bounds_drift() const {

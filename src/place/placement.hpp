@@ -5,14 +5,19 @@
 //
 // Net bounding boxes are cached incrementally, TimberWolf-style: each net
 // keeps its min/max pin coordinate per axis plus a support count of how
-// many pins sit exactly on each boundary. A mutation of one cell removes
-// that cell's pins from the counts (Phase A), applies the change, then
-// re-adds the pins grow-only (Phase B); only nets whose boundary support
-// collapsed to zero are rescanned from all pins (Phase C). This makes
-// net_cost after a move O(pins-of-cell) instead of O(pins-of-net), and
-// net_bounds_drift() proves the cache against a full recompute.
+// many pins sit exactly on each boundary. A mutation of one or two cells
+// is priced on a staged copy of their nets' bounds: the old pin positions
+// are removed from the copy, the new ones added, and only a net left with
+// an unsupported boundary is rescanned from all its pins. The copy is
+// written into the cache on commit and dropped on revert. Pin positions
+// live in a net-major array and each cell's pins in a flat cell-major
+// table, so the maintenance never touches the netlist's Pin, Cell or Net
+// records. net_cost after a move is O(pins-of-cell) instead of
+// O(pins-of-net), and net_bounds_drift() proves the cache against a full
+// recompute.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <limits>
@@ -137,32 +142,37 @@ public:
   /// Number of sites with occupancy above capacity, over all cells.
   int overloaded_sites() const;
 
-  /// Rebuilds every cached net bound from scratch (O(total pins)).
+  /// Rebuilds every cached net bound from scratch (O(total pins)). Leaves
+  /// the cache dropped when a cell's pin positions cannot be computed.
   void resync_net_bounds();
 
-  /// Opens one net-bound maintenance bracket spanning several mutator
-  /// calls on `cells` (Phase A for all their pins at once); the enclosed
-  /// mutators' own brackets nest-no-op, so a multi-mutation transaction
-  /// (displacement + orientation retry, two-cell interchange) pays one
-  /// remove/re-add sweep instead of one per mutator call. The cache is
-  /// stale for `cells`' nets until bounds_close() (Phase B/C), so the
-  /// caller must not read net_bbox/net_cost in between — MoveTxn reads
-  /// its before-terms first, opens, mutates, closes, then reads the
-  /// after-terms.
+  /// Drops the net-bound cache until the next resync_net_bounds():
+  /// mutators skip maintenance and net_bbox scans lazily. For bulk reloads
+  /// that rewrite every cell, where one resync is cheaper than a staged
+  /// bracket per cell.
+  void suspend_net_bounds();
+
+  /// One net-bound bracket over a transaction's mutations of `cells` (one
+  /// cell, or two for an interchange); the enclosed mutators' own
+  /// brackets nest-no-op. bounds_open checkpoints the cells' pin
+  /// positions and stages their nets' live bounds; bounds_close prices the
+  /// mutations on that stage (old positions out, new ones in, a rescan
+  /// only where a boundary lost all support). The live cache is untouched
+  /// until bounds_commit() writes the stage into it; bounds_revert()
+  /// instead writes the checkpointed positions back and drops the stage.
+  /// Contract for the revert: the caller has restored the cells to their
+  /// bounds_open-time state (MoveTxn restores its begin() snapshots inside
+  /// the bracket). Between bounds_close and the commit, net_bbox/net_cost
+  /// still read the old bounds; bounds_c1() reads the stage.
   void bounds_open(std::span<const CellId> cells);
   void bounds_close();
+  void bounds_commit();
+  void bounds_revert();
 
-  /// Rolls a bracket back instead of closing it: bounds_open checkpoints
-  /// the open cells' net bounds and cached pin positions before Phase A,
-  /// and the rollback writes them back verbatim — a rejected transaction
-  /// pays no remove/re-add/rescan work at all. Contract: the caller must
-  /// have restored the open cells to their exact bounds_open-time state
-  /// (MoveTxn restores its begin() snapshots). Call order:
-  ///   - bracket still open:  restore cells, then bounds_rollback_end()
-  ///   - bracket closed by an earlier bounds_close(): bounds_rollback_begin(),
-  ///     restore cells (maintenance-suppressed), then bounds_rollback_end()
-  void bounds_rollback_begin();
-  void bounds_rollback_end();
+  /// C1 over the open bracket's nets, summed in CostModel::partial_c1's
+  /// order (the first cell's nets, then the second's not already seen):
+  /// the before-term after bounds_open, the after-term after bounds_close.
+  double bounds_c1() const;
 
   /// Recomputes every net bound from scratch and compares it (values and
   /// support counts) against the incremental cache. Returns an empty
@@ -183,32 +193,78 @@ private:
     int n_xhi = 0;
     int n_ylo = 0;
     int n_yhi = 0;
+
+    /// Takes a pin off the support counts. A boundary may be left with
+    /// zero support (its value is then stale) until later adds or a
+    /// rescan settle it.
+    void remove(Point p) {
+      n_xlo -= p.x == xlo;
+      n_xhi -= p.x == xhi;
+      n_ylo -= p.y == ylo;
+      n_yhi -= p.y == yhi;
+    }
+    /// Grows the bounds by a pin. Correct after removes too: every pin
+    /// still counted lies strictly inside a boundary whose support
+    /// dropped to zero, so a pin at or beyond it is its new supporter.
+    void add(Point p) {
+      n_xlo = p.x < xlo ? 1 : n_xlo + (p.x == xlo);
+      n_xhi = p.x > xhi ? 1 : n_xhi + (p.x == xhi);
+      n_ylo = p.y < ylo ? 1 : n_ylo + (p.y == ylo);
+      n_yhi = p.y > yhi ? 1 : n_yhi + (p.y == yhi);
+      xlo = std::min(xlo, p.x);
+      xhi = std::max(xhi, p.x);
+      ylo = std::min(ylo, p.y);
+      yhi = std::max(yhi, p.y);
+    }
+    bool unsupported() const {
+      return (n_xlo == 0) | (n_xhi == 0) | (n_ylo == 0) | (n_yhi == 0);
+    }
+    Rect box() const { return {xlo, ylo, xhi, yhi}; }
   };
 
-  /// RAII bracket around one top-level mutation of cell `c`: Phase A on
-  /// entry, Phases B/C on exit. Nested mutator calls (restore_cell's
-  /// internals, assign_group's per-pin assignments) no-op via a depth
-  /// counter so each pin is removed/re-added exactly once.
+  /// One pin in the cell-major table: the cell's pins in Cell::pins order.
+  struct PinRec {
+    PinId pin = -1;
+    NetId net = -1;
+    std::int32_t slot = 0;     ///< index of the pin's position in net_pos_
+    std::int32_t net_idx = 0;  ///< index of `net` in nets_of_cell(cell)
+    bool fixed = false;        ///< PinCommit::kFixed: position from offsets
+  };
+
+  struct NetWeight {
+    double h = 1.0;  ///< h(n) in Eqn 6
+    double v = 1.0;  ///< v(n) in Eqn 6
+  };
+
+  /// A staged net: its live bounds at bounds_open, then, after
+  /// bounds_close, its bounds as the bracket's mutations leave them.
+  struct StagedNet {
+    NetId net = -1;
+    NetBounds b;
+  };
+
+  /// RAII bracket around one top-level mutation of cell `c`: it stages
+  /// and commits the same way a transaction does, at once. Nested mutator
+  /// calls (restore_cell's internals, assign_group's per-pin assignments)
+  /// no-op via a depth counter so each pin is priced exactly once.
   class BoundsScope {
   public:
-    BoundsScope(Placement& p, CellId c) : p_(p), c_(c) { p_.bounds_begin(c_); }
-    ~BoundsScope() { p_.bounds_end(c_); }
+    BoundsScope(Placement& p, CellId c) : p_(p) { p_.bounds_begin(c); }
+    ~BoundsScope() { p_.bounds_end(); }
     BoundsScope(const BoundsScope&) = delete;
     BoundsScope& operator=(const BoundsScope&) = delete;
 
   private:
     Placement& p_;
-    CellId c_;
   };
 
   void realize_custom_state(CellId c, double aspect);
   void rebuild_occupancy(CellId c);
 
   Rect net_bbox_scan(NetId n) const;
-  /// Recomputes and caches the absolute positions of all of `c`'s pins in
-  /// one pass (geometry, orientation transform and origin are resolved
-  /// once per cell instead of once per pin — pin_position() is the
-  /// hottest call in the annealer's maintenance sweeps).
+  /// Recomputes the absolute positions of all of `c`'s pins into net_pos_
+  /// in one pass over its pin records (geometry, orientation and origin
+  /// are resolved once per cell into one affine map).
   void refresh_pin_positions(CellId c) const;
   /// The uncached per-pin computation, for structurally unsound cells
   /// (restore() of a corrupt snapshot) where a whole-cell refresh could
@@ -227,14 +283,28 @@ private:
   /// scans until the next resync).
   bool bounds_computable(CellId c) const;
   void bounds_begin(CellId c);
-  void bounds_end(CellId c);
-  bool bounds_marked(NetId n) const {
-    return net_mark_[static_cast<std::size_t>(n)] == net_epoch_;
+  void bounds_end();
+  /// The bracket's three steps on open_cells_, shared by transactions and
+  /// standalone mutators: stage the nets and checkpoint the positions,
+  /// price the mutations on the stage, write the stage into the cache.
+  void stage_open();
+  void stage_close();
+  void stage_commit();
+  /// The cell's pin records, in Cell::pins order.
+  std::span<const PinRec> pin_recs(CellId c) const {
+    const auto k = static_cast<std::size_t>(c);
+    return {pin_recs_.data() + cell_pin_begin_[k],
+            pin_recs_.data() + cell_pin_begin_[k + 1]};
   }
-  void bounds_mark(NetId n);
-  void bounds_remove_pin(NetId n, Point pos);
-  void bounds_add_pin(NetId n, Point pos);
-  void rescan_net(NetId n);
+  /// A net's bounds from its pins' positions: a min/max pass, then a
+  /// support-count pass, over its contiguous span of net_pos_.
+  NetBounds rescan(NetId n) const;
+  /// One term of Eqn 6 for net `n` spanning `bb`.
+  double cost_of(NetId n, const Rect& bb) const {
+    const NetWeight& w = net_weight_[static_cast<std::size_t>(n)];
+    return static_cast<double>(bb.width()) * w.h +
+           static_cast<double>(bb.height()) * w.v;
+  }
 
   const Netlist* nl_;
   std::vector<CellState> states_;
@@ -242,8 +312,15 @@ private:
   /// pin id -> index within its cell's pin list.
   std::vector<int> local_index_;
 
-  // --- per-cell absolute pin-position cache (lazy, batch-refilled) ----------
-  mutable std::vector<Point> pin_pos_;            ///< per pin
+  // --- flat pin tables (built once by the constructor) ----------------------
+  std::vector<PinRec> pin_recs_;              ///< cell-major
+  std::vector<std::int32_t> cell_pin_begin_;  ///< per cell: first record; + end
+  std::vector<std::int32_t> net_pin_begin_;   ///< per net: first slot; + end
+  std::vector<std::int32_t> pin_slot_;        ///< per pin: slot in net_pos_
+  std::vector<NetWeight> net_weight_;
+
+  // --- absolute pin positions (net-major, lazily refilled per cell) ---------
+  mutable std::vector<Point> net_pos_;            ///< per slot
   mutable std::vector<std::uint8_t> pin_pos_ok_;  ///< per cell validity
   /// Memoized bounds_computable verdict: 0 unknown, 1 sound, -1 unsound.
   /// Invalidated with the pin cache on every mutation.
@@ -252,23 +329,16 @@ private:
   // --- incremental net-bound cache (empty until the constructor's final
   // --- resync, during which mutators skip maintenance) ---------------------
   std::vector<NetBounds> net_bounds_;
-  std::vector<std::uint32_t> net_mark_;  ///< rescan-pending stamps
-  std::uint32_t net_epoch_ = 0;
-  std::vector<NetId> rescan_;            ///< nets needing a full rescan
   int bounds_depth_ = 0;                 ///< mutator nesting depth
   std::array<CellId, 2> open_cells_{};   ///< cells of the open bracket
   std::size_t num_open_cells_ = 0;
 
-  // --- rollback checkpoint (captured by bounds_open, reused buffers) --------
-  struct PinCkpt {
-    CellId cell = -1;
-    std::uint8_t ok = 0;        ///< pin_pos_ok_ at checkpoint time
-    std::vector<Point> pos;     ///< cached positions of the cell's pins
-  };
-  std::vector<std::pair<NetId, NetBounds>> bounds_ckpt_;
-  std::array<PinCkpt, 2> pin_ckpt_;
-  std::size_t num_ckpt_cells_ = 0;
-  bool ckpt_valid_ = false;
+  // --- the open bracket's stage (reused buffers) ----------------------------
+  std::vector<StagedNet> stage_;         ///< partial_c1's net order
+  /// The second open cell's net_idx -> its net's index in stage_.
+  std::vector<std::int32_t> stage_map_;
+  std::vector<Point> pos_ckpt_;          ///< open cells' positions at open
+  bool tracked_ = false;  ///< the cache was live and pos_ckpt_ taken at open
 };
 
 }  // namespace tw

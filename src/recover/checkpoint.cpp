@@ -269,18 +269,23 @@ void apply_placement(Placement& p, const PackedPlacement& packed) {
         CheckpointErrc::kCorrupt,
         "placement has " + std::to_string(packed.cells.size()) +
             " cells, netlist has " + std::to_string(p.netlist().num_cells()));
+  // Bulk checkpoint restore, not a per-move transaction: callers rebuild
+  // the overlap/cost engines from scratch after applying. Every cell is
+  // rewritten, so the net bounds are rebuilt once at the end instead of
+  // staged per cell — also when a corrupt cell aborts the reload.
+  p.suspend_net_bounds();  // lint: allow(txn-reach)
   for (std::size_t i = 0; i < packed.cells.size(); ++i) {
     const PackedCell& c = packed.cells[i];
     try {
-      // Bulk checkpoint restore, not a per-move transaction: callers
-      // rebuild the overlap/cost engines from scratch after applying.
       p.restore_cell(static_cast<CellId>(i), c.center, c.orient,  // lint: allow(txn-reach)
                      c.instance, c.aspect, c.pin_site);
     } catch (const std::invalid_argument& e) {
+      p.resync_net_bounds();
       throw CheckpointError(CheckpointErrc::kCorrupt,
                             "cell " + std::to_string(i) + ": " + e.what());
     }
   }
+  p.resync_net_bounds();
 }
 
 std::uint64_t netlist_digest(const Netlist& nl) {

@@ -11,7 +11,9 @@
 //     never prunes a real overlap — integer-exact),
 //   * Placement::net_bounds_drift() is empty (cache == full pin rescan),
 //   * the running CostTerms maintained from committed deltas match a
-//     from-scratch CostModel::full() (C2 exactly; C1/C3 to fp tolerance).
+//     from-scratch CostModel::full() (C2 exactly; C1/C3 to fp tolerance),
+//   * after a revert, every net bbox and pin position is what it was
+//     before the transaction began.
 // Environment changes outside the transaction layer (set_expansions,
 // set_core, direct mutator + refresh) are interleaved to cover the
 // stage-2 and resynchronization paths.
@@ -21,6 +23,8 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "estimator/area_estimator.hpp"
 #include "geom/bins.hpp"
@@ -116,9 +120,87 @@ void expect_terms_match(const CostTerms& running, const CostTerms& full,
 struct FuzzConfig {
   bool dynamic_engine = false;   ///< estimator-driven expansions (stage 1)
   bool env_changes = false;      ///< set_expansions / set_core / direct moves
+  /// Only displacements of at most 3 DBU per axis, orientation-only moves
+  /// and interchanges of two cells sharing a net, so pins land exactly on,
+  /// just inside and just outside the old net boundaries.
+  bool small_steps = false;
   std::uint64_t seed = 1;
   int moves = 1200;
 };
+
+/// Every net's bbox and every pin's position, to compare a reverted
+/// transaction against the state before its begin().
+struct NetView {
+  std::vector<Rect> bbox;
+  std::vector<Point> pos;
+
+  explicit NetView(const Placement& p) {
+    const Netlist& nl = p.netlist();
+    for (const Net& n : nl.nets()) bbox.push_back(p.net_bbox(n.id));
+    for (PinId k = 0; k < static_cast<PinId>(nl.num_pins()); ++k)
+      pos.push_back(p.pin_position(k));
+  }
+};
+
+::testing::AssertionResult same_view(const NetView& want, const Placement& p) {
+  const NetView got(p);
+  for (std::size_t n = 0; n < want.bbox.size(); ++n)
+    if (!(got.bbox[n] == want.bbox[n]))
+      return ::testing::AssertionFailure()
+             << "net " << n << " bbox " << got.bbox[n].str() << ", was "
+             << want.bbox[n].str();
+  for (std::size_t k = 0; k < want.pos.size(); ++k)
+    if (!(got.pos[k] == want.pos[k]))
+      return ::testing::AssertionFailure()
+             << "pin " << k << " at (" << got.pos[k].x << ", " << got.pos[k].y
+             << "), was (" << want.pos[k].x << ", " << want.pos[k].y << ")";
+  return ::testing::AssertionSuccess();
+}
+
+/// A cell other than `i` sharing one of i's nets, or -1.
+CellId net_neighbor(const Placement& p, CellId i, Rng& rng) {
+  const Netlist& nl = p.netlist();
+  const std::vector<NetId>& nets = p.nets_of_cell(i);
+  if (nets.empty()) return -1;
+  const NetId n = nets[static_cast<std::size_t>(rng.uniform_int(
+      0, static_cast<std::int64_t>(nets.size()) - 1))];
+  std::vector<CellId> others;
+  for (const PinId pid : nl.net(n).pins)
+    if (nl.pin(pid).cell != i) others.push_back(nl.pin(pid).cell);
+  if (others.empty()) return -1;
+  return others[static_cast<std::size_t>(rng.uniform_int(
+      0, static_cast<std::int64_t>(others.size()) - 1))];
+}
+
+/// One small-step move (FuzzConfig::small_steps); false when it had
+/// nothing to act on.
+bool small_step(MoveTxn& txn, const Placement& p, CellId i, Rng& rng) {
+  const auto nudge = [&](Point c) {
+    return Point{c.x + rng.uniform_int(-3, 3), c.y + rng.uniform_int(-3, 3)};
+  };
+  switch (rng.uniform_int(0, 2)) {
+    case 0:  // a nudge, sometimes with an orientation flip
+      txn.begin(i);
+      txn.set_center(i, nudge(p.state(i).center));
+      if (rng.bernoulli(0.2))
+        txn.set_orient(i, aspect_inverted(p.state(i).orient));
+      return true;
+    case 1:  // orientation only
+      txn.begin(i);
+      txn.set_orient(i, static_cast<Orient>(rng.uniform_int(0, 7)));
+      return true;
+    default: {  // interchange with a cell on a shared net
+      const CellId j = net_neighbor(p, i, rng);
+      if (j < 0) return false;
+      txn.begin(i, j);
+      const Point ci = p.state(i).center;
+      const Point cj = p.state(j).center;
+      txn.set_center(i, nudge(cj));
+      txn.set_center(j, nudge(ci));
+      return true;
+    }
+  }
+}
 
 void run_fuzz(const Netlist& nl, const FuzzConfig& cfg) {
   Placement p(nl);
@@ -150,12 +232,17 @@ void run_fuzz(const Netlist& nl, const FuzzConfig& cfg) {
   ASSERT_GE(num_cells, 2);
 
   for (int step = 0; step < cfg.moves; ++step) {
+    const NetView before(p);
     const CellId i = static_cast<CellId>(rng.uniform_int(0, num_cells - 1));
     const Cell& cell = nl.cell(i);
-    const int kind = static_cast<int>(rng.uniform_int(0, 7));
+    const int kind =
+        cfg.small_steps ? -1 : static_cast<int>(rng.uniform_int(0, 7));
     bool opened = false;
 
     switch (kind) {
+      case -1:
+        opened = small_step(txn, p, i, rng);
+        break;
       case 0: {  // displacement (optionally with an orientation flip)
         txn.begin(i);
         txn.set_center(i, Point{rng.uniform_int(core.xlo, core.xhi),
@@ -283,10 +370,12 @@ void run_fuzz(const Netlist& nl, const FuzzConfig& cfg) {
     if (opened) {
       const double delta = txn.evaluate();
       EXPECT_TRUE(std::isfinite(delta));
-      if (rng.bernoulli(0.5))
+      if (rng.bernoulli(0.5)) {
         txn.commit(running);
-      else
+      } else {
         txn.revert();
+        ASSERT_TRUE(same_view(before, p)) << "revert at step " << step;
+      }
       EXPECT_FALSE(txn.active());
     }
 
@@ -299,13 +388,14 @@ void run_fuzz(const Netlist& nl, const FuzzConfig& cfg) {
   }
 }
 
-Netlist fuzz_circuit(int cells, std::uint64_t seed) {
+Netlist fuzz_circuit(int cells, std::uint64_t seed, int hub_nets = 0) {
   CircuitSpec spec;
   spec.name = "eval_fuzz";
   spec.num_cells = cells;
   spec.num_nets = cells * 4;
   spec.num_pins = cells * 16;
   spec.mean_cell_dim = 60.0;
+  spec.hub_nets = hub_nets;
   spec.seed = seed;
   return generate_circuit(spec);
 }
@@ -348,6 +438,143 @@ TEST(EvalIncremental, DynamicEngineSocScaleCircuit) {
                                     .env_changes = false,
                                     .seed = 505,
                                     .moves = 30});
+}
+
+// Small steps put pins exactly on, just inside and just outside the old
+// net boundaries, where the staged bounds decide between a re-supported
+// boundary and a rescan.
+TEST(EvalIncremental, SmallStepsStaticEngine) {
+  run_fuzz(fuzz_circuit(12, 29), {.dynamic_engine = false,
+                                  .small_steps = true,
+                                  .seed = 606,
+                                  .moves = 1500});
+}
+
+TEST(EvalIncremental, SmallStepsDynamicEngine) {
+  run_fuzz(fuzz_circuit(32, 31), {.dynamic_engine = true,
+                                  .env_changes = true,
+                                  .small_steps = true,
+                                  .seed = 707,
+                                  .moves = 1200});
+}
+
+// Hub nets (clock/reset-like fan-out to a fifth of the cells) are staged
+// by almost every move and rescanned whenever a move takes their unique
+// boundary pin inward.
+TEST(EvalIncremental, HubNetCircuit) {
+  run_fuzz(fuzz_circuit(40, 37, 2), {.dynamic_engine = true,
+                                     .env_changes = true,
+                                     .seed = 808,
+                                     .moves = 900});
+}
+
+TEST(EvalIncremental, HubNetCircuitSmallSteps) {
+  run_fuzz(fuzz_circuit(40, 41, 2), {.dynamic_engine = false,
+                                     .small_steps = true,
+                                     .seed = 909,
+                                     .moves = 1200});
+}
+
+// ---------------------------------------------------------------------------
+// The unique boundary supporter of a 2-pin and a 3-pin net
+// ---------------------------------------------------------------------------
+
+/// `cells` 10x10 macros, each with one pin at its center on every net.
+Netlist center_pin_circuit(int cells, int nets) {
+  Netlist nl;
+  std::vector<NetId> ns;
+  for (int n = 0; n < nets; ++n) ns.push_back(nl.add_net("n" + std::to_string(n)));
+  for (int c = 0; c < cells; ++c) {
+    const CellId id = nl.add_macro("c" + std::to_string(c), {Rect{0, 0, 10, 10}});
+    for (const NetId n : ns)
+      nl.add_fixed_pin(id, "p" + std::to_string(n), n, Point{5, 5});
+  }
+  return nl;
+}
+
+/// Moves cell 0 (placed at `centers[0]`, the unique supporter of its
+/// nets' low boundaries) to `to` once reverted and once committed. The
+/// revert must leave every bbox and pin position as before; the commit
+/// must leave `want` as every net's bbox, priced by the staged after-term.
+void move_supporter(int cells, const std::vector<Point>& centers, Point to,
+                    Rect want) {
+  const Netlist nl = center_pin_circuit(cells, 2);
+  Placement p(nl);
+  for (CellId c = 0; c < cells; ++c)
+    p.set_center(c, centers[static_cast<std::size_t>(c)]);
+  OverlapEngine ov(p, Rect{-500, -500, 500, 500}, {});
+  CostModel model(p, ov);
+  MoveTxn txn(p, ov, model);
+  CostTerms running = model.full();
+  const NetView before(p);
+  const double want_c1 = 2.0 * static_cast<double>(want.half_perimeter());
+
+  txn.begin(0);
+  txn.set_center(0, to);
+  txn.evaluate();
+  // The move is priced on a stage: the live cache still holds the
+  // before-state until a commit writes the stage into it.
+  EXPECT_EQ(txn.before().c1, p.teic());
+  EXPECT_EQ(txn.after().c1, want_c1);
+  txn.revert();
+  EXPECT_TRUE(same_view(before, p));
+  EXPECT_EQ(p.net_bounds_drift(), "");
+
+  txn.begin(0);
+  txn.set_center(0, to);
+  txn.evaluate();
+  txn.commit(running);
+  for (NetId n = 0; n < 2; ++n) EXPECT_EQ(p.net_bbox(n), want) << "net " << n;
+  EXPECT_EQ(p.net_bounds_drift(), "");
+  EXPECT_EQ(running.c1, want_c1);
+  EXPECT_EQ(p.teic(), want_c1);
+}
+
+TEST(EvalIncremental, TwoPinSupporterMovesOutward) {
+  move_supporter(2, {{0, 0}, {100, 40}}, {-7, -3}, Rect{-7, -3, 100, 40});
+}
+
+TEST(EvalIncremental, TwoPinSupporterMovesInward) {
+  move_supporter(2, {{0, 0}, {100, 40}}, {60, 30}, Rect{60, 30, 100, 40});
+}
+
+TEST(EvalIncremental, TwoPinSupporterMovesPastTheOtherPin) {
+  move_supporter(2, {{0, 0}, {100, 40}}, {120, 50}, Rect{100, 40, 120, 50});
+}
+
+TEST(EvalIncremental, TwoPinSupporterMovesOntoItsOldBoundary) {
+  move_supporter(2, {{0, 0}, {100, 40}}, {0, 10}, Rect{0, 10, 100, 40});
+}
+
+TEST(EvalIncremental, ThreePinSupporterMovesOutward) {
+  move_supporter(3, {{0, 0}, {100, 40}, {50, 20}}, {-1, -2},
+                 Rect{-1, -2, 100, 40});
+}
+
+TEST(EvalIncremental, ThreePinSupporterMovesInward) {
+  // Past the middle pin: the low boundaries pass to cell 2.
+  move_supporter(3, {{0, 0}, {100, 40}, {50, 20}}, {70, 30},
+                 Rect{50, 20, 100, 40});
+}
+
+TEST(EvalIncremental, ThreePinSupporterMovesOntoTheMiddlePin) {
+  // Onto the middle pin's coordinates: two supporters afterwards.
+  move_supporter(3, {{0, 0}, {100, 40}, {50, 20}}, {50, 20},
+                 Rect{50, 20, 100, 40});
+}
+
+TEST(EvalIncremental, ThreePinSupporterMovesOntoItsOldBoundary) {
+  // x stays on the old low boundary, y moves inward just short of the
+  // middle pin.
+  move_supporter(3, {{0, 0}, {100, 40}, {50, 20}}, {0, 19},
+                 Rect{0, 19, 100, 40});
+}
+
+TEST(EvalIncremental, ThreePinSharedBoundaryLosesOneSupporter) {
+  // Cells 0 and 2 share the low x boundary; cell 0 moving inward leaves
+  // it supported by cell 2 alone.
+  move_supporter(3, {{0, 0}, {100, 40}, {0, 20}}, {30, 10},
+                 Rect{0, 10, 100, 40});
 }
 
 // A committed transaction must leave the mutation standing; a reverted one

@@ -301,6 +301,54 @@ TEST(Checkpoint, RetiredPhaseByteThreeIsCorrupt) {
   }
 }
 
+// apply_placement reloads every cell with the net-bound cache suspended
+// and rebuilds it once at the end. A corrupt cell in mid-list aborts the
+// reload with kCorrupt and must still leave the cache consistent with the
+// cells as they are.
+TEST(Checkpoint, ApplyPlacementRebuildsNetBoundsEvenWhenCorrupt) {
+  const Netlist nl = generate_circuit(tiny_circuit(21));
+  Placement src(nl);
+  Rng rng(3);
+  src.randomize(rng, Rect{0, 0, 400, 400});
+  const recover::PackedPlacement packed = recover::pack_placement(src);
+
+  Placement clean(nl);
+  recover::apply_placement(clean, packed);
+  EXPECT_EQ(clean.net_bounds_drift(), "");
+  EXPECT_EQ(clean.teil(), src.teil());
+
+  // A site on a fixed pin: restore_cell throws after it has already moved
+  // and turned the cell.
+  const auto n = static_cast<CellId>(nl.num_cells());
+  CellId victim = n;
+  std::size_t fixed_pin = 0;
+  for (CellId c = n / 2; c < n && victim == n; ++c) {
+    const auto& pins = nl.cell(c).pins;
+    for (std::size_t k = 0; k < pins.size(); ++k) {
+      if (nl.pin(pins[k]).committed()) {
+        victim = c;
+        fixed_pin = k;
+        break;
+      }
+    }
+  }
+  ASSERT_LT(victim, n - 1) << "no fixed pin in mid-list";
+  recover::PackedPlacement bad = packed;
+  bad.cells[static_cast<std::size_t>(victim)].pin_site[fixed_pin] = 0;
+
+  Placement p(nl);
+  try {
+    recover::apply_placement(p, bad);
+    FAIL() << "expected CheckpointError";
+  } catch (const CheckpointError& e) {
+    EXPECT_EQ(e.code(), CheckpointErrc::kCorrupt);
+  }
+  EXPECT_EQ(p.net_bounds_drift(), "");
+  for (CellId c = 0; c <= victim; ++c)
+    EXPECT_EQ(p.state(c).center, src.state(c).center) << "cell " << c;
+  EXPECT_NE(p.state(victim + 1).center, src.state(victim + 1).center);
+}
+
 TEST(Checkpoint, SinkNumbersFilesAndFindsLatest) {
   const std::string dir = temp_dir("tw_ckpt_sink");
   const std::string path = make_checkpoint(dir);

@@ -165,7 +165,7 @@ RULES = [
         re.compile(
             r"\b(p|placement)\.(set_center|set_orient|set_instance"
             r"|set_aspect|assign_pin_to_site|assign_group|restore"
-            r"|restore_cell|randomize)\s*\("
+            r"|restore_cell|randomize|suspend_net_bounds)\s*\("
         ),
         "annealer mutations must go through MoveTxn "
         "(src/place/move_txn.hpp); direct placement mutators bypass the "

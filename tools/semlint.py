@@ -124,6 +124,7 @@ PLACEMENT_MUTATORS = {
     "restore",
     "restore_cell",
     "randomize",
+    "suspend_net_bounds",
 }
 
 # float-flow: names that carry DBU (integer) geometry. In src/estimator
