@@ -301,13 +301,6 @@ std::optional<Netlist> parse_netlist_file(const std::string& path,
   return parse_netlist(in, report);
 }
 
-Netlist parse_netlist(std::istream& in) {
-  ParseReport report;
-  std::optional<Netlist> nl = parse_netlist(in, report);
-  if (!nl) throw ParseError(std::move(report));
-  return std::move(*nl);
-}
-
 Netlist parse_netlist_string(const std::string& text) {
   ParseReport report;
   std::optional<Netlist> nl = parse_netlist_string(text, report);

@@ -46,7 +46,6 @@ std::optional<Netlist> parse_netlist_file(const std::string& path,
 
 /// Throwing conveniences: as above, but a non-ok report becomes a
 /// ParseError carrying all diagnostics.
-Netlist parse_netlist(std::istream& in);
 Netlist parse_netlist_string(const std::string& text);
 Netlist parse_netlist_file(const std::string& path);
 

@@ -373,13 +373,6 @@ std::optional<Netlist> parse_yal_file(const std::string& path,
   return parse_yal(in, report, opts);
 }
 
-Netlist parse_yal(std::istream& in, const YalOptions& opts) {
-  ParseReport report;
-  std::optional<Netlist> nl = parse_yal(in, report, opts);
-  if (!nl) throw ParseError(std::move(report));
-  return std::move(*nl);
-}
-
 Netlist parse_yal_string(const std::string& text, const YalOptions& opts) {
   ParseReport report;
   std::optional<Netlist> nl = parse_yal_string(text, report, opts);

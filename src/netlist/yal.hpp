@@ -67,7 +67,6 @@ std::optional<Netlist> parse_yal_file(const std::string& path,
 
 /// Throwing conveniences: as above, but a non-ok report becomes a
 /// ParseError carrying all diagnostics.
-Netlist parse_yal(std::istream& in, const YalOptions& opts = {});
 Netlist parse_yal_string(const std::string& text, const YalOptions& opts = {});
 Netlist parse_yal_file(const std::string& path, const YalOptions& opts = {});
 

@@ -9,6 +9,7 @@
 
 #include "check/validate.hpp"
 #include "recover/fault.hpp"
+#include "util/hash.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
 
@@ -69,15 +70,6 @@ bool improves(const ReplicaReport& candidate, const ReplicaReport& best) {
   if (candidate.final_teil != best.final_teil)
     return candidate.final_teil < best.final_teil;
   return candidate.final_chip_area < best.final_chip_area;
-}
-
-std::uint64_t fnv1a(const std::string& text) {
-  std::uint64_t h = 0xCBF29CE484222325ull;
-  for (const char ch : text) {
-    h ^= static_cast<unsigned char>(ch);
-    h *= 0x100000001B3ull;
-  }
-  return h;
 }
 
 }  // namespace

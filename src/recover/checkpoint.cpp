@@ -9,6 +9,7 @@
 #include "netlist/parser.hpp"
 #include "place/placement.hpp"
 #include "recover/durable.hpp"
+#include "util/hash.hpp"
 #include "util/log.hpp"
 
 namespace tw::recover {
@@ -16,223 +17,121 @@ namespace {
 
 constexpr std::string_view kMagic = "TWCP";
 
-// --- field-group encoders (kept strictly in sync with the decoders; any
-// --- incompatible change must bump kCheckpointVersion) ----------------------
+// --- The payload's field lists. Each one runs over a ByteWriter to encode
+// --- and over a ByteReader to decode, so it is the one definition of its
+// --- record's layout: any incompatible change bumps kCheckpointVersion.
 
-void put_rect(ByteWriter& w, const Rect& r) {
-  w.i64(r.xlo);
-  w.i64(r.ylo);
-  w.i64(r.xhi);
-  w.i64(r.yhi);
+template <class Io, MaybeConst<Rect> R>
+void fields(Io& io, R& r) {
+  io.i64(r.xlo);
+  io.i64(r.ylo);
+  io.i64(r.xhi);
+  io.i64(r.yhi);
 }
 
-Rect get_rect(ByteReader& r) {
-  Rect out;
-  out.xlo = r.i64();
-  out.ylo = r.i64();
-  out.xhi = r.i64();
-  out.yhi = r.i64();
-  return out;
+template <class Io, MaybeConst<Stage1Result> R>
+void fields(Io& io, R& s) {
+  io.f64(s.final_teic);
+  io.f64(s.final_teil);
+  io.i64(s.residual_overlap);
+  io.i32(s.overloaded_sites);
+  fields(io, s.core);
+  io.f64(s.t_infinity);
+  io.f64(s.temperature_scale);
+  io.f64(s.p2);
+  io.i32(s.temperature_steps);
+  io.i64(s.attempts);
+  io.i64(s.accepts);
+  io.vec(s.trace, 4 * 8, [](auto& io, auto& p) {
+    io.f64(p.t);
+    io.f64(p.avg_cost);
+    io.f64(p.acceptance_rate);
+    io.i64(p.window_x);
+  });
+  io.u8(s.outcome, RunOutcome::kResumed, "run outcome");
 }
 
-void put_rng(ByteWriter& w, const std::array<std::uint64_t, 4>& s) {
-  for (const std::uint64_t word : s) w.u64(word);
+template <class Io, MaybeConst<Stage1Cursor> R>
+void fields(Io& io, R& c) {
+  io.i32(c.next_step);
+  io.f64(c.t);
+  io.f64(c.p2_base);
+  fields(io, c.partial);
+  for (auto& word : c.rng) io.u64(word);
 }
 
-std::array<std::uint64_t, 4> get_rng(ByteReader& r) {
-  std::array<std::uint64_t, 4> s{};
-  for (auto& word : s) word = r.u64();
-  return s;
+template <class Io, MaybeConst<RefinementPass> R>
+void fields(Io& io, R& p) {
+  io.f64(p.teic);
+  io.f64(p.teil);
+  io.i64(p.chip_area);
+  io.f64(p.route_length);
+  io.i32(p.route_overflow);
+  io.i32(p.unrouted_nets);
+  io.u64(p.regions);
+  io.i32(p.temperature_steps);
+  io.i32(p.width_rule_violations);
+  io.i64(p.router_counters.dijkstra_runs);
+  io.i64(p.router_counters.nodes_popped);
+  io.i64(p.router_counters.heap_pushes);
+  io.i64(p.router_counters.interchange_trials);
 }
 
-void put_outcome(ByteWriter& w, RunOutcome o) {
-  w.u8(static_cast<std::uint8_t>(o));
+template <class Io, MaybeConst<Stage2Cursor> R>
+void fields(Io& io, R& c) {
+  io.i32(c.pass);
+  io.f64(c.anneal.t);
+  io.i32(c.anneal.steps);
+  io.i32(c.anneal.stall);
+  io.f64(c.anneal.last_cost);
+  io.f64(c.p2);
+  fields(io, c.working_core);
+  io.vec(c.expansions, 4 * 8, [](auto& io, auto& e) {
+    for (auto& v : e) io.i64(v);
+  });
+  fields(io, c.rp);
+  io.vec(c.done, 8, [](auto& io, auto& p) { fields(io, p); });
+  for (auto& word : c.rng) io.u64(word);
 }
 
-RunOutcome get_outcome(ByteReader& r) {
-  const std::uint8_t v = r.u8();
-  if (v > static_cast<std::uint8_t>(RunOutcome::kResumed))
-    throw CheckpointError(CheckpointErrc::kCorrupt,
-                          "bad run outcome " + std::to_string(v));
-  return static_cast<RunOutcome>(v);
+template <class Io, MaybeConst<PackedPlacement> R>
+void fields(Io& io, R& p) {
+  io.vec(p.cells, 2 * 8 + 1 + 4 + 8 + 4, [](auto& io, auto& c) {
+    io.i64(c.center.x);
+    io.i64(c.center.y);
+    io.u8(c.orient, kAllOrients.back(), "orient");
+    io.i32(c.instance);
+    io.f64(c.aspect);
+    io.vec(c.pin_site, 4, [](auto& io, auto& site) { io.i32(site); });
+  });
 }
 
-void put_stage1_result(ByteWriter& w, const Stage1Result& s) {
-  w.f64(s.final_teic);
-  w.f64(s.final_teil);
-  w.i64(s.residual_overlap);
-  w.i32(s.overloaded_sites);
-  put_rect(w, s.core);
-  w.f64(s.t_infinity);
-  w.f64(s.temperature_scale);
-  w.f64(s.p2);
-  w.i32(s.temperature_steps);
-  w.i64(s.attempts);
-  w.i64(s.accepts);
-  w.u32(static_cast<std::uint32_t>(s.trace.size()));
-  for (const TemperaturePoint& p : s.trace) {
-    w.f64(p.t);
-    w.f64(p.avg_cost);
-    w.f64(p.acceptance_rate);
-    w.i64(p.window_x);
+/// The whole payload: identity, the phase, that phase's cursor and
+/// results, then the placement essentials.
+template <class Io, MaybeConst<FlowCheckpoint> R>
+void fields(Io& io, R& cp) {
+  io.u64(cp.master_seed);
+  io.u64(cp.digest);
+  io.u8(cp.phase, FlowPhase::kMultilevelRefine, "phase");
+  switch (cp.phase) {
+    case FlowPhase::kStage1:
+      fields(io, cp.s1);
+      break;
+    case FlowPhase::kMultilevelRefine:
+      fields(io, cp.ml_coarse);
+      io.f64(cp.ml_warm_teil);
+      io.i32(cp.ml_clusters);
+      io.i32(cp.ml_dropped_nets);
+      fields(io, cp.s1);
+      break;
+    case FlowPhase::kStage2:
+      fields(io, cp.s1_done);
+      io.f64(cp.stage1_teil);
+      io.i64(cp.stage1_chip_area);
+      fields(io, cp.s2);
+      break;
   }
-  put_outcome(w, s.outcome);
-}
-
-Stage1Result get_stage1_result(ByteReader& r) {
-  Stage1Result s;
-  s.final_teic = r.f64();
-  s.final_teil = r.f64();
-  s.residual_overlap = r.i64();
-  s.overloaded_sites = r.i32();
-  s.core = get_rect(r);
-  s.t_infinity = r.f64();
-  s.temperature_scale = r.f64();
-  s.p2 = r.f64();
-  s.temperature_steps = r.i32();
-  s.attempts = r.i64();
-  s.accepts = r.i64();
-  const std::size_t n = r.length_prefix(4 * 8);
-  s.trace.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    TemperaturePoint p;
-    p.t = r.f64();
-    p.avg_cost = r.f64();
-    p.acceptance_rate = r.f64();
-    p.window_x = r.i64();
-    s.trace.push_back(p);
-  }
-  s.outcome = get_outcome(r);
-  return s;
-}
-
-void put_stage1_cursor(ByteWriter& w, const Stage1Cursor& c) {
-  w.i32(c.next_step);
-  w.f64(c.t);
-  w.f64(c.p2_base);
-  put_stage1_result(w, c.partial);
-  put_rng(w, c.rng);
-}
-
-Stage1Cursor get_stage1_cursor(ByteReader& r) {
-  Stage1Cursor c;
-  c.next_step = r.i32();
-  c.t = r.f64();
-  c.p2_base = r.f64();
-  c.partial = get_stage1_result(r);
-  c.rng = get_rng(r);
-  return c;
-}
-
-void put_pass(ByteWriter& w, const RefinementPass& p) {
-  w.f64(p.teic);
-  w.f64(p.teil);
-  w.i64(p.chip_area);
-  w.f64(p.route_length);
-  w.i32(p.route_overflow);
-  w.i32(p.unrouted_nets);
-  w.u64(static_cast<std::uint64_t>(p.regions));
-  w.i32(p.temperature_steps);
-  w.i32(p.width_rule_violations);
-  w.i64(p.router_counters.dijkstra_runs);
-  w.i64(p.router_counters.nodes_popped);
-  w.i64(p.router_counters.heap_pushes);
-  w.i64(p.router_counters.interchange_trials);
-}
-
-RefinementPass get_pass(ByteReader& r) {
-  RefinementPass p;
-  p.teic = r.f64();
-  p.teil = r.f64();
-  p.chip_area = r.i64();
-  p.route_length = r.f64();
-  p.route_overflow = r.i32();
-  p.unrouted_nets = r.i32();
-  p.regions = static_cast<std::size_t>(r.u64());
-  p.temperature_steps = r.i32();
-  p.width_rule_violations = r.i32();
-  p.router_counters.dijkstra_runs = r.i64();
-  p.router_counters.nodes_popped = r.i64();
-  p.router_counters.heap_pushes = r.i64();
-  p.router_counters.interchange_trials = r.i64();
-  return p;
-}
-
-void put_stage2_cursor(ByteWriter& w, const Stage2Cursor& c) {
-  w.i32(c.pass);
-  w.f64(c.anneal.t);
-  w.i32(c.anneal.steps);
-  w.i32(c.anneal.stall);
-  w.f64(c.anneal.last_cost);
-  w.f64(c.p2);
-  put_rect(w, c.working_core);
-  w.u32(static_cast<std::uint32_t>(c.expansions.size()));
-  for (const auto& e : c.expansions)
-    for (const Coord v : e) w.i64(v);
-  put_pass(w, c.rp);
-  w.u32(static_cast<std::uint32_t>(c.done.size()));
-  for (const RefinementPass& p : c.done) put_pass(w, p);
-  put_rng(w, c.rng);
-}
-
-Stage2Cursor get_stage2_cursor(ByteReader& r) {
-  Stage2Cursor c;
-  c.pass = r.i32();
-  c.anneal.t = r.f64();
-  c.anneal.steps = r.i32();
-  c.anneal.stall = r.i32();
-  c.anneal.last_cost = r.f64();
-  c.p2 = r.f64();
-  c.working_core = get_rect(r);
-  const std::size_t ne = r.length_prefix(4 * 8);
-  c.expansions.reserve(ne);
-  for (std::size_t i = 0; i < ne; ++i) {
-    std::array<Coord, 4> e{};
-    for (auto& v : e) v = r.i64();
-    c.expansions.push_back(e);
-  }
-  c.rp = get_pass(r);
-  const std::size_t np = r.length_prefix(8);
-  c.done.reserve(np);
-  for (std::size_t i = 0; i < np; ++i) c.done.push_back(get_pass(r));
-  c.rng = get_rng(r);
-  return c;
-}
-
-void put_placement(ByteWriter& w, const PackedPlacement& p) {
-  w.u32(static_cast<std::uint32_t>(p.cells.size()));
-  for (const PackedCell& c : p.cells) {
-    w.i64(c.center.x);
-    w.i64(c.center.y);
-    w.u8(static_cast<std::uint8_t>(c.orient));
-    w.i32(c.instance);
-    w.f64(c.aspect);
-    std::vector<std::int32_t> sites(c.pin_site.begin(), c.pin_site.end());
-    w.vec_i32(sites);
-  }
-}
-
-PackedPlacement get_placement(ByteReader& r) {
-  PackedPlacement p;
-  const std::size_t n = r.length_prefix(2 * 8 + 1 + 4 + 8 + 4);
-  p.cells.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    PackedCell c;
-    c.center.x = r.i64();
-    c.center.y = r.i64();
-    const std::uint8_t o = r.u8();
-    if (o >= kAllOrients.size())
-      throw CheckpointError(CheckpointErrc::kCorrupt,
-                            "bad orient " + std::to_string(o) + " for cell " +
-                                std::to_string(i));
-    c.orient = static_cast<Orient>(o);
-    c.instance = r.i32();
-    c.aspect = r.f64();
-    const std::vector<std::int32_t> sites = r.vec_i32();
-    c.pin_site.assign(sites.begin(), sites.end());
-    p.cells.push_back(std::move(c));
-  }
-  return p;
+  fields(io, cp.placement);
 }
 
 }  // namespace
@@ -289,63 +188,19 @@ void apply_placement(Placement& p, const PackedPlacement& packed) {
 }
 
 std::uint64_t netlist_digest(const Netlist& nl) {
-  const std::string text = write_netlist(nl);
-  std::uint64_t h = 0xCBF29CE484222325ull;
-  for (const char ch : text) {
-    h ^= static_cast<unsigned char>(ch);
-    h *= 0x100000001B3ull;
-  }
-  return h;
+  return fnv1a(write_netlist(nl));
 }
 
 std::vector<std::uint8_t> encode_checkpoint(const FlowCheckpoint& cp) {
   ByteWriter w;
-  w.u64(cp.master_seed);
-  w.u64(cp.digest);
-  w.u8(static_cast<std::uint8_t>(cp.phase));
-  if (cp.phase == FlowPhase::kStage1) {
-    put_stage1_cursor(w, cp.s1);
-  } else if (cp.phase == FlowPhase::kMultilevelRefine) {
-    put_stage1_result(w, cp.ml_coarse);
-    w.f64(cp.ml_warm_teil);
-    w.i32(cp.ml_clusters);
-    w.i32(cp.ml_dropped_nets);
-    put_stage1_cursor(w, cp.s1);
-  } else {
-    put_stage1_result(w, cp.s1_done);
-    w.f64(cp.stage1_teil);
-    w.i64(cp.stage1_chip_area);
-    put_stage2_cursor(w, cp.s2);
-  }
-  put_placement(w, cp.placement);
+  fields(w, cp);
   return w.take();
 }
 
 FlowCheckpoint decode_checkpoint(std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
   FlowCheckpoint cp;
-  cp.master_seed = r.u64();
-  cp.digest = r.u64();
-  const std::uint8_t phase = r.u8();
-  if (phase > static_cast<std::uint8_t>(FlowPhase::kMultilevelRefine))
-    throw CheckpointError(CheckpointErrc::kCorrupt,
-                          "bad phase " + std::to_string(phase));
-  cp.phase = static_cast<FlowPhase>(phase);
-  if (cp.phase == FlowPhase::kStage1) {
-    cp.s1 = get_stage1_cursor(r);
-  } else if (cp.phase == FlowPhase::kMultilevelRefine) {
-    cp.ml_coarse = get_stage1_result(r);
-    cp.ml_warm_teil = r.f64();
-    cp.ml_clusters = r.i32();
-    cp.ml_dropped_nets = r.i32();
-    cp.s1 = get_stage1_cursor(r);
-  } else {
-    cp.s1_done = get_stage1_result(r);
-    cp.stage1_teil = r.f64();
-    cp.stage1_chip_area = r.i64();
-    cp.s2 = get_stage2_cursor(r);
-  }
-  cp.placement = get_placement(r);
+  fields(r, cp);
   r.expect_end();
   return cp;
 }

@@ -1,6 +1,7 @@
 #include "recover/durable.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -13,6 +14,29 @@ namespace {
 
 constexpr std::size_t kDigits = 6;
 constexpr std::size_t kHeaderBytes = 16;  // magic, version, size, CRC
+
+/// The frame header in front of a checkpoint or cache-entry payload.
+struct Header {
+  std::array<std::uint8_t, 4> magic{};
+  std::uint32_t version = 0;
+  std::uint32_t size = 0;  ///< payload bytes
+  std::uint32_t crc = 0;   ///< CRC-32 of the payload
+};
+
+template <class Io, MaybeConst<Header> R>
+void fields(Io& io, R& h) {
+  for (auto& b : h.magic) io.u8(b);
+  io.u32(h.version);
+  io.u32(h.size);
+  io.u32(h.crc);
+}
+
+/// The four characters of `magic` as the header stores them.
+std::array<std::uint8_t, 4> magic_bytes(std::string_view magic) {
+  std::array<std::uint8_t, 4> out{};
+  std::copy_n(magic.begin(), out.size(), out.begin());
+  return out;
+}
 
 /// The number in a "<prefix>NNNNNN<suffix>" name; -1 for any other name.
 int parse_number(std::string_view name, std::string_view prefix,
@@ -82,11 +106,10 @@ std::optional<std::vector<std::uint8_t>> read_file(const std::string& path) {
 
 std::vector<std::uint8_t> frame(std::string_view magic, std::uint32_t version,
                                 std::span<const std::uint8_t> payload) {
+  const Header h{magic_bytes(magic), version,
+                 static_cast<std::uint32_t>(payload.size()), crc32(payload)};
   ByteWriter w;
-  for (const char c : magic) w.u8(static_cast<std::uint8_t>(c));
-  w.u32(version);
-  w.u32(static_cast<std::uint32_t>(payload.size()));
-  w.u32(crc32(payload));
+  fields(w, h);
   std::vector<std::uint8_t> out = w.take();
   out.insert(out.end(), payload.begin(), payload.end());
   return out;
@@ -103,21 +126,20 @@ std::span<const std::uint8_t> unframe(std::span<const std::uint8_t> bytes,
     throw fail(CheckpointErrc::kTruncated,
                std::to_string(bytes.size()) + " byte(s), header needs 16");
   ByteReader r(bytes);
-  for (const char c : magic)
-    if (r.u8() != static_cast<std::uint8_t>(c))
-      throw fail(CheckpointErrc::kBadMagic, "bad magic");
-  if (const std::uint32_t found = r.u32(); found != version)
+  Header h;
+  fields(r, h);
+  if (h.magic != magic_bytes(magic))
+    throw fail(CheckpointErrc::kBadMagic, "bad magic");
+  if (h.version != version)
     throw fail(CheckpointErrc::kBadVersion,
-               "version " + std::to_string(found) + ", expected " +
+               "version " + std::to_string(h.version) + ", expected " +
                    std::to_string(version));
-  const std::uint32_t size = r.u32();
-  const std::uint32_t crc = r.u32();
-  if (r.remaining() != size)
+  if (r.remaining() != h.size)
     throw fail(CheckpointErrc::kTruncated,
                "payload holds " + std::to_string(r.remaining()) +
-                   " byte(s), header promises " + std::to_string(size));
+                   " byte(s), header promises " + std::to_string(h.size));
   const std::span<const std::uint8_t> payload = bytes.subspan(kHeaderBytes);
-  if (crc32(payload) != crc) throw fail(CheckpointErrc::kBadCrc, "bad CRC");
+  if (crc32(payload) != h.crc) throw fail(CheckpointErrc::kBadCrc, "bad CRC");
   return payload;
 }
 

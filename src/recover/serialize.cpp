@@ -1,7 +1,6 @@
 #include "recover/serialize.hpp"
 
 #include <array>
-#include <bit>
 
 namespace tw::recover {
 namespace {
@@ -15,6 +14,15 @@ std::array<std::uint32_t, 256> make_crc_table() {
     table[i] = c;
   }
   return table;
+}
+
+/// Appends the low `N` bytes of `v` to `buf`, least significant first.
+template <std::size_t N>
+void append_le(std::vector<std::uint8_t>& buf, std::uint64_t v) {
+  std::array<std::uint8_t, N> b{};
+  for (std::size_t i = 0; i < N; ++i)
+    b[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  buf.insert(buf.end(), b.begin(), b.end());
 }
 
 }  // namespace
@@ -46,55 +54,33 @@ std::uint32_t crc32(std::span<const std::uint8_t> bytes) {
   return c ^ 0xFFFFFFFFu;
 }
 
-void ByteWriter::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+void ByteWriter::u32(std::uint32_t v) { append_le<4>(buf_, v); }
+
+void ByteWriter::u64(std::uint64_t v) { append_le<8>(buf_, v); }
+
+void ByteWriter::str(const std::string& s) {
+  u32(static_cast<std::uint32_t>(s.size()));
+  buf_.insert(buf_.end(), s.begin(), s.end());
 }
 
-void ByteWriter::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+void ByteReader::truncated(std::size_t n) const {
+  throw CheckpointError(CheckpointErrc::kTruncated,
+                        "need " + std::to_string(n) + " byte(s) at offset " +
+                            std::to_string(pos_) + ", only " +
+                            std::to_string(bytes_.size() - pos_) + " remain");
 }
 
-void ByteWriter::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-
-void ByteWriter::vec_i32(const std::vector<std::int32_t>& v) {
-  u32(static_cast<std::uint32_t>(v.size()));
-  for (const std::int32_t x : v) i32(x);
+void ByteReader::out_of_range(const char* what, std::uint64_t value,
+                              std::uint64_t max) const {
+  throw CheckpointError(CheckpointErrc::kCorrupt,
+                        std::string(what) + " " + std::to_string(value) +
+                            " out of range (max " + std::to_string(max) +
+                            ") at offset " + std::to_string(pos_ - 1));
 }
-
-void ByteReader::need(std::size_t n) const {
-  if (bytes_.size() - pos_ < n)
-    throw CheckpointError(
-        CheckpointErrc::kTruncated,
-        "need " + std::to_string(n) + " byte(s) at offset " +
-            std::to_string(pos_) + ", only " +
-            std::to_string(bytes_.size() - pos_) + " remain");
-}
-
-std::uint8_t ByteReader::u8() {
-  need(1);
-  return bytes_[pos_++];
-}
-
-std::uint32_t ByteReader::u32() {
-  need(4);
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<std::uint32_t>(bytes_[pos_++]) << (8 * i);
-  return v;
-}
-
-std::uint64_t ByteReader::u64() {
-  need(8);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i)
-    v |= static_cast<std::uint64_t>(bytes_[pos_++]) << (8 * i);
-  return v;
-}
-
-double ByteReader::f64() { return std::bit_cast<double>(u64()); }
 
 std::size_t ByteReader::length_prefix(std::size_t min_elem_size) {
-  const std::size_t n = u32();
+  std::uint32_t n = 0;
+  u32(n);
   if (min_elem_size > 0 && n > remaining() / min_elem_size)
     throw CheckpointError(CheckpointErrc::kCorrupt,
                           "length prefix " + std::to_string(n) +
@@ -103,12 +89,10 @@ std::size_t ByteReader::length_prefix(std::size_t min_elem_size) {
   return n;
 }
 
-std::vector<std::int32_t> ByteReader::vec_i32() {
-  const std::size_t n = length_prefix(4);
-  std::vector<std::int32_t> v;
-  v.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) v.push_back(i32());
-  return v;
+void ByteReader::str(std::string& s) {
+  const std::size_t n = length_prefix(1);
+  s.assign(reinterpret_cast<const char*>(bytes_.data() + pos_), n);
+  pos_ += n;
 }
 
 void ByteReader::expect_end() const {

@@ -22,32 +22,56 @@ enum class JournalOp : std::uint8_t {
 
 constexpr recover::NumberedFiles kSegments{"seg-", ".twj"};
 
-std::vector<std::uint8_t> encode_submitted(std::uint64_t job,
-                                           const JobParams& params,
-                                           const std::string& yal) {
+/// One journal record: its op, the job id and, for kSubmitted, the job's
+/// parameters and netlist.
+struct Record {
+  std::uint8_t op = 0;  ///< a JournalOp; replay skips ops it does not know
+  LiveJob job;
+};
+
+template <class Io, recover::MaybeConst<Record> R>
+void fields(Io& io, R& rec) {
+  io.u8(rec.op);
+  io.u64(rec.job.job);
+  if (rec.op != static_cast<std::uint8_t>(JournalOp::kSubmitted)) return;
+  fields(io, rec.job.params);
+  io.str(rec.job.netlist_yal);
+}
+
+/// A job known by its id alone: the body of a finished or cancelled
+/// marker, whose record stops after the id.
+LiveJob id_only(std::uint64_t job) {
+  LiveJob j;
+  j.job = job;
+  return j;
+}
+
+std::vector<std::uint8_t> encode(JournalOp op, LiveJob job) {
+  const Record rec{static_cast<std::uint8_t>(op), std::move(job)};
   ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(JournalOp::kSubmitted));
-  w.u64(job);
-  encode_params(w, params);
-  w.u32(static_cast<std::uint32_t>(yal.size()));
-  for (const char ch : yal) w.u8(static_cast<std::uint8_t>(ch));
+  fields(w, rec);
   return w.take();
 }
 
-std::vector<std::uint8_t> encode_terminal(JournalOp op, std::uint64_t job) {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(op));
-  w.u64(job);
-  return w.take();
+/// The 8 bytes in front of every record's payload.
+struct RecordHeader {
+  std::uint32_t size = 0;  ///< payload bytes
+  std::uint32_t crc = 0;   ///< CRC-32 of the payload
+};
+
+template <class Io, recover::MaybeConst<RecordHeader> R>
+void fields(Io& io, R& h) {
+  io.u32(h.size);
+  io.u32(h.crc);
 }
 
-/// Appends one framed record to `out`: u32 payload size | u32 CRC-32 |
-/// payload.
+/// Appends one framed record (header, then payload) to `out`.
 void append_record(std::vector<std::uint8_t>& out,
                    const std::vector<std::uint8_t>& p) {
+  const RecordHeader h{static_cast<std::uint32_t>(p.size()),
+                       recover::crc32(p)};
   ByteWriter w;
-  w.u32(static_cast<std::uint32_t>(p.size()));
-  w.u32(recover::crc32(p));
+  fields(w, h);
   out.insert(out.end(), w.bytes().begin(), w.bytes().end());
   out.insert(out.end(), p.begin(), p.end());
 }
@@ -76,64 +100,59 @@ bool replay_segment(const std::string& path, JournalReplay& out,
   std::size_t pos = 0;
   while (pos < bytes.size()) {
     if (bytes.size() - pos < 8) return false;
+    RecordHeader h;
     ByteReader hr(std::span<const std::uint8_t>(bytes.data() + pos, 8));
-    const std::uint32_t size = hr.u32();
-    const std::uint32_t crc = hr.u32();
-    if (size > kMaxPayload || bytes.size() - pos - 8 < size) return false;
-    const std::span<const std::uint8_t> payload(bytes.data() + pos + 8, size);
-    if (recover::crc32(payload) != crc) return false;
-    pos += 8 + size;
+    fields(hr, h);
+    if (h.size > kMaxPayload || bytes.size() - pos - 8 < h.size) return false;
+    const std::span<const std::uint8_t> payload(bytes.data() + pos + 8, h.size);
+    if (recover::crc32(payload) != h.crc) return false;
+    pos += 8 + h.size;
 
+    // The reader fills the record in field order, so one that fails part
+    // way still names its job once the id was read: the id stays taken.
+    Record rec;
     try {
       ByteReader r(payload);
-      const auto op = static_cast<JournalOp>(r.u8());
-      const std::uint64_t id = r.u64();
-      out.max_job = std::max(out.max_job, id);
-      switch (op) {
-        case JournalOp::kSubmitted: {
-          LiveJob j;
-          j.job = id;
-          j.params = decode_params(r);
-          const std::size_t n = r.length_prefix(1);
-          j.netlist_yal.reserve(n);
-          for (std::size_t i = 0; i < n; ++i)
-            j.netlist_yal.push_back(static_cast<char>(r.u8()));
-          r.expect_end();
-          // A re-submit of an id already seen or already finished is
-          // ignored — this is what makes an interrupted compaction
-          // (old segments + compacted segment coexisting) converge.
-          if (find(id) == nullptr && !is_finished(id))
-            jobs.push_back(std::move(j));
-          break;
-        }
-        case JournalOp::kFinished: {
-          finished.push_back(id);
-          for (std::size_t i = 0; i < jobs.size(); ++i)
-            if (jobs[i].job == id) {
-              jobs.erase(jobs.begin() + static_cast<std::ptrdiff_t>(i));
-              ++out.dropped;
-              break;
-            }
-          break;
-        }
-        case JournalOp::kCancelled: {
-          if (LiveJob* j = find(id)) j->cancelled = true;
-          break;
-        }
-        default:
-          // Unknown op in an otherwise CRC-valid record: a newer format.
-          // Skip the record, keep replaying — better a partial history
-          // than none.
-          log_warn("journal ", path, ": skipping record with unknown op");
-      }
-      ++out.records;
+      fields(r, rec);
+      if (rec.op == static_cast<std::uint8_t>(JournalOp::kSubmitted))
+        r.expect_end();
     } catch (const recover::CheckpointError& e) {
       // CRC passed but the payload decodes short/corrupt: stop at this
       // record — later ones may depend on it.
+      out.max_job = std::max(out.max_job, rec.job.job);
       log_warn("journal ", path, ": corrupt record (", e.what(),
                "); dropping it and the segment tail");
       return false;
     }
+    const std::uint64_t id = rec.job.job;
+    out.max_job = std::max(out.max_job, id);
+    switch (static_cast<JournalOp>(rec.op)) {
+      case JournalOp::kSubmitted:
+        // A re-submit of an id already seen or already finished is
+        // ignored — this is what makes an interrupted compaction (old
+        // segments + compacted segment coexisting) converge.
+        if (find(id) == nullptr && !is_finished(id))
+          jobs.push_back(std::move(rec.job));
+        break;
+      case JournalOp::kFinished:
+        finished.push_back(id);
+        for (std::size_t i = 0; i < jobs.size(); ++i)
+          if (jobs[i].job == id) {
+            jobs.erase(jobs.begin() + static_cast<std::ptrdiff_t>(i));
+            ++out.dropped;
+            break;
+          }
+        break;
+      case JournalOp::kCancelled:
+        if (LiveJob* j = find(id)) j->cancelled = true;
+        break;
+      default:
+        // Unknown op in an otherwise CRC-valid record: a newer format.
+        // Skip the record, keep replaying — better a partial history
+        // than none.
+        log_warn("journal ", path, ": skipping record with unknown op");
+    }
+    ++out.records;
   }
   return true;
 }
@@ -220,15 +239,15 @@ void JobJournal::append(const std::vector<std::uint8_t>& payload) {
 
 void JobJournal::record_submitted(std::uint64_t job, const JobParams& params,
                                   const std::string& netlist_yal) {
-  append(encode_submitted(job, params, netlist_yal));
+  append(encode(JournalOp::kSubmitted, LiveJob{job, params, netlist_yal}));
 }
 
 void JobJournal::record_finished(std::uint64_t job) {
-  append(encode_terminal(JournalOp::kFinished, job));
+  append(encode(JournalOp::kFinished, id_only(job)));
 }
 
 void JobJournal::record_cancelled(std::uint64_t job) {
-  append(encode_terminal(JournalOp::kCancelled, job));
+  append(encode(JournalOp::kCancelled, id_only(job)));
 }
 
 void JobJournal::compact(const std::vector<LiveJob>& live) {
@@ -238,11 +257,11 @@ void JobJournal::compact(const std::vector<LiveJob>& live) {
   const int target = seg_ + 1;
   std::vector<std::uint8_t> bytes;
   for (const LiveJob& j : live) {
-    append_record(bytes, encode_submitted(j.job, j.params, j.netlist_yal));
+    append_record(bytes, encode(JournalOp::kSubmitted, j));
     // A replayed cancel marker is not terminal (the job is still owed a
     // result); kCancelled only finalizes a job *not* in `live`.
     if (j.cancelled)
-      append_record(bytes, encode_terminal(JournalOp::kCancelled, j.job));
+      append_record(bytes, encode(JournalOp::kCancelled, id_only(j.job)));
   }
   const std::string err =
       recover::write_atomic(kSegments.path(dir_, target), bytes, disk_faults_,

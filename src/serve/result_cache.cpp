@@ -18,40 +18,33 @@ constexpr std::string_view kMagic = "TWRC";
 constexpr std::uint32_t kCacheVersion = 1;
 constexpr recover::NumberedFiles kEntries{"res-", ".twr"};
 
-std::vector<std::uint8_t> encode_entry(const CacheKey& key,
-                                       const CachedResult& r) {
-  ByteWriter w;
-  w.u64(key.netlist);
-  w.u64(key.params);
-  w.u8(static_cast<std::uint8_t>(r.status));
-  w.u64(r.fingerprint);
-  w.f64(r.final_teil);
-  w.i64(r.final_chip_area);
-  w.i32(r.replicas_succeeded);
-  w.i32(r.replicas_total);
-  w.i32(r.attempts);
-  return w.take();
+/// One entry's payload: its key, then the cached result.
+template <class Io, recover::MaybeConst<CacheKey> K,
+          recover::MaybeConst<CachedResult> R>
+void fields(Io& io, K& key, R& r) {
+  io.u64(key.netlist);
+  io.u64(key.params);
+  io.u8(r.status, JobStatus::kFailed, "job status");
+  io.u64(r.fingerprint);
+  io.f64(r.final_teil);
+  io.i64(r.final_chip_area);
+  io.i32(r.replicas_succeeded);
+  io.i32(r.replicas_total);
+  io.i32(r.attempts);
 }
 
-bool decode_entry(const std::vector<std::uint8_t>& bytes, CacheKey& key,
-                  CachedResult& r) {
+/// Reads one entry file back; false when it is unreadable, torn or
+/// invalid (the caller logs and skips it).
+bool read_entry(const std::optional<std::vector<std::uint8_t>>& bytes,
+                CacheKey& key, CachedResult& r) {
+  if (!bytes) return false;
   try {
-    ByteReader pr(recover::unframe(bytes, kMagic, kCacheVersion, "entry"));
-    key.netlist = pr.u64();
-    key.params = pr.u64();
-    const std::uint8_t status = pr.u8();
-    if (status > static_cast<std::uint8_t>(JobStatus::kFailed)) return false;
-    r.status = static_cast<JobStatus>(status);
-    r.fingerprint = pr.u64();
-    r.final_teil = pr.f64();
-    r.final_chip_area = pr.i64();
-    r.replicas_succeeded = pr.i32();
-    r.replicas_total = pr.i32();
-    r.attempts = pr.i32();
+    ByteReader pr(recover::unframe(*bytes, kMagic, kCacheVersion, "entry"));
+    fields(pr, key, r);
     pr.expect_end();
     return true;
   } catch (const recover::CheckpointError&) {
-    return false;  // truncated/corrupt: caller logs and skips
+    return false;
   }
 }
 
@@ -81,7 +74,7 @@ ResultCache::ResultCache(std::string dir, std::uint64_t budget_bytes,
     const auto bytes = recover::read_file(path);
     CacheKey key;
     CachedResult r;
-    if (!bytes || !decode_entry(*bytes, key, r)) {
+    if (!read_entry(bytes, key, r)) {
       log_warn("result cache: unreadable or invalid entry ", path,
                " (torn write or foreign file); skipping");
       continue;
@@ -105,8 +98,10 @@ std::optional<CachedResult> ResultCache::lookup(const CacheKey& key) const {
 void ResultCache::put(const CacheKey& key, const CachedResult& result) {
   if (!cacheable(result.status)) return;
 
+  ByteWriter w;
+  fields(w, key, result);
   const std::vector<std::uint8_t> framed =
-      recover::frame(kMagic, kCacheVersion, encode_entry(key, result));
+      recover::frame(kMagic, kCacheVersion, w.bytes());
   const std::uint64_t total = framed.size();
   if (budget_bytes_ > 0 && total > budget_bytes_)
     throw ServeError(ServeErrc::kIo,

@@ -1,6 +1,9 @@
 #include "serve/wire.hpp"
 
+#include <type_traits>
 #include <utility>
+
+#include "util/hash.hpp"
 
 namespace tw::serve {
 namespace {
@@ -8,219 +11,134 @@ namespace {
 using recover::ByteReader;
 using recover::ByteWriter;
 using recover::CheckpointError;
+using recover::MaybeConst;
 
-constexpr std::uint8_t kMagic[4] = {'T', 'W', 'S', 'V'};
+constexpr std::array<std::uint8_t, 4> kMagic = {'T', 'W', 'S', 'V'};
 constexpr std::size_t kHeaderSize = 4 + 4 + 4 + 4 + 4;  // magic..crc
 
-std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) {
-  std::uint64_t h = 0xCBF29CE484222325ull;
-  for (const std::uint8_t b : bytes) {
-    h ^= b;
-    h *= 0x100000001B3ull;
-  }
-  return h;
+/// The frame header in front of every payload.
+struct Header {
+  std::array<std::uint8_t, 4> magic{};
+  std::uint32_t version = 0;
+  std::uint32_t type = 0;  ///< MsgType
+  std::uint32_t size = 0;  ///< payload bytes
+  std::uint32_t crc = 0;   ///< CRC-32 of the payload
+};
+
+template <class Io, MaybeConst<Header> R>
+void fields(Io& io, R& h) {
+  for (auto& b : h.magic) io.u8(b);
+  io.u32(h.version);
+  io.u32(h.type);
+  io.u32(h.size);
+  io.u32(h.crc);
 }
 
-void put_str(ByteWriter& w, const std::string& s) {
-  w.u32(static_cast<std::uint32_t>(s.size()));
-  for (const char ch : s) w.u8(static_cast<std::uint8_t>(ch));
+// --- one field list per message payload -----------------------------------
+
+/// Ping, shutdown, stats request and pong carry no payload.
+template <class Io, class R>
+  requires std::is_empty_v<R>
+void fields(Io&, R&) {}
+
+template <class Io, MaybeConst<SubmitRequest> R>
+void fields(Io& io, R& m) {
+  fields(io, m.params);
+  io.str(m.netlist_yal);
+  io.u8(m.want_progress);
 }
 
-std::string get_str(ByteReader& r) {
-  const std::size_t n = r.length_prefix(1);
-  std::string s;
-  s.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    s.push_back(static_cast<char>(r.u8()));
-  return s;
+template <class Io, MaybeConst<QueryRequest> R>
+void fields(Io& io, R& m) {
+  io.u64(m.job);
 }
 
-std::uint8_t get_enum(ByteReader& r, std::uint8_t max, const char* what) {
-  const std::uint8_t v = r.u8();
-  if (v > max)
+template <class Io, MaybeConst<CancelRequest> R>
+void fields(Io& io, R& m) {
+  io.u64(m.job);
+}
+
+template <class Io, MaybeConst<SubmitReply> R>
+void fields(Io& io, R& m) {
+  io.u64(m.job);
+  io.u8(m.disposition, Disposition::kCached, "disposition");
+}
+
+template <class Io, MaybeConst<RejectReply> R>
+void fields(Io& io, R& m) {
+  io.u8(m.code, RejectCode::kOverloaded, "reject code");
+  io.str(m.detail);
+  io.u32(m.retry_after_ms);
+}
+
+template <class Io, MaybeConst<ProgressEvent> R>
+void fields(Io& io, R& m) {
+  io.u64(m.job);
+  io.i32(m.replica);
+  io.u8(m.phase, std::uint8_t{1}, "flow phase");  // stage 1 or stage 2
+  io.i32(m.step);
+  io.i32(m.pass);
+  io.f64(m.t);
+  io.f64(m.cost);
+}
+
+template <class Io, MaybeConst<ResultEvent> R>
+void fields(Io& io, R& m) {
+  io.u64(m.job);
+  io.u8(m.status, JobStatus::kFailed, "job status");
+  io.u8(m.cached);
+  io.u64(m.fingerprint);
+  io.f64(m.final_teil);
+  io.i64(m.final_chip_area);
+  io.i32(m.replicas_succeeded);
+  io.i32(m.replicas_total);
+  io.i32(m.attempts);
+  io.str(m.detail);
+}
+
+template <class Io, MaybeConst<StatusReply> R>
+void fields(Io& io, R& m) {
+  io.u64(m.job);
+  io.u8(m.state, JobState::kDone, "job state");
+}
+
+template <class Io, MaybeConst<StatsReply> R>
+void fields(Io& io, R& m) {
+  io.i32(m.jobs_in_flight);
+  for (auto& q : m.queued) io.i32(q);
+  for (auto& q : m.running) io.i32(q);
+  io.i64(m.shed);
+  io.i64(m.preempted);
+  io.i64(m.resumed);
+  io.i64(m.recovered);
+  io.i64(m.cache_evictions);
+  io.i64(m.progress_dropped);
+  io.i64(m.reaped);
+  io.u64(m.journal_bytes);
+  io.i32(m.journal_segments);
+  io.u64(m.cache_bytes);
+  io.u64(m.cache_budget_bytes);
+  io.u8(m.cache_off);
+  io.u8(m.journal_degraded);
+  io.i64(m.checkpoint_off_jobs);
+}
+
+/// Decodes a payload as the Message alternative that type_of maps to
+/// `type`.
+template <std::size_t I = 0>
+Message decode_payload(MsgType type, ByteReader& r) {
+  if constexpr (I == std::variant_size_v<Message>) {
     throw ServeError(ServeErrc::kCorrupt,
-                     std::string(what) + " out of range: " +
-                         std::to_string(static_cast<int>(v)));
-  return v;
-}
-
-// --- per-message payload codecs --------------------------------------------
-
-void encode_payload(ByteWriter& w, const SubmitRequest& m) {
-  encode_params(w, m.params);
-  put_str(w, m.netlist_yal);
-  w.u8(m.want_progress ? 1 : 0);
-}
-
-SubmitRequest decode_submit(ByteReader& r) {
-  SubmitRequest m;
-  m.params = decode_params(r);
-  m.netlist_yal = get_str(r);
-  m.want_progress = r.u8() != 0;
-  return m;
-}
-
-void encode_payload(ByteWriter& w, const SubmitReply& m) {
-  w.u64(m.job);
-  w.u8(static_cast<std::uint8_t>(m.disposition));
-}
-
-SubmitReply decode_submit_reply(ByteReader& r) {
-  SubmitReply m;
-  m.job = r.u64();
-  m.disposition = static_cast<Disposition>(get_enum(r, 2, "disposition"));
-  return m;
-}
-
-void encode_payload(ByteWriter& w, const RejectReply& m) {
-  w.u8(static_cast<std::uint8_t>(m.code));
-  put_str(w, m.detail);
-  w.u32(m.retry_after_ms);
-}
-
-RejectReply decode_reject(ByteReader& r) {
-  RejectReply m;
-  m.code = static_cast<RejectCode>(get_enum(r, 6, "reject code"));
-  m.detail = get_str(r);
-  m.retry_after_ms = r.u32();
-  return m;
-}
-
-void encode_payload(ByteWriter& w, const ProgressEvent& m) {
-  w.u64(m.job);
-  w.i32(m.replica);
-  w.u8(m.phase);
-  w.i32(m.step);
-  w.i32(m.pass);
-  w.f64(m.t);
-  w.f64(m.cost);
-}
-
-ProgressEvent decode_progress(ByteReader& r) {
-  ProgressEvent m;
-  m.job = r.u64();
-  m.replica = r.i32();
-  m.phase = get_enum(r, 1, "flow phase");
-  m.step = r.i32();
-  m.pass = r.i32();
-  m.t = r.f64();
-  m.cost = r.f64();
-  return m;
-}
-
-void encode_payload(ByteWriter& w, const ResultEvent& m) {
-  w.u64(m.job);
-  w.u8(static_cast<std::uint8_t>(m.status));
-  w.u8(m.cached ? 1 : 0);
-  w.u64(m.fingerprint);
-  w.f64(m.final_teil);
-  w.i64(m.final_chip_area);
-  w.i32(m.replicas_succeeded);
-  w.i32(m.replicas_total);
-  w.i32(m.attempts);
-  put_str(w, m.detail);
-}
-
-ResultEvent decode_result(ByteReader& r) {
-  ResultEvent m;
-  m.job = r.u64();
-  m.status = static_cast<JobStatus>(get_enum(r, 3, "job status"));
-  m.cached = r.u8() != 0;
-  m.fingerprint = r.u64();
-  m.final_teil = r.f64();
-  m.final_chip_area = r.i64();
-  m.replicas_succeeded = r.i32();
-  m.replicas_total = r.i32();
-  m.attempts = r.i32();
-  m.detail = get_str(r);
-  return m;
-}
-
-void encode_payload(ByteWriter& w, const StatusReply& m) {
-  w.u64(m.job);
-  w.u8(static_cast<std::uint8_t>(m.state));
-}
-
-StatusReply decode_status(ByteReader& r) {
-  StatusReply m;
-  m.job = r.u64();
-  m.state = static_cast<JobState>(get_enum(r, 2, "job state"));
-  return m;
-}
-
-void encode_payload(ByteWriter& w, const StatsReply& m) {
-  w.i32(m.jobs_in_flight);
-  for (const std::int32_t q : m.queued) w.i32(q);
-  for (const std::int32_t q : m.running) w.i32(q);
-  w.i64(m.shed);
-  w.i64(m.preempted);
-  w.i64(m.resumed);
-  w.i64(m.recovered);
-  w.i64(m.cache_evictions);
-  w.i64(m.progress_dropped);
-  w.i64(m.reaped);
-  w.u64(m.journal_bytes);
-  w.i32(m.journal_segments);
-  w.u64(m.cache_bytes);
-  w.u64(m.cache_budget_bytes);
-  w.u8(m.cache_off ? 1 : 0);
-  w.u8(m.journal_degraded ? 1 : 0);
-  w.i64(m.checkpoint_off_jobs);
-}
-
-StatsReply decode_stats_reply(ByteReader& r) {
-  StatsReply m;
-  m.jobs_in_flight = r.i32();
-  for (std::int32_t& q : m.queued) q = r.i32();
-  for (std::int32_t& q : m.running) q = r.i32();
-  m.shed = r.i64();
-  m.preempted = r.i64();
-  m.resumed = r.i64();
-  m.recovered = r.i64();
-  m.cache_evictions = r.i64();
-  m.progress_dropped = r.i64();
-  m.reaped = r.i64();
-  m.journal_bytes = r.u64();
-  m.journal_segments = r.i32();
-  m.cache_bytes = r.u64();
-  m.cache_budget_bytes = r.u64();
-  m.cache_off = r.u8() != 0;
-  m.journal_degraded = r.u8() != 0;
-  m.checkpoint_off_jobs = r.i64();
-  return m;
-}
-
-void encode_payload(ByteWriter& w, const QueryRequest& m) { w.u64(m.job); }
-void encode_payload(ByteWriter& w, const CancelRequest& m) { w.u64(m.job); }
-void encode_payload(ByteWriter&, const PingRequest&) {}
-void encode_payload(ByteWriter&, const ShutdownRequest&) {}
-void encode_payload(ByteWriter&, const StatsRequest&) {}
-void encode_payload(ByteWriter&, const PongReply&) {}
-
-Message decode_payload(MsgType type, std::span<const std::uint8_t> bytes) {
-  ByteReader r(bytes);
-  Message m;
-  switch (type) {
-    case MsgType::kSubmit: m = decode_submit(r); break;
-    case MsgType::kQuery: m = QueryRequest{r.u64()}; break;
-    case MsgType::kCancel: m = CancelRequest{r.u64()}; break;
-    case MsgType::kPing: m = PingRequest{}; break;
-    case MsgType::kShutdown: m = ShutdownRequest{}; break;
-    case MsgType::kStats: m = StatsRequest{}; break;
-    case MsgType::kStatsReply: m = decode_stats_reply(r); break;
-    case MsgType::kSubmitReply: m = decode_submit_reply(r); break;
-    case MsgType::kReject: m = decode_reject(r); break;
-    case MsgType::kProgress: m = decode_progress(r); break;
-    case MsgType::kResult: m = decode_result(r); break;
-    case MsgType::kStatus: m = decode_status(r); break;
-    case MsgType::kPong: m = PongReply{}; break;
-    default:
-      throw ServeError(ServeErrc::kCorrupt,
-                       "unknown message type " +
-                           std::to_string(static_cast<std::uint32_t>(type)));
+                     "unknown message type " +
+                         std::to_string(static_cast<std::uint32_t>(type)));
+  } else {
+    using T = std::variant_alternative_t<I, Message>;
+    static const MsgType kType = type_of(T{});
+    if (kType != type) return decode_payload<I + 1>(type, r);
+    T m;
+    fields(r, m);
+    return m;
   }
-  r.expect_end();
-  return m;
 }
 
 }  // namespace
@@ -244,47 +162,13 @@ ServeError::ServeError(ServeErrc code, const std::string& detail)
                          "): " + detail),
       code_(code) {}
 
-void encode_params(recover::ByteWriter& w, const JobParams& p) {
-  w.u64(p.master_seed);
-  w.i32(p.replicas);
-  w.i32(p.max_attempts);
-  w.i64(p.budget_moves);
-  w.i64(p.budget_steps);
-  w.i64(p.watchdog_moves);
-  w.i32(p.s1_attempts_per_cell);
-  w.i32(p.s1_p2_samples);
-  w.i32(p.s2_attempts_per_cell);
-  w.i32(p.steiner_m);
-  w.i32(p.checkpoint_every);
-  w.i32(p.checkpoint_keep);
-  w.u8(static_cast<std::uint8_t>(p.priority));
-}
-
-JobParams decode_params(recover::ByteReader& r) {
-  JobParams p;
-  p.master_seed = r.u64();
-  p.replicas = r.i32();
-  p.max_attempts = r.i32();
-  p.budget_moves = r.i64();
-  p.budget_steps = r.i64();
-  p.watchdog_moves = r.i64();
-  p.s1_attempts_per_cell = r.i32();
-  p.s1_p2_samples = r.i32();
-  p.s2_attempts_per_cell = r.i32();
-  p.steiner_m = r.i32();
-  p.checkpoint_every = r.i32();
-  p.checkpoint_keep = r.i32();
-  p.priority = static_cast<JobPriority>(get_enum(r, 2, "job priority"));
-  return p;
-}
-
 std::uint64_t params_digest(const JobParams& p) {
   // Priority schedules work; it never changes the work. Digest a copy
   // with it zeroed so identical jobs dedup across priority classes.
   JobParams canon = p;
   canon.priority = JobPriority::kBatch;
   ByteWriter w;
-  encode_params(w, canon);
+  fields(w, canon);
   return fnv1a(w.bytes());
 }
 
@@ -378,19 +262,18 @@ MsgType type_of(const Message& m) {
 
 std::vector<std::uint8_t> encode_frame(const Message& m) {
   ByteWriter pw;
-  std::visit([&pw](const auto& msg) { encode_payload(pw, msg); }, m);
+  std::visit([&pw](const auto& msg) { fields(pw, msg); }, m);
   const std::vector<std::uint8_t> payload = pw.take();
   if (payload.size() > kMaxPayload)
     throw ServeError(ServeErrc::kOversized,
                      "payload of " + std::to_string(payload.size()) +
                          " bytes exceeds cap " + std::to_string(kMaxPayload));
 
+  const Header h{kMagic, kWireVersion, static_cast<std::uint32_t>(type_of(m)),
+                 static_cast<std::uint32_t>(payload.size()),
+                 recover::crc32(payload)};
   ByteWriter w;
-  for (const std::uint8_t b : kMagic) w.u8(b);
-  w.u32(kWireVersion);
-  w.u32(static_cast<std::uint32_t>(type_of(m)));
-  w.u32(static_cast<std::uint32_t>(payload.size()));
-  w.u32(recover::crc32(payload));
+  fields(w, h);
   std::vector<std::uint8_t> frame = w.take();
   frame.insert(frame.end(), payload.begin(), payload.end());
   return frame;
@@ -411,43 +294,35 @@ void FrameParser::feed(std::span<const std::uint8_t> bytes) {
 bool FrameParser::try_parse() {
   const std::size_t avail = buf_.size() - pos_;
   if (avail < kHeaderSize) return false;
-  const std::uint8_t* h = buf_.data() + pos_;
-  for (int i = 0; i < 4; ++i)
-    if (h[i] != kMagic[i])
-      throw ServeError(ServeErrc::kBadMagic,
-                       "stream does not start with TWSV");
-  const auto rd32 = [h](int at) {
-    return static_cast<std::uint32_t>(h[at]) |
-           static_cast<std::uint32_t>(h[at + 1]) << 8 |
-           static_cast<std::uint32_t>(h[at + 2]) << 16 |
-           static_cast<std::uint32_t>(h[at + 3]) << 24;
-  };
-  const std::uint32_t version = rd32(4);
-  if (version != kWireVersion)
+  Header h;
+  ByteReader hr{std::span(buf_).subspan(pos_, kHeaderSize)};
+  fields(hr, h);
+  if (h.magic != kMagic)
+    throw ServeError(ServeErrc::kBadMagic, "stream does not start with TWSV");
+  if (h.version != kWireVersion)
     throw ServeError(ServeErrc::kBadVersion,
-                     "frame version " + std::to_string(version) +
+                     "frame version " + std::to_string(h.version) +
                          " != " + std::to_string(kWireVersion));
-  const std::uint32_t type = rd32(8);
-  const std::uint32_t size = rd32(12);
-  const std::uint32_t crc = rd32(16);
-  if (size > kMaxPayload)
+  if (h.size > kMaxPayload)
     throw ServeError(ServeErrc::kOversized,
-                     "frame payload of " + std::to_string(size) +
+                     "frame payload of " + std::to_string(h.size) +
                          " bytes exceeds cap " + std::to_string(kMaxPayload));
-  if (avail < kHeaderSize + size) return false;
+  if (avail < kHeaderSize + h.size) return false;
 
-  const std::span<const std::uint8_t> payload(h + kHeaderSize, size);
-  if (recover::crc32(payload) != crc)
+  const auto payload = std::span(buf_).subspan(pos_ + kHeaderSize, h.size);
+  if (recover::crc32(payload) != h.crc)
     throw ServeError(ServeErrc::kBadCrc, "frame payload CRC mismatch");
   Message m;
   try {
-    m = decode_payload(static_cast<MsgType>(type), payload);
+    ByteReader r(payload);
+    m = decode_payload(static_cast<MsgType>(h.type), r);
+    r.expect_end();
   } catch (const CheckpointError& e) {
-    // ByteReader bounds/length failures surface as CheckpointError;
-    // re-type them for this layer.
+    // ByteReader bounds, length and enum-range failures surface as
+    // CheckpointError; re-type them for this layer.
     throw ServeError(ServeErrc::kCorrupt, e.what());
   }
-  pos_ += kHeaderSize + size;
+  pos_ += kHeaderSize + h.size;
   ready_.push_back(std::move(m));
   return true;
 }

@@ -2,7 +2,8 @@
 //
 // Everything on the socket is a length-prefixed binary frame reusing the
 // checkpoint serialization core (recover::ByteWriter/ByteReader — fixed-
-// width little-endian, bit-exact doubles, bounds-checked reads):
+// width little-endian, bit-exact doubles, bounds-checked reads; each
+// message's layout is one field list run in both directions):
 //
 //   magic "TWSV" | u32 version | u32 type | u32 payload size | u32 CRC-32
 //   | payload
@@ -116,8 +117,24 @@ struct JobParams {
   bool operator==(const JobParams&) const = default;
 };
 
-void encode_params(recover::ByteWriter& w, const JobParams& p);
-JobParams decode_params(recover::ByteReader& r);
+/// The canonical field list of JobParams (recover/serialize.hpp): the
+/// wire's submit payload and the journal's submitted record both carry it.
+template <class Io, recover::MaybeConst<JobParams> R>
+void fields(Io& io, R& p) {
+  io.u64(p.master_seed);
+  io.i32(p.replicas);
+  io.i32(p.max_attempts);
+  io.i64(p.budget_moves);
+  io.i64(p.budget_steps);
+  io.i64(p.watchdog_moves);
+  io.i32(p.s1_attempts_per_cell);
+  io.i32(p.s1_p2_samples);
+  io.i32(p.s2_attempts_per_cell);
+  io.i32(p.steiner_m);
+  io.i32(p.checkpoint_every);
+  io.i32(p.checkpoint_keep);
+  io.u8(p.priority, JobPriority::kUrgent, "job priority");
+}
 
 /// FNV-1a over the canonical encoding with `priority` zeroed: the params
 /// half of the dedup key. Priority affects scheduling only, so the same

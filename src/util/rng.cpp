@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "util/hash.hpp"
+
 namespace tw {
 namespace {
 
@@ -24,12 +26,7 @@ std::uint64_t splitmix64(std::uint64_t& x) {
 std::uint64_t derive_seed(std::uint64_t master, std::string_view stream) {
   // FNV-1a over the stream name, then SplitMix64 rounds to decorrelate
   // similar names and mix in the master seed.
-  std::uint64_t h = 0xCBF29CE484222325ull;
-  for (const char c : stream) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001B3ull;
-  }
-  std::uint64_t x = master ^ h;
+  std::uint64_t x = master ^ fnv1a(stream);
   (void)splitmix64(x);
   return splitmix64(x);
 }

@@ -18,6 +18,7 @@
 #include "recover/durable.hpp"
 #include "recover/fault.hpp"
 #include "recover/serialize.hpp"
+#include "util/hash.hpp"
 #include "workload/paper_circuits.hpp"
 
 namespace tw {
@@ -45,6 +46,9 @@ std::string temp_dir(const std::string& leaf) {
 
 // ---------------------------------------------------------------- serialize
 
+/// Reads or writes one i32 vector element.
+constexpr auto kI32 = [](auto& io, auto& x) { io.i32(x); };
+
 TEST(Serialize, RoundTripsEveryType) {
   ByteWriter w;
   w.u8(0xAB);
@@ -53,17 +57,47 @@ TEST(Serialize, RoundTripsEveryType) {
   w.i32(-42);
   w.i64(-(1ll << 40));
   w.f64(-0.1);
-  w.vec_i32({1, -2, 3});
+  w.u8(true);
+  w.u8(2);  // any nonzero byte reads back as true
+  w.u8(RunOutcome::kCancelled, RunOutcome::kResumed, "run outcome");
+  w.str("TWCP");
+  w.vec(std::vector<std::int32_t>{1, -2, 3}, 4, kI32);
   const std::vector<std::uint8_t> bytes = w.bytes();
 
   ByteReader r(bytes);
-  EXPECT_EQ(r.u8(), 0xAB);
-  EXPECT_EQ(r.u32(), 0xDEADBEEFu);
-  EXPECT_EQ(r.u64(), 0x0123456789ABCDEFull);
-  EXPECT_EQ(r.i32(), -42);
-  EXPECT_EQ(r.i64(), -(1ll << 40));
-  EXPECT_EQ(r.f64(), -0.1);  // bit-exact via bit_cast
-  EXPECT_EQ(r.vec_i32(), (std::vector<std::int32_t>{1, -2, 3}));
+  std::uint8_t u8 = 0;
+  std::uint32_t u32 = 0;
+  std::uint64_t u64 = 0;
+  std::int32_t i32 = 0;
+  long long i64 = 0;  // any 8-byte signed spelling reads an i64
+  double f64 = 0.0;
+  bool flag = false;
+  bool lenient = false;
+  RunOutcome outcome = RunOutcome::kCompleted;
+  std::string text;
+  std::vector<std::int32_t> v;
+  r.u8(u8);
+  r.u32(u32);
+  r.u64(u64);
+  r.i32(i32);
+  r.i64(i64);
+  r.f64(f64);
+  r.u8(flag);
+  r.u8(lenient);
+  r.u8(outcome, RunOutcome::kResumed, "run outcome");
+  r.str(text);
+  r.vec(v, 4, kI32);
+  EXPECT_EQ(u8, 0xAB);
+  EXPECT_EQ(u32, 0xDEADBEEFu);
+  EXPECT_EQ(u64, 0x0123456789ABCDEFull);
+  EXPECT_EQ(i32, -42);
+  EXPECT_EQ(i64, -(1ll << 40));
+  EXPECT_EQ(f64, -0.1);  // bit-exact via bit_cast
+  EXPECT_TRUE(flag);
+  EXPECT_TRUE(lenient);
+  EXPECT_EQ(outcome, RunOutcome::kCancelled);
+  EXPECT_EQ(text, "TWCP");
+  EXPECT_EQ(v, (std::vector<std::int32_t>{1, -2, 3}));
   EXPECT_TRUE(r.at_end());
   EXPECT_NO_THROW(r.expect_end());
 }
@@ -73,10 +107,11 @@ TEST(Serialize, ShortReadsThrowTruncated) {
   w.u32(7);
   const std::vector<std::uint8_t> bytes = w.bytes();
   ByteReader r(bytes);
-  EXPECT_THROW(r.u64(), CheckpointError);
+  std::uint64_t v = 0;
+  EXPECT_THROW(r.u64(v), CheckpointError);
   try {
     ByteReader r2(bytes);
-    r2.u64();
+    r2.u64(v);
   } catch (const CheckpointError& e) {
     EXPECT_EQ(e.code(), CheckpointErrc::kTruncated);
   }
@@ -89,7 +124,11 @@ TEST(Serialize, GiantLengthPrefixIsRejectedBeforeAllocating) {
   w.u32(0x7FFFFFFFu);
   const std::vector<std::uint8_t> bytes = w.bytes();
   ByteReader r(bytes);
-  EXPECT_THROW(r.vec_i32(), CheckpointError);
+  std::vector<std::int32_t> v;
+  EXPECT_THROW(r.vec(v, 4, kI32), CheckpointError);
+  ByteReader rs(bytes);
+  std::string s;
+  EXPECT_THROW(rs.str(s), CheckpointError);
 }
 
 TEST(Serialize, TrailingBytesAreCorrupt) {
@@ -98,7 +137,8 @@ TEST(Serialize, TrailingBytesAreCorrupt) {
   w.u8(0);
   const std::vector<std::uint8_t> bytes = w.bytes();
   ByteReader r(bytes);
-  (void)r.u32();
+  std::uint32_t v = 0;
+  r.u32(v);
   EXPECT_THROW(r.expect_end(), CheckpointError);
 }
 
@@ -296,6 +336,173 @@ TEST(Checkpoint, RetiredPhaseByteThreeIsCorrupt) {
   try {
     (void)recover::decode_checkpoint(payload);
     FAIL() << "expected CheckpointError";
+  } catch (const CheckpointError& e) {
+    EXPECT_EQ(e.code(), CheckpointErrc::kCorrupt);
+  }
+}
+
+/// A stage-1 result with every field, and one trace point, set.
+Stage1Result full_stage1_result(double base) {
+  Stage1Result s;
+  s.final_teic = base + 0.5;
+  s.final_teil = base + 0.25;
+  s.residual_overlap = 17;
+  s.overloaded_sites = 2;
+  s.core = Rect{-200, -150, 200, 150};
+  s.t_infinity = 812.25;
+  s.temperature_scale = 1.75;
+  s.p2 = 0.125;
+  s.temperature_steps = 3;
+  s.attempts = 9000;
+  s.accepts = 4100;
+  s.trace.push_back({812.25, base, 0.875, 120});
+  s.outcome = RunOutcome::kBudgetExhausted;
+  return s;
+}
+
+/// A checkpoint of `phase` with every field group that phase stores set
+/// away from its default.
+FlowCheckpoint full_checkpoint(recover::FlowPhase phase) {
+  FlowCheckpoint cp;
+  cp.master_seed = 42;
+  cp.digest = 0x0123456789ABCDEFull;
+  cp.phase = phase;
+  cp.s1.next_step = 5;
+  cp.s1.t = 96.5;
+  cp.s1.p2_base = 0.375;
+  cp.s1.partial = full_stage1_result(1500.0);
+  cp.s1.rng = {1, 2, 3, 4};
+  cp.ml_coarse = full_stage1_result(900.0);
+  cp.ml_warm_teil = 1234.5;
+  cp.ml_clusters = 141;
+  cp.ml_dropped_nets = 6;
+  cp.s1_done = full_stage1_result(1400.0);
+  cp.stage1_teil = 1399.75;
+  cp.stage1_chip_area = 120000;
+  cp.s2.pass = 1;
+  cp.s2.anneal.t = 3.5;
+  cp.s2.anneal.steps = 7;
+  cp.s2.anneal.stall = 2;
+  cp.s2.anneal.last_cost = 1100.125;
+  cp.s2.p2 = 0.25;
+  cp.s2.working_core = Rect{-210, -160, 210, 160};
+  cp.s2.expansions = {{1, 2, 3, 4}, {5, 6, 7, 8}};
+  RefinementPass pass;
+  pass.teic = 1190.5;
+  pass.teil = 1180.5;
+  pass.chip_area = 118000;
+  pass.route_length = 987.5;
+  pass.route_overflow = 3;
+  pass.unrouted_nets = 1;
+  pass.regions = 12;
+  pass.temperature_steps = 9;
+  pass.width_rule_violations = 2;
+  pass.router_counters = {10, 4321, 5432, 65};
+  cp.s2.rp = pass;
+  cp.s2.done = {pass, pass};
+  cp.s2.done[1].teil = 1170.25;
+  cp.s2.rng = {11, 22, 33, 44};
+  cp.placement.cells.resize(2);
+  cp.placement.cells[0].center = Point{-50, 25};
+  cp.placement.cells[0].orient = Orient::FE;
+  cp.placement.cells[0].pin_site = {0, 3, 5};
+  cp.placement.cells[1].center = Point{75, -40};
+  cp.placement.cells[1].orient = Orient::W;
+  cp.placement.cells[1].instance = 1;
+  cp.placement.cells[1].aspect = 1.5;
+  return cp;
+}
+
+TEST(Checkpoint, PayloadOfEveryPhaseMatchesGoldenDigest) {
+  // Digests recorded from the per-group encoders that preceded the one
+  // field list per record: the payload of each phase is unchanged, so
+  // checkpoints an older build of format version 5 wrote still resume.
+  struct Golden {
+    recover::FlowPhase phase;
+    std::size_t size;
+    std::uint64_t digest;
+  };
+  for (const Golden& g :
+       {Golden{recover::FlowPhase::kStage1, 292, 0x91b538710d89a6a3ull},
+        Golden{recover::FlowPhase::kStage2, 692, 0x17df6a2cf32d8e4full},
+        Golden{recover::FlowPhase::kMultilevelRefine, 449,
+               0xae7748a52eefe4f3ull}}) {
+    const std::vector<std::uint8_t> payload =
+        recover::encode_checkpoint(full_checkpoint(g.phase));
+    EXPECT_EQ(payload.size(), g.size) << to_string(g.phase);
+    EXPECT_EQ(fnv1a(payload), g.digest) << to_string(g.phase);
+    EXPECT_EQ(recover::encode_checkpoint(recover::decode_checkpoint(payload)),
+              payload)
+        << to_string(g.phase) << " does not decode to itself";
+  }
+}
+
+TEST(Checkpoint, OutOfRangeEnumBytesAreCorrupt) {
+  // Each enum byte is found by diffing two checkpoints that differ only
+  // in it (0 against its largest value). The largest value decodes; one
+  // past it is kCorrupt under a valid payload.
+  struct Case {
+    const char* field;
+    FlowCheckpoint lo;
+    FlowCheckpoint hi;
+    std::uint8_t max;
+  };
+  std::vector<Case> cases;
+  for (const recover::FlowPhase phase :
+       {recover::FlowPhase::kStage1, recover::FlowPhase::kStage2,
+        recover::FlowPhase::kMultilevelRefine}) {
+    Case outcome{"run outcome", full_checkpoint(phase), full_checkpoint(phase),
+                 static_cast<std::uint8_t>(RunOutcome::kResumed)};
+    for (Stage1Result* s : {&outcome.lo.s1.partial, &outcome.lo.s1_done,
+                            &outcome.lo.ml_coarse})
+      s->outcome = RunOutcome::kCompleted;
+    for (Stage1Result* s : {&outcome.hi.s1.partial, &outcome.hi.s1_done,
+                            &outcome.hi.ml_coarse})
+      s->outcome = RunOutcome::kResumed;
+    if (phase == recover::FlowPhase::kMultilevelRefine)
+      outcome.lo.ml_coarse.outcome = outcome.hi.ml_coarse.outcome;
+    cases.push_back(outcome);
+  }
+  Case orient{"orient", full_checkpoint(recover::FlowPhase::kStage1),
+              full_checkpoint(recover::FlowPhase::kStage1),
+              static_cast<std::uint8_t>(Orient::FE)};
+  orient.lo.placement.cells[1].orient = Orient::N;
+  orient.hi.placement.cells[1].orient = Orient::FE;
+  cases.push_back(orient);
+
+  for (const Case& c : cases) {
+    const std::vector<std::uint8_t> lo = recover::encode_checkpoint(c.lo);
+    std::vector<std::uint8_t> hi = recover::encode_checkpoint(c.hi);
+    ASSERT_EQ(lo.size(), hi.size()) << c.field;
+    std::size_t at = 0;
+    int differ = 0;
+    for (std::size_t i = 0; i < lo.size(); ++i)
+      if (lo[i] != hi[i]) {
+        at = i;
+        ++differ;
+      }
+    ASSERT_EQ(differ, 1) << c.field << " in phase " << to_string(c.hi.phase);
+    EXPECT_NO_THROW((void)recover::decode_checkpoint(hi)) << c.field;
+    hi[at] = static_cast<std::uint8_t>(c.max + 1);
+    try {
+      (void)recover::decode_checkpoint(hi);
+      ADD_FAILURE() << c.field << " one past its maximum decoded";
+    } catch (const CheckpointError& e) {
+      EXPECT_EQ(e.code(), CheckpointErrc::kCorrupt) << c.field;
+    }
+  }
+
+  // The phase byte selects the layout, so it cannot be found by diffing.
+  // One past the largest phase, followed by a well-formed empty placement:
+  // only the range check can reject it.
+  ByteWriter w;
+  w.u64(42);
+  w.u64(0x0123456789ABCDEFull);
+  w.u8(static_cast<std::uint8_t>(recover::FlowPhase::kMultilevelRefine) + 1);
+  w.u32(0);
+  try {
+    (void)recover::decode_checkpoint(w.bytes());
+    ADD_FAILURE() << "phase one past its maximum decoded";
   } catch (const CheckpointError& e) {
     EXPECT_EQ(e.code(), CheckpointErrc::kCorrupt);
   }

@@ -41,6 +41,7 @@
 #include "serve/result_cache.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/wire.hpp"
+#include "util/hash.hpp"
 #include "workload/paper_circuits.hpp"
 
 namespace tw {
@@ -73,6 +74,61 @@ JobParams fast_params(std::uint64_t seed) {
   p.steiner_m = 4;
   p.checkpoint_every = 1;
   return p;
+}
+
+/// The code of the typed `Error` that `fn` throws; nullopt when it returns.
+template <typename Error, typename Fn>
+auto error_code_of(Fn fn)
+    -> std::optional<decltype(std::declval<const Error&>().code())> {
+  try {
+    fn();
+  } catch (const Error& e) {
+    return e.code();
+  }
+  return std::nullopt;
+}
+
+/// Offset of the one byte in [from, to) where `a` and `b` differ (an enum
+/// field at 0 in one and at its largest value in the other); fails the
+/// test unless exactly one byte differs there.
+std::size_t only_difference(const std::vector<std::uint8_t>& a,
+                            const std::vector<std::uint8_t>& b,
+                            std::size_t from, std::size_t to) {
+  EXPECT_EQ(a.size(), b.size());
+  std::size_t at = 0;
+  int differ = 0;
+  for (std::size_t i = from; i < to && i < a.size() && i < b.size(); ++i)
+    if (a[i] != b[i]) {
+      at = i;
+      ++differ;
+    }
+  EXPECT_EQ(differ, 1) << "in bytes [" << from << ", " << to << ")";
+  return at;
+}
+
+/// Re-stamps the little-endian CRC-32 at `crc_at` over bytes [from, to),
+/// so only a decoder's own checks can reject what was planted there.
+void restamp_crc(std::vector<std::uint8_t>& bytes, std::size_t crc_at,
+                 std::size_t from, std::size_t to) {
+  const std::uint32_t crc =
+      recover::crc32(std::span(bytes).subspan(from, to - from));
+  for (std::size_t i = 0; i < 4; ++i)
+    bytes[crc_at + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+}
+
+/// The whole file at `path`.
+std::vector<std::uint8_t> file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+/// Replaces the file at `path` with `bytes`.
+void write_bytes(const std::string& path,
+                 const std::vector<std::uint8_t>& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      .write(reinterpret_cast<const char*>(bytes.data()),
+             static_cast<std::streamsize>(bytes.size()));
 }
 
 // ---------------------------------------------------------------------------
@@ -316,6 +372,140 @@ TEST(WireTest, ParamsDigestSeparatesEveryField) {
       << "priority must not reach the digest (it would defeat dedup)";
 }
 
+/// One message of every type, every field away from its default.
+std::vector<Message> golden_messages() {
+  SubmitRequest submit;
+  submit.params.master_seed = 0x1122334455667788ull;
+  submit.params.replicas = 3;
+  submit.params.max_attempts = 4;
+  submit.params.budget_moves = 1000001;
+  submit.params.budget_steps = 77;
+  submit.params.watchdog_moves = 500000;
+  submit.params.s1_attempts_per_cell = 12;
+  submit.params.s1_p2_samples = 6;
+  submit.params.s2_attempts_per_cell = 8;
+  submit.params.steiner_m = 4;
+  submit.params.checkpoint_every = 2;
+  submit.params.checkpoint_keep = 3;
+  submit.params.priority = JobPriority::kUrgent;
+  submit.netlist_yal = "MODULE golden;\nENDMODULE;\n";
+  submit.want_progress = true;
+
+  ResultEvent result;
+  result.job = 23;
+  result.status = JobStatus::kBudgetExhausted;
+  result.cached = true;
+  result.fingerprint = 0xdeadbeefcafef00dull;
+  result.final_teil = 6318.25;
+  result.final_chip_area = 863950;
+  result.replicas_succeeded = 2;
+  result.replicas_total = 3;
+  result.attempts = 5;
+  result.detail = "partial result";
+
+  StatsReply stats;
+  stats.jobs_in_flight = 5;
+  stats.queued = {3, 2, 1};
+  stats.running = {4, 6, 7};
+  stats.shed = 11;
+  stats.preempted = 4;
+  stats.resumed = 3;
+  stats.recovered = 2;
+  stats.cache_evictions = 6;
+  stats.progress_dropped = 99;
+  stats.reaped = 8;
+  stats.journal_bytes = 123456;
+  stats.journal_segments = 9;
+  stats.cache_bytes = 789;
+  stats.cache_budget_bytes = 8192;
+  stats.cache_off = true;
+  stats.journal_degraded = true;
+  stats.checkpoint_off_jobs = 12;
+
+  return {
+      submit,
+      QueryRequest{0x0102030405060708ull},
+      CancelRequest{0x1112131415161718ull},
+      PingRequest{},
+      ShutdownRequest{},
+      StatsRequest{},
+      SubmitReply{21, Disposition::kCached},
+      RejectReply{RejectCode::kOverloaded, "9 jobs in flight", 1250},
+      ProgressEvent{22, 3, 1, 41, 2, 812.25, -1234.5},
+      result,
+      StatusReply{24, JobState::kRunning},
+      PongReply{},
+      stats,
+  };
+}
+
+TEST(WireTest, EveryMessageTypeMatchesGoldenBytes) {
+  // The digest was recorded from the per-message codecs that preceded
+  // the shared field lists: the bytes on the socket are unchanged, so
+  // clients and daemons of either build still speak to each other.
+  const std::vector<Message> all = golden_messages();
+  ASSERT_EQ(all.size(), 13u);
+  std::vector<std::uint8_t> stream;
+  FrameParser parser;
+  for (const Message& m : all) {
+    const std::vector<std::uint8_t> frame = encode_frame(m);
+    stream.insert(stream.end(), frame.begin(), frame.end());
+    parser.feed(frame);
+    ASSERT_TRUE(parser.has_message()) << to_string(type_of(m));
+    EXPECT_EQ(encode_frame(parser.take_message()), frame)
+        << to_string(type_of(m)) << " does not decode to itself";
+  }
+  EXPECT_EQ(stream.size(), 638u);
+  EXPECT_EQ(fnv1a(stream), 0xf59dbd08fe9f7b72ull);
+}
+
+TEST(WireTest, OutOfRangeEnumBytesAreCorrupt) {
+  SubmitRequest batch;
+  batch.params.priority = JobPriority::kBatch;
+  SubmitRequest urgent;
+  urgent.params.priority = JobPriority::kUrgent;
+  ResultEvent completed;
+  completed.status = JobStatus::kCompleted;
+  ResultEvent failed;
+  failed.status = JobStatus::kFailed;
+
+  struct Case {
+    const char* field;
+    Message lo;  ///< the field at 0
+    Message hi;  ///< the field at its largest valid value
+    std::uint8_t max;
+  };
+  const std::vector<Case> cases = {
+      {"disposition", SubmitReply{1, Disposition::kFresh},
+       SubmitReply{1, Disposition::kCached}, 2},
+      {"reject code", RejectReply{RejectCode::kQueueFull, "x"},
+       RejectReply{RejectCode::kOverloaded, "x"}, 6},
+      {"progress phase", ProgressEvent{1, 0, 0, 0, 0, 0.0, 0.0},
+       ProgressEvent{1, 0, 1, 0, 0, 0.0, 0.0}, 1},
+      {"job status", completed, failed, 3},
+      {"job state", StatusReply{1, JobState::kQueued},
+       StatusReply{1, JobState::kDone}, 2},
+      {"priority", batch, urgent, 2},
+  };
+  constexpr std::size_t kHeader = 20;  // the CRC sits at offset 16
+  for (const Case& c : cases) {
+    std::vector<std::uint8_t> frame = encode_frame(c.hi);
+    const std::size_t at =
+        only_difference(encode_frame(c.lo), frame, kHeader, frame.size());
+    frame[at] = c.max;
+    restamp_crc(frame, 16, kHeader, frame.size());
+    FrameParser top;
+    top.feed(frame);
+    EXPECT_TRUE(top.has_message()) << c.field << " at its maximum";
+    frame[at] = static_cast<std::uint8_t>(c.max + 1);
+    restamp_crc(frame, 16, kHeader, frame.size());
+    FrameParser parser;
+    EXPECT_EQ(error_code_of<ServeError>([&] { parser.feed(frame); }),
+              ServeErrc::kCorrupt)
+        << c.field << " one past its maximum";
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Write-ahead journal
 
@@ -415,6 +605,92 @@ TEST(JournalTest, CorruptTailRecordIsDroppedNotFatal) {
   EXPECT_TRUE(r.torn_tail);
   ASSERT_EQ(r.live.size(), 1u);
   EXPECT_EQ(r.live[0].job, 1u);
+}
+
+/// Appends one hand-made record (u32 size | u32 CRC-32 | payload) to the
+/// journal segment at `path`.
+void append_raw_record(const std::string& path,
+                       const std::vector<std::uint8_t>& payload) {
+  std::vector<std::uint8_t> rec;
+  const auto put32 = [&rec](std::uint32_t v) {
+    for (int i = 0; i < 4; ++i)
+      rec.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  };
+  put32(static_cast<std::uint32_t>(payload.size()));
+  put32(recover::crc32(payload));
+  rec.insert(rec.end(), payload.begin(), payload.end());
+  std::ofstream(path, std::ios::binary | std::ios::app)
+      .write(reinterpret_cast<const char*>(rec.data()),
+             static_cast<std::streamsize>(rec.size()));
+}
+
+TEST(JournalTest, UnknownOpIsSkippedAndReplayContinues) {
+  // A CRC-valid record whose op this build does not know (a newer
+  // format's, with bytes after the id) is skipped, not fatal: its id is
+  // still taken, and every later record replays.
+  const std::string dir = fresh_dir("tw_srv_unknown_op") + "/journal";
+  {
+    JobJournal j(dir);
+    j.record_submitted(1, fast_params(1), "before");
+  }
+  append_raw_record(newest_segment(dir),
+                    {7, 9, 0, 0, 0, 0, 0, 0, 0, 0xAA, 0xBB});
+  {
+    JobJournal j(dir);
+    j.record_submitted(2, fast_params(2), "after");
+  }
+  const JournalReplay r = JobJournal::replay(dir);
+  EXPECT_FALSE(r.torn_tail);
+  EXPECT_EQ(r.records, 3);
+  EXPECT_EQ(r.max_job, 9u);
+  ASSERT_EQ(r.live.size(), 2u);
+  EXPECT_EQ(r.live[0].netlist_yal, "before");
+  EXPECT_EQ(r.live[1].netlist_yal, "after");
+}
+
+TEST(JournalTest, OutOfRangePriorityMakesACorruptRecordNotAThrow) {
+  // Replay never throws for content: a CRC-valid submit whose priority
+  // byte is one past kUrgent is a corrupt record. Replay keeps what came
+  // before it, drops it and the segment tail, and still counts its id as
+  // taken (it was read before the bad byte).
+  const auto journal = [](const std::string& dir, JobPriority priority) {
+    JobJournal j(dir);
+    j.record_submitted(1, fast_params(1), "kept");
+    JobParams p = fast_params(5);
+    p.priority = priority;
+    j.record_submitted(5, p, "damaged");
+    j.record_submitted(6, fast_params(6), "after the damage");
+    return file_bytes(newest_segment(dir));
+  };
+  const std::vector<std::uint8_t> batch =
+      journal(fresh_dir("tw_srv_prio_a") + "/journal", JobPriority::kBatch);
+  const std::string dir = fresh_dir("tw_srv_prio") + "/journal";
+  std::vector<std::uint8_t> bytes = journal(dir, JobPriority::kUrgent);
+  ASSERT_EQ(batch.size(), bytes.size());
+
+  // The second record starts after the first; diff its payload only (its
+  // CRC differs too).
+  const auto u32_at = [&bytes](std::size_t at) {
+    std::uint32_t v = 0;
+    for (std::size_t i = 0; i < 4; ++i)
+      v |= static_cast<std::uint32_t>(bytes[at + i]) << (8 * i);
+    return v;
+  };
+  const std::size_t rec = 8 + u32_at(0);
+  const std::size_t end = rec + 8 + u32_at(rec);
+  const std::size_t at = only_difference(batch, bytes, rec + 8, end);
+  ASSERT_EQ(bytes[at], static_cast<std::uint8_t>(JobPriority::kUrgent));
+  bytes[at] = static_cast<std::uint8_t>(JobPriority::kUrgent) + 1;
+  restamp_crc(bytes, rec + 4, rec + 8, end);
+  write_bytes(newest_segment(dir), bytes);
+
+  JournalReplay r;
+  ASSERT_NO_THROW(r = JobJournal::replay(dir));
+  EXPECT_TRUE(r.torn_tail);
+  EXPECT_EQ(r.records, 1);
+  EXPECT_EQ(r.max_job, 5u);
+  ASSERT_EQ(r.live.size(), 1u);
+  EXPECT_EQ(r.live[0].netlist_yal, "kept");
 }
 
 TEST(JournalTest, RotationSplitsRecordsAcrossSegmentsReplaySeesOneStream) {
@@ -561,18 +837,6 @@ TEST(JournalTest, InjectedAppendFaultsAreTypedAndTornTailIsGenuine) {
   EXPECT_TRUE(r.torn_tail) << "the short write must leave a real torn tail";
   ASSERT_EQ(r.live.size(), 1u);
   EXPECT_EQ(r.live[0].job, 1u);
-}
-
-/// The code of the typed `Error` that `fn` throws; nullopt when it returns.
-template <typename Error, typename Fn>
-auto error_code_of(Fn fn)
-    -> std::optional<decltype(std::declval<const Error&>().code())> {
-  try {
-    fn();
-  } catch (const Error& e) {
-    return e.code();
-  }
-  return std::nullopt;
 }
 
 TEST(JournalTest, InjectedRotateFaultsAtRotationAndCompactionAreTyped) {
@@ -782,6 +1046,49 @@ TEST(ResultCacheTest, TornEntryFromAKilledDaemonIsSkippedOnLoad) {
   EXPECT_TRUE(reloaded.lookup(CacheKey{11, 11}).has_value());
 }
 
+/// The bytes of the one entry file a fresh cache in `dir` writes for
+/// `result` under key {5, 6}.
+std::vector<std::uint8_t> cache_entry_file(const std::string& dir,
+                                           const CachedResult& result) {
+  {
+    ResultCache cache(dir, 1u << 20);
+    cache.put(CacheKey{5, 6}, result);
+  }
+  return file_bytes(dir + "/res-000001.twr");
+}
+
+TEST(ResultCacheTest, OutOfRangeStatusByteIsSkippedOnLoad) {
+  // Locate the status byte by diffing two entries that differ only in
+  // it, then plant values under a re-stamped CRC: the largest status
+  // loads, one past it is an invalid entry the load skips.
+  constexpr std::size_t kHeader = 16;  // the CRC sits at offset 12
+  CachedResult partial = sample_result(7);
+  partial.status = JobStatus::kBudgetExhausted;
+  const std::vector<std::uint8_t> a =
+      cache_entry_file(fresh_dir("tw_srv_cache_enum_a"), sample_result(7));
+  const std::string dir = fresh_dir("tw_srv_cache_enum");
+  const std::vector<std::uint8_t> b = cache_entry_file(dir, partial);
+  const std::size_t at = only_difference(a, b, kHeader, b.size());
+
+  const auto plant = [&](std::uint8_t status) {
+    std::vector<std::uint8_t> bytes = b;
+    bytes[at] = status;
+    restamp_crc(bytes, 12, kHeader, bytes.size());
+    write_bytes(dir + "/res-000001.twr", bytes);
+  };
+  plant(static_cast<std::uint8_t>(JobStatus::kFailed));
+  {
+    const ResultCache cache(dir, 1u << 20);
+    EXPECT_EQ(cache.loaded(), 1);
+    ASSERT_TRUE(cache.lookup(CacheKey{5, 6}).has_value());
+    EXPECT_EQ(cache.lookup(CacheKey{5, 6})->status, JobStatus::kFailed);
+  }
+  plant(static_cast<std::uint8_t>(JobStatus::kFailed) + 1);
+  const ResultCache cache(dir, 1u << 20);
+  EXPECT_EQ(cache.loaded(), 0);
+  EXPECT_FALSE(cache.lookup(CacheKey{5, 6}).has_value());
+}
+
 // ---------------------------------------------------------------------------
 // Durable files: the checkpoint sink, the result cache and the journal
 // share one atomic write, one numbered-file scheme and (checkpoints and
@@ -858,13 +1165,7 @@ TEST(RecoverDurable, CloseTimeEnospcIsTypedAndRenamesNothing) {
 
 /// FNV-1a over a file's bytes.
 std::uint64_t file_digest(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::uint64_t h = 0xCBF29CE484222325ull;
-  for (std::istreambuf_iterator<char> it(in), end; it != end; ++it) {
-    h ^= static_cast<unsigned char>(*it);
-    h *= 0x100000001B3ull;
-  }
-  return h;
+  return fnv1a(file_bytes(path));
 }
 
 /// A stage-2 checkpoint with every field group populated.

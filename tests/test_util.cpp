@@ -5,6 +5,7 @@
 #include <cmath>
 #include <set>
 
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/tableio.hpp"
@@ -109,6 +110,17 @@ TEST(Rng, SplitProducesIndependentStream) {
   Rng child_b = b.split();
   EXPECT_EQ(child(), child_b());  // deterministic
   EXPECT_NE(child(), a());        // but a different stream
+}
+
+TEST(Fnv1a, MatchesReferenceVectors) {
+  // The published 64-bit FNV-1a check values; the byte and text forms
+  // agree.
+  EXPECT_EQ(fnv1a(std::string_view("")), 0xcbf29ce484222325ull);
+  EXPECT_EQ(fnv1a(std::string_view("a")), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(fnv1a(std::string_view("foobar")), 0x85944171f73967e8ull);
+  const std::uint8_t bytes[] = {'f', 'o', 'o', 'b', 'a', 'r'};
+  EXPECT_EQ(fnv1a(std::span<const std::uint8_t>(bytes)),
+            0x85944171f73967e8ull);
 }
 
 TEST(RunningStats, Empty) {
