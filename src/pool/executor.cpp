@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "check/contracts.hpp"
-#include "pool/workers.hpp"
 #include "util/log.hpp"
 
 namespace tw::pool {
@@ -24,7 +23,7 @@ int clamp_priority(int p) {
 struct PoolExecutor::Shared {
   /// One submitted job's live state. `cancel` and `preempt` are the only
   /// fields touched outside `mu`: workers read them lock-free through
-  /// ReplicaConfig, and each worker writes only its own `reports` slot —
+  /// ReplicaSignals, and each worker writes only its own `reports` slot —
   /// the disjoint-slot pattern of ReplicaPool — before re-acquiring `mu`
   /// to decrement `remaining`, which is what publishes the slot to
   /// whoever assembles the result.
@@ -59,6 +58,7 @@ struct PoolExecutor::Shared {
   std::int64_t preempted = 0;                                   // mu
   std::int64_t resumed = 0;                                     // mu
   std::vector<std::thread> workers;  // mu; joined once by shutdown()
+  int threads = 1;                   // immutable after construction
   Hooks hooks;                       // immutable after construction
 
   void enqueue_locked(const std::shared_ptr<JobState>& st, int replica) {
@@ -99,33 +99,20 @@ struct PoolExecutor::Shared {
 std::optional<ReplicaReport> PoolExecutor::Shared::run_task(
     const std::shared_ptr<JobState>& job, int replica, bool adopt) {
   const ExecutorJob& spec = job->spec;
-  ReplicaConfig cfg;
-  cfg.replica = replica;
-  cfg.master_seed = spec.master_seed;
-  cfg.base = spec.base;
-  cfg.max_attempts = spec.max_attempts;
-  cfg.watchdog = spec.watchdog;
-  cfg.budget_moves = spec.budget_moves;
-  cfg.budget_steps = spec.budget_steps;
-  if (!spec.checkpoint_root.empty())
-    cfg.checkpoint_dir =
-        spec.checkpoint_root + "/replica-" + std::to_string(replica);
-  cfg.checkpoint_every = spec.checkpoint_every;
-  cfg.checkpoint_keep = spec.checkpoint_keep;
-  cfg.checkpoint_quota_bytes = spec.checkpoint_quota_bytes;
-  cfg.disk_faults = spec.disk_faults;
-  cfg.adopt_existing = adopt;
-  cfg.cancel = &job->cancel;
-  cfg.preempt = &job->preempt;
+  ReplicaSignals signals;
+  signals.concurrent = threads;
+  signals.adopt = adopt;
+  signals.cancel = &job->cancel;
+  signals.preempt = &job->preempt;
   if (hooks.on_progress) {
     const auto forward = hooks.on_progress;
     const std::uint64_t id = spec.job;
-    cfg.on_progress = [forward, id, replica](const FlowProgress& pg) {
+    signals.on_progress = [forward, id, replica](const FlowProgress& pg) {
       forward(id, replica, pg);
     };
   }
   try {
-    return run_replica(*spec.nl, cfg);
+    return run_replica(*spec.nl, spec, replica, signals);
   } catch (const recover::Preempted& e) {
     // Parked, not failed: the replica's newest checkpoint holds exactly
     // this boundary. Re-queue it (at the job's own priority) with
@@ -171,46 +158,39 @@ void PoolExecutor::Shared::worker_loop() {
 
     std::optional<ReplicaReport> rep = run_task(job, replica, adopt);
 
-    ExecutorResult done;
+    std::vector<ReplicaReport> reports;
     bool finished = false;
     {
       std::lock_guard<std::mutex> lock(mu);
       --job->running;
       if (rep.has_value()) {
-        rep->replica = replica;
         job->reports[static_cast<std::size_t>(replica)] = std::move(*rep);
         if (--job->remaining == 0) {
           finished = true;
-          done.job = job->spec.job;
-          done.replicas = std::move(job->reports);
+          reports = std::move(job->reports);
           jobs.erase(job->spec.job);
         }
       }
     }
     if (!finished) continue;
 
-    done.best = select_best(done.replicas);
-    int succeeded = 0;
-    for (const ReplicaReport& r : done.replicas)
-      succeeded += r.outcome == ReplicaOutcome::kSucceeded ? 1 : 0;
-    log_info("executor job ", done.job, ": ", succeeded, "/",
+    ExecutorResult done{roll_up(std::move(reports)), job->spec.job};
+    log_info("executor job ", done.job, ": ", done.stats.succeeded, "/",
              done.replicas.size(), " replica(s) succeeded",
-             done.best >= 0
-                 ? ", best teil=" + std::to_string(
-                       done.best_report().final_teil)
-                 : ", no usable result");
+             done.ok() ? ", best teil=" + std::to_string(done.stats.teil_best)
+                       : ", no usable result");
     // Outside the lock: on_done may re-enter submit()/cancel().
     if (hooks.on_done) hooks.on_done(std::move(done));
   }
 }
 
 PoolExecutor::PoolExecutor(int threads, Hooks hooks)
-    : shared_(std::make_shared<Shared>()),
-      threads_(std::max(1, threads)) {
+    : shared_(std::make_shared<Shared>()) {
+  shared_->threads = std::max(1, threads);
   shared_->hooks = std::move(hooks);
   const std::shared_ptr<Shared> sh = shared_;
-  shared_->workers.reserve(static_cast<std::size_t>(threads_));
-  for (int i = 0; i < threads_; ++i)
+  shared_->workers.reserve(static_cast<std::size_t>(shared_->threads));
+  for (int i = 0; i < shared_->threads; ++i)
     shared_->workers.emplace_back([sh]() { sh->worker_loop(); });
 }
 
@@ -222,10 +202,6 @@ void PoolExecutor::submit(ExecutorJob job) {
   const int n = job.replicas;
   const std::uint64_t id = job.job;
   const int priority = clamp_priority(job.priority);
-  // threads_ replicas run at once, so each routes on its share of the
-  // host's cores unless the job fixed the router's worker count.
-  if (job.base.stage2.router.workers == 0)
-    job.base.stage2.router.workers = std::max(1, host_workers() / threads_);
 
   auto st = std::make_shared<Shared::JobState>();
   st->spec = std::move(job);
@@ -249,7 +225,7 @@ void PoolExecutor::submit(ExecutorJob job) {
       // replicas reach their boundaries.
       int running_total = 0;
       for (const auto& [jid, js] : shared_->jobs) running_total += js->running;
-      if (priority > 0 && running_total >= threads_) {
+      if (priority > 0 && running_total >= shared_->threads) {
         if (const auto victim = shared_->preempt_victim_locked(priority)) {
           victim->preempt.store(true, std::memory_order_relaxed);
           log_info("executor job ", id, " (priority ", priority,
@@ -264,11 +240,11 @@ void PoolExecutor::submit(ExecutorJob job) {
 
   // Shut down: complete the job immediately (on the submitting thread)
   // with every replica failed — never silently dropped.
-  ExecutorResult done;
-  done.job = id;
+  std::vector<ReplicaReport> failed;
   for (int i = 0; i < n; ++i)
-    done.replicas.push_back(failed_report(i, "executor is shut down"));
-  if (shared_->hooks.on_done) shared_->hooks.on_done(std::move(done));
+    failed.push_back(failed_report(i, "executor is shut down"));
+  if (shared_->hooks.on_done)
+    shared_->hooks.on_done(ExecutorResult{roll_up(std::move(failed)), id});
 }
 
 void PoolExecutor::cancel(std::uint64_t job) {

@@ -21,15 +21,15 @@
 //     wakes its poll loop through a pipe).
 //
 // Results are deterministic per job: each replica is a pure function of
-// (netlist, spec, replica id), so neither the worker count nor the
-// interleaving with other jobs changes any job's outcome.
+// (netlist, spec, replica id) — the same function ReplicaPool runs — so
+// neither the worker count nor the interleaving with other jobs changes
+// any job's outcome.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <vector>
 
 #include "pool/replica.hpp"
 
@@ -41,50 +41,26 @@ namespace tw::pool {
 /// running lower-priority one when every worker is busy.
 inline constexpr int kNumPriorities = 3;
 
-/// One job's execution request. `nl` is non-owning and must stay alive
-/// until the job's on_done callback has returned.
-struct ExecutorJob {
+/// One job's execution request: the replica spec its replicas share
+/// (replica.hpp), plus the job's identity and scheduling. `nl` is
+/// non-owning and must stay alive until the job's on_done callback has
+/// returned.
+struct ExecutorJob : ReplicaSpec {
   std::uint64_t job = 0;      ///< caller's id, threaded through callbacks
   const Netlist* nl = nullptr;
-  /// Stage parameters (seed/recover ignored; see ReplicaConfig::base).
-  FlowParams base;
-  std::uint64_t master_seed = 1;
   int replicas = 1;
-  int max_attempts = 2;
   /// Scheduling class, clamped into [0, kNumPriorities): 0 = batch,
   /// 1 = normal, 2 = urgent. Affects *when* the job runs, never what it
   /// computes — results stay byte-identical across priorities.
   int priority = 1;
-  WatchdogPolicy watchdog;
-  /// Per-replica work quota (RunBudget semantics: graceful wind-down).
-  std::int64_t budget_moves = recover::RunBudget::kUnlimited;
-  std::int64_t budget_steps = recover::RunBudget::kUnlimited;
-  /// When non-empty, replica `i` checkpoints into
-  /// `<checkpoint_root>/replica-<i>`.
-  std::string checkpoint_root;
-  int checkpoint_every = 5;
-  int checkpoint_keep = 4;
-  /// Per-replica checkpoint-directory byte quota (0 = unbounded); see
-  /// ReplicaConfig::checkpoint_quota_bytes.
-  std::uint64_t checkpoint_quota_bytes = 0;
-  /// Disk-fault injection seam forwarded to every replica's checkpoint
-  /// sink (non-owning, thread-safe implementation required).
-  recover::DiskFaultInjector* disk_faults = nullptr;
-  /// Crash re-adoption (see ReplicaConfig::adopt_existing): first attempts
+  /// Crash re-adoption (see ReplicaSignals::adopt): first attempts
   /// resume from surviving checkpoints instead of starting cold.
   bool adopt_existing = false;
 };
 
-/// Terminal state of one executed job.
-struct ExecutorResult {
+/// Terminal state of one executed job: its rolled-up replicas.
+struct ExecutorResult : PoolResult {
   std::uint64_t job = 0;
-  std::vector<ReplicaReport> replicas;  ///< indexed by replica id
-  int best = -1;  ///< best-feasible replica, -1 when every replica failed
-
-  bool ok() const { return best >= 0; }
-  const ReplicaReport& best_report() const {
-    return replicas.at(static_cast<std::size_t>(best));
-  }
 };
 
 class PoolExecutor {
@@ -143,13 +119,10 @@ class PoolExecutor {
   };
   Stats stats() const;
 
-  int threads() const { return threads_; }
-
  private:
   struct Shared;  // mutex-guarded queue/jobs state, defined in executor.cpp
 
   std::shared_ptr<Shared> shared_;
-  int threads_ = 0;
 };
 
 }  // namespace tw::pool

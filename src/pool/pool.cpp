@@ -6,7 +6,6 @@
 #include "check/contracts.hpp"
 #include "pool/workers.hpp"
 #include "util/log.hpp"
-#include "util/stats.hpp"
 
 namespace tw::pool {
 
@@ -42,31 +41,15 @@ PoolResult ReplicaPool::run(Placement& placement) {
   const PoolParams& params = params_;
   const Netlist& nl = nl_;
   std::atomic<bool>& cancel = cancel_;
-  // `threads` replicas run at once, so each routes on its share of the
-  // host's cores unless the caller fixed the router's worker count.
-  const int router_workers = std::max(1, host_workers() / threads);
-  const WorkerCrew::Job replica = [router_workers, &params, &nl, &cancel,
+  const WorkerCrew::Job replica = [threads, &params, &nl, &cancel,
                                    &reports](int /*worker*/, int id) {
-    ReplicaConfig cfg;
-    cfg.replica = id;
-    cfg.master_seed = params.master_seed;
-    cfg.base = params.base;
-    if (cfg.base.stage2.router.workers == 0)
-      cfg.base.stage2.router.workers = router_workers;
-    cfg.max_attempts = params.max_attempts;
-    cfg.watchdog = params.watchdog;
-    cfg.budget_moves = params.budget_moves;
-    cfg.budget_steps = params.budget_steps;
-    if (!params.checkpoint_root.empty())
-      cfg.checkpoint_dir =
-          params.checkpoint_root + "/replica-" + std::to_string(id);
-    cfg.checkpoint_every = params.checkpoint_every;
-    cfg.checkpoint_keep = params.checkpoint_keep;
-    cfg.faults = params.fault_for ? params.fault_for(id) : nullptr;
-    cfg.cancel = &cancel;
+    ReplicaSignals signals;
+    signals.concurrent = threads;
+    signals.faults = params.fault_for ? params.fault_for(id) : nullptr;
+    signals.cancel = &cancel;
     ReplicaReport& slot = reports[static_cast<std::size_t>(id)];
     try {
-      slot = run_replica(nl, cfg);
+      slot = run_replica(nl, params, id, signals);
     } catch (const std::exception& e) {
       // run_replica absorbs flow failures itself; anything reaching here
       // (bad_alloc, a throwing contract trap) still must not take the
@@ -77,36 +60,17 @@ PoolResult ReplicaPool::run(Placement& placement) {
   WorkerCrew crew(threads);
   crew.run(n, replica);
 
-  PoolResult out;
-  out.replicas = std::move(reports);
-  RunningStats teil;
-  for (const ReplicaReport& r : out.replicas) {
-    out.stats.attempts += static_cast<int>(r.attempts.size());
-    out.stats.retries +=
-        std::max(0, static_cast<int>(r.attempts.size()) - 1);
-    if (r.outcome != ReplicaOutcome::kSucceeded) {
-      ++out.stats.failed;
-      continue;
-    }
-    ++out.stats.succeeded;
-    teil.add(r.final_teil);
-  }
-  const int best = select_best(out.replicas);
-  if (best < 0)
+  PoolResult out = roll_up(std::move(reports));
+  if (!out.ok())
     throw PoolError("replica pool: all " + std::to_string(n) +
                         " replica(s) exhausted their retries",
                     std::move(out.replicas));
-  out.best = best;
-  out.stats.teil_best = teil.min();
-  out.stats.teil_worst = teil.max();
-  out.stats.teil_mean = teil.mean();
-  out.stats.teil_stddev = teil.stddev();
 
   recover::apply_placement(placement, out.best_report().placement);
   log_info("replica pool: ", out.stats.succeeded, "/", n,
            " replica(s) succeeded in ", out.stats.attempts,
            " attempt(s); best teil=", out.stats.teil_best,
-           " (replica ", best, "), mean=", out.stats.teil_mean);
+           " (replica ", out.best, "), mean=", out.stats.teil_mean);
   return out;
 }
 

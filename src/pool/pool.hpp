@@ -35,42 +35,15 @@
 
 namespace tw::pool {
 
-/// Aggregate pool statistics; the TEIL spread quantifies how much the
-/// multi-start bought over a single run (best vs mean of the replicas).
-struct PoolStats {
-  int succeeded = 0;        ///< replicas ending kSucceeded
-  int failed = 0;           ///< replicas ending kFailed (retries exhausted)
-  int attempts = 0;         ///< attempts across all replicas
-  int retries = 0;          ///< attempts beyond each replica's first
-  double teil_best = 0.0;   ///< over succeeded replicas (valid when > 0)
-  double teil_worst = 0.0;
-  double teil_mean = 0.0;
-  double teil_stddev = 0.0;
-};
-
-struct PoolParams {
+/// One pool run: the replica spec every replica shares (replica.hpp),
+/// plus how many replicas, on how many threads, under which faults.
+struct PoolParams : ReplicaSpec {
   /// N: independent replicas of the flow (>= 1).
   int replicas = 4;
   /// Crew workers, the calling thread included; 0 sizes the crew to
   /// min(replicas, hardware concurrency). The count never changes any
   /// result, only how many replicas make progress at once.
   int threads = 0;
-  std::uint64_t master_seed = 1;
-  /// Stage parameters shared by every replica. `base.seed` and
-  /// `base.recover` are ignored — the pool derives per-replica seeds and
-  /// owns the run-lifecycle wiring (budgets, checkpoints, probes).
-  FlowParams base;
-  /// Supervision (see replica.hpp for the semantics of each).
-  int max_attempts = 3;
-  WatchdogPolicy watchdog;
-  std::int64_t budget_moves = recover::RunBudget::kUnlimited;
-  std::int64_t budget_steps = recover::RunBudget::kUnlimited;
-  /// When non-empty, replica `i` checkpoints into
-  /// `<checkpoint_root>/replica-<i>` and can resume across retries.
-  std::string checkpoint_root;
-  int checkpoint_every = 5;
-  /// Retention per replica directory (keep newest K; 0 keeps all).
-  int checkpoint_keep = 4;
   /// Deterministic fault injection for the supervisor tests: called once
   /// per replica (from the crew thread that runs it) before its first
   /// attempt; may return nullptr. The injector is polled across all of
@@ -89,16 +62,6 @@ class PoolError : public std::runtime_error {
 
  private:
   std::vector<ReplicaReport> replicas_;
-};
-
-struct PoolResult {
-  std::vector<ReplicaReport> replicas;  ///< indexed by replica id
-  int best = -1;                        ///< index of the winning replica
-  PoolStats stats;
-
-  const ReplicaReport& best_report() const {
-    return replicas.at(static_cast<std::size_t>(best));
-  }
 };
 
 class ReplicaPool {

@@ -6,12 +6,15 @@
 #include <iomanip>
 #include <optional>
 #include <sstream>
+#include <utility>
 
 #include "check/validate.hpp"
+#include "pool/workers.hpp"
 #include "recover/fault.hpp"
 #include "util/hash.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace tw::pool {
 namespace {
@@ -64,8 +67,8 @@ class ReplicaProbe final : public recover::FaultInjector {
 };
 
 /// Strict improvement in the best-feasible order: lower TEIL, then
-/// smaller chip area. select_best scans in index order, so the lower
-/// replica id wins a full tie.
+/// smaller chip area. roll_up scans in index order, so the lower replica
+/// id wins a full tie.
 bool improves(const ReplicaReport& candidate, const ReplicaReport& best) {
   if (candidate.final_teil != best.final_teil)
     return candidate.final_teil < best.final_teil;
@@ -143,17 +146,6 @@ std::uint64_t result_fingerprint(const Placement& placement,
   return fnv1a(os.str());
 }
 
-int select_best(const std::vector<ReplicaReport>& replicas) {
-  int best = -1;
-  for (int i = 0; i < static_cast<int>(replicas.size()); ++i) {
-    const ReplicaReport& r = replicas[static_cast<std::size_t>(i)];
-    if (r.outcome != ReplicaOutcome::kSucceeded) continue;
-    if (best < 0 || improves(r, replicas[static_cast<std::size_t>(best)]))
-      best = i;
-  }
-  return best;
-}
-
 ReplicaReport failed_report(int replica, const std::string& why) {
   ReplicaReport r;
   r.replica = replica;
@@ -165,12 +157,45 @@ ReplicaReport failed_report(int replica, const std::string& why) {
   return r;
 }
 
-ReplicaReport run_replica(const Netlist& nl, const ReplicaConfig& cfg) {
-  ReplicaReport report;
-  report.replica = cfg.replica;
+PoolResult roll_up(std::vector<ReplicaReport> replicas) {
+  PoolResult out;
+  out.replicas = std::move(replicas);
+  RunningStats teil;
+  for (int i = 0; i < static_cast<int>(out.replicas.size()); ++i) {
+    const ReplicaReport& r = out.replicas[static_cast<std::size_t>(i)];
+    out.stats.attempts += static_cast<int>(r.attempts.size());
+    out.stats.retries +=
+        std::max(0, static_cast<int>(r.attempts.size()) - 1);
+    if (r.outcome != ReplicaOutcome::kSucceeded) {
+      ++out.stats.failed;
+      continue;
+    }
+    ++out.stats.succeeded;
+    teil.add(r.final_teil);
+    if (!out.ok() || improves(r, out.best_report())) out.best = i;
+  }
+  out.stats.teil_best = teil.min();
+  out.stats.teil_worst = teil.max();
+  out.stats.teil_mean = teil.mean();
+  out.stats.teil_stddev = teil.stddev();
+  return out;
+}
 
+ReplicaReport run_replica(const Netlist& nl, const ReplicaSpec& spec,
+                          int replica, const ReplicaSignals& signals) {
+  ReplicaReport report;
+  report.replica = replica;
+
+  const std::string dir =
+      spec.checkpoint_root.empty()
+          ? std::string()
+          : spec.checkpoint_root + "/replica-" + std::to_string(replica);
+  FlowParams base = spec.base;
+  if (base.stage2.router.workers == 0)
+    base.stage2.router.workers =
+        std::max(1, host_workers() / std::max(1, signals.concurrent));
   const std::uint64_t digest = recover::netlist_digest(nl);
-  const int max_attempts = std::max(1, cfg.max_attempts);
+  const int max_attempts = std::max(1, spec.max_attempts);
   int rotation = 0;  // cold starts consumed, drives the seed rotation
   // Checkpoint-off degraded mode: once an attempt dies on a checkpoint
   // write failure (full disk, byte quota), later attempts stop *writing*
@@ -183,43 +208,43 @@ ReplicaReport run_replica(const Netlist& nl, const ReplicaConfig& cfg) {
   for (int attempt = 0; attempt < max_attempts; ++attempt) {
     AttemptRecord rec;
     rec.attempt = attempt;
-    rec.watchdog_allowance = cfg.watchdog.allowance(attempt);
+    rec.watchdog_allowance = spec.watchdog.allowance(attempt);
     rec.checkpoints_disabled = checkpoints_off;
 
     // Retry policy: resume from the newest *valid* checkpoint of a
     // previous attempt when one survives (adopt_checkpoint skips torn or
     // bit-rotted files and checkpoints from a different netlist — a stale
     // directory is treated as absent); cold-restart on the next rotated
-    // seed otherwise. With `adopt_existing` (the placement service's
+    // seed otherwise. With `adopt` (the placement service's
     // crash-recovery path) even the first attempt adopts a surviving
     // checkpoint, so a job killed mid-anneal continues instead of
     // restarting from scratch.
     std::optional<recover::FlowCheckpoint> cp;
-    if (!cfg.checkpoint_dir.empty() && (attempt > 0 || cfg.adopt_existing))
-      cp = recover::adopt_checkpoint(cfg.checkpoint_dir, digest);
+    if (!dir.empty() && (attempt > 0 || signals.adopt))
+      cp = recover::adopt_checkpoint(dir, digest);
     rec.resumed = cp.has_value();
     if (cp) {
       // Resuming binds the attempt to the seed the checkpoint was taken
       // under; rotation applies only to cold restarts.
       rec.seed = cp->master_seed;
     } else {
-      rec.seed = derive_attempt_seed(cfg.master_seed, cfg.replica, rotation);
+      rec.seed = derive_attempt_seed(spec.master_seed, replica, rotation);
       ++rotation;
     }
 
-    FlowParams params = cfg.base;
+    FlowParams params = base;
     params.seed = rec.seed;
     params.recover = {};
-    params.recover.checkpoint_dir = checkpoints_off ? "" : cfg.checkpoint_dir;
-    params.recover.checkpoint_every = cfg.checkpoint_every;
-    params.recover.checkpoint_keep = cfg.checkpoint_keep;
-    params.recover.checkpoint_quota_bytes = cfg.checkpoint_quota_bytes;
-    params.recover.disk_faults = cfg.disk_faults;
-    params.recover.on_progress = cfg.on_progress;
-    recover::RunBudget budget(cfg.budget_moves, cfg.budget_steps);
+    params.recover.checkpoint_dir = checkpoints_off ? "" : dir;
+    params.recover.checkpoint_every = spec.checkpoint_every;
+    params.recover.checkpoint_keep = spec.checkpoint_keep;
+    params.recover.checkpoint_quota_bytes = spec.checkpoint_quota_bytes;
+    params.recover.disk_faults = spec.disk_faults;
+    params.recover.on_progress = signals.on_progress;
+    recover::RunBudget budget(spec.budget_moves, spec.budget_steps);
     params.recover.budget = &budget;
-    ReplicaProbe probe(cfg.replica, attempt, budget, rec.watchdog_allowance,
-                       cfg.faults, cfg.cancel, cfg.preempt);
+    ReplicaProbe probe(replica, attempt, budget, rec.watchdog_allowance,
+                       signals.faults, signals.cancel, signals.preempt);
     params.recover.faults = &probe;
 
     Placement placement(nl);
@@ -286,18 +311,17 @@ ReplicaReport run_replica(const Netlist& nl, const ReplicaConfig& cfg) {
     // An invalid result is fully deterministic: resuming its checkpoint
     // would replay the same bytes to the same invalid end state. Wipe the
     // directory so the retry cold-starts on a rotated seed instead.
-    if (rec.outcome == AttemptOutcome::kInvalid &&
-        !cfg.checkpoint_dir.empty()) {
+    if (rec.outcome == AttemptOutcome::kInvalid && !dir.empty()) {
       std::error_code ec;
-      std::filesystem::remove_all(cfg.checkpoint_dir, ec);
+      std::filesystem::remove_all(dir, ec);
     }
-    log_warn("pool replica ", cfg.replica, " attempt ", attempt, " failed (",
+    log_warn("pool replica ", replica, " attempt ", attempt, " failed (",
              to_string(rec.outcome), "): ", rec.error);
 
     // A cancelled pool stops retrying: the point of cancellation is to
     // hand back whatever survives, now.
-    if (cfg.cancel != nullptr &&
-        cfg.cancel->load(std::memory_order_relaxed))
+    if (signals.cancel != nullptr &&
+        signals.cancel->load(std::memory_order_relaxed))
       break;
   }
 

@@ -13,12 +13,15 @@
 // Everything here is single-threaded and deterministic; ReplicaPool
 // (pool.hpp) runs replicas as the slots of a WorkerCrew and PoolExecutor
 // (executor.hpp) on its worker threads, which is safe exactly because a
-// replica shares no mutable state with its siblings. Both pick the winner
-// with select_best, so the selection policy lives here once.
+// replica shares no mutable state with its siblings. Both runners hold a
+// ReplicaSpec, run each replica through run_replica and roll the reports
+// up with roll_up, so the settings, the selection policy and the
+// statistics live here once.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -133,15 +136,18 @@ struct ReplicaReport {
 std::uint64_t result_fingerprint(const Placement& placement,
                                  const FlowResult& result);
 
-/// Supervision parameters of one replica (ReplicaPool derives one per
-/// replica from its PoolParams).
-struct ReplicaConfig {
-  int replica = 0;
-  std::uint64_t master_seed = 1;
+/// What every replica of one supervised run shares. ReplicaPool's
+/// PoolParams and PoolExecutor's ExecutorJob are this spec plus what
+/// their runner needs, so each setting is declared here once.
+struct ReplicaSpec {
   /// Stage parameters shared by all replicas. `base.seed` and
   /// `base.recover` are ignored: the supervisor derives the per-attempt
-  /// seed and owns the run-lifecycle wiring.
+  /// seed and owns the run-lifecycle wiring (budgets, checkpoints,
+  /// probes). A zero `base.stage2.router.workers` becomes the replica's
+  /// share of the host's cores (see ReplicaSignals::concurrent).
   FlowParams base;
+  std::uint64_t master_seed = 1;
+  /// Attempts per replica (>= 1) before it is recorded as failed.
   int max_attempts = 3;
   WatchdogPolicy watchdog;
   /// Per-attempt graceful work budget (RunBudget semantics: on expiry the
@@ -149,19 +155,14 @@ struct ReplicaConfig {
   /// a usable result* — unlike a watchdog kill).
   std::int64_t budget_moves = recover::RunBudget::kUnlimited;
   std::int64_t budget_steps = recover::RunBudget::kUnlimited;
-  /// Checkpoint directory of this replica ("" disables checkpoints and
-  /// with them resume-on-retry).
-  std::string checkpoint_dir;
-  /// Adopt a surviving valid checkpoint on the *first* attempt too (not
-  /// just on retries). This is the placement service's crash-recovery
-  /// path: a daemon restarted after kill -9 re-runs its in-flight jobs
-  /// with adopt_existing set, so each one continues from the newest
-  /// checkpoint its killed predecessor wrote — byte-identical to the
-  /// uninterrupted run — instead of re-annealing from scratch.
-  bool adopt_existing = false;
+  /// When non-empty, replica `i` checkpoints into
+  /// `<checkpoint_root>/replica-<i>` and can resume across retries; ""
+  /// disables checkpoints and with them resume-on-retry.
+  std::string checkpoint_root;
   int checkpoint_every = 5;
+  /// Retention per replica directory (keep newest K; 0 keeps all).
   int checkpoint_keep = 4;
-  /// Byte quota for this replica's checkpoint directory (0 = unbounded).
+  /// Byte quota for each replica's checkpoint directory (0 = unbounded).
   /// A save that would exceed it fails typed; the supervisor then
   /// degrades the replica to checkpoint-off mode instead of crashing.
   std::uint64_t checkpoint_quota_bytes = 0;
@@ -169,14 +170,29 @@ struct ReplicaConfig {
   /// (non-owning; shared across replicas, so implementations are
   /// thread-safe — see recover::DiskFaultInjector).
   recover::DiskFaultInjector* disk_faults = nullptr;
+};
+
+/// What one replica gets at run time beyond the shared spec: how many
+/// replicas share the host with it, and the signals of the runner that
+/// runs it.
+struct ReplicaSignals {
+  /// Replicas the runner runs at once. Each routes on a
+  /// 1/concurrent share of the host's cores unless `base` fixes the
+  /// router's worker count; the share never changes a result.
+  int concurrent = 1;
+  /// Adopt a surviving valid checkpoint on the *first* attempt too (not
+  /// just on retries). This is the placement service's crash-recovery
+  /// and preemption path: a re-run job or a parked replica continues
+  /// from the newest checkpoint its predecessor wrote — byte-identical
+  /// to the uninterrupted run — instead of re-annealing from scratch.
+  bool adopt = false;
   /// Deterministic fault injection for this replica (non-owning; polled
   /// across all of its attempts, so a plan's Nth-poll arms address the
   /// replica's whole supervised lifetime).
   recover::FaultInjector* faults = nullptr;
-  /// Cooperative pool-wide cancellation (non-owning). When it reads true
-  /// at a poll boundary, the attempt's budget is cancelled and the flow
-  /// winds down gracefully to its best feasible state; no further
-  /// attempts start.
+  /// Cooperative cancellation (non-owning). When it reads true at a poll
+  /// boundary, the attempt's budget is cancelled and the flow winds down
+  /// gracefully to its best feasible state; no further attempts start.
   const std::atomic<bool>* cancel = nullptr;
   /// Checkpoint-preemption request (non-owning). When it reads true at a
   /// poll boundary the attempt's budget is flagged and the flow parks at
@@ -192,24 +208,55 @@ struct ReplicaConfig {
   std::function<void(const FlowProgress&)> on_progress;
 };
 
-/// The deterministic best-feasible choice among `replicas`: the
-/// kSucceeded report with the lowest final TEIL, then the smaller chip
-/// area, then the lower index. -1 when no replica succeeded.
-int select_best(const std::vector<ReplicaReport>& replicas);
-
 /// The report of a replica whose run threw past run_replica (bad_alloc, a
 /// throwing contract trap): failed, with one kError attempt saying `why`.
 /// Callers record it instead of letting the exception take down the
 /// threads that run the other replicas.
 ReplicaReport failed_report(int replica, const std::string& why);
 
-/// Runs one replica to its terminal state: attempt, classify, retry with
-/// resume-or-rotate, give up after max_attempts. Never throws for flow
-/// failures — those are recorded in the report — with one deliberate
-/// exception: recover::Preempted (see ReplicaConfig::preempt) propagates
-/// to the caller, because a preempted replica is parked, not failed.
-/// Only programming errors (std::bad_alloc, contract aborts) escape
-/// otherwise.
-ReplicaReport run_replica(const Netlist& nl, const ReplicaConfig& cfg);
+/// Runs replica `replica` of `spec` to its terminal state: attempt,
+/// classify, retry with resume-or-rotate, give up after max_attempts.
+/// Never throws for flow failures — those are recorded in the report —
+/// with one deliberate exception: recover::Preempted (see
+/// ReplicaSignals::preempt) propagates to the caller, because a
+/// preempted replica is parked, not failed. Only programming errors
+/// (std::bad_alloc, contract aborts) escape otherwise.
+ReplicaReport run_replica(const Netlist& nl, const ReplicaSpec& spec,
+                          int replica, const ReplicaSignals& signals);
+
+/// Aggregate statistics of a finished run; the TEIL spread quantifies how
+/// much the multi-start bought over a single run (best vs mean of the
+/// replicas).
+struct PoolStats {
+  int succeeded = 0;        ///< replicas ending kSucceeded
+  int failed = 0;           ///< replicas ending kFailed (retries exhausted)
+  int attempts = 0;         ///< attempts across all replicas
+  int retries = 0;          ///< attempts beyond each replica's first
+  double teil_best = 0.0;   ///< over succeeded replicas (valid when > 0)
+  double teil_worst = 0.0;
+  double teil_mean = 0.0;
+  double teil_stddev = 0.0;
+
+  bool operator==(const PoolStats&) const = default;
+};
+
+/// A finished run: every replica's report, the best-feasible winner and
+/// the statistics. ReplicaPool returns it; PoolExecutor reports it per
+/// job (ExecutorResult adds the job id).
+struct PoolResult {
+  std::vector<ReplicaReport> replicas;  ///< indexed by replica id
+  int best = -1;  ///< best-feasible replica, -1 when every replica failed
+  PoolStats stats;
+
+  bool ok() const { return best >= 0; }
+  const ReplicaReport& best_report() const {
+    return replicas.at(static_cast<std::size_t>(best));
+  }
+};
+
+/// The one rollup of a finished run. The winner is the deterministic
+/// best-feasible choice: the kSucceeded report with the lowest final
+/// TEIL, then the smaller chip area, then the lower index.
+PoolResult roll_up(std::vector<ReplicaReport> replicas);
 
 }  // namespace tw::pool

@@ -66,6 +66,7 @@ struct Conn {
 struct Daemon::Impl {
   DaemonConfig cfg;
   int listen_fd = -1;
+  bool published = false;  ///< the socket path is this daemon's
   int wake_r = -1;
   int wake_w = -1;
   std::shared_ptr<EventQueue> events;
@@ -84,7 +85,7 @@ struct Daemon::Impl {
     if (wake_r >= 0) ::close(wake_r);
     if (wake_w >= 0) ::close(wake_w);
     std::error_code ec;
-    std::filesystem::remove(cfg.socket_path, ec);
+    if (published) std::filesystem::remove(cfg.socket_path, ec);
   }
 
   /// The deterministic kill switch: std::_Exit skips unwinding, flushes
@@ -98,31 +99,46 @@ struct Daemon::Impl {
       }
   }
 
+  /// Binds and listens under a temporary name next to the socket path,
+  /// then renames the listening socket onto the path: the path exists
+  /// only while a daemon listens on it, so a client never finds a socket
+  /// that refuses it, and the rename replaces a stale file left by a
+  /// killed predecessor atomically.
   void setup_socket() {
+    const std::string& path = cfg.socket_path;
+    const std::string tmp = path + ".tmp." + std::to_string(::getpid());
     sockaddr_un addr{};
-    if (cfg.socket_path.size() >= sizeof addr.sun_path)
+    if (tmp.size() >= sizeof addr.sun_path)
       throw ServeError(ServeErrc::kIo,
-                       "socket path too long: " + cfg.socket_path);
+                       "socket path too long: " + path + " (its temporary "
+                       "name " + tmp + " must be shorter than " +
+                       std::to_string(sizeof addr.sun_path) + " bytes)");
     addr.sun_family = AF_UNIX;
-    std::memcpy(addr.sun_path, cfg.socket_path.c_str(),
-                cfg.socket_path.size() + 1);
+    std::memcpy(addr.sun_path, tmp.c_str(), tmp.size() + 1);
 
     listen_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
     if (listen_fd < 0)
       throw ServeError(ServeErrc::kIo, "socket() failed: " +
                                            std::string(std::strerror(errno)));
-    // A predecessor killed with SIGKILL leaves its socket file behind;
-    // replace it (the state directory, not the socket, is the truth).
+    // A predecessor with this pid, killed before its rename, left the
+    // temporary name behind.
     std::error_code ec;
-    std::filesystem::remove(cfg.socket_path, ec);
+    std::filesystem::remove(tmp, ec);
+    const auto fail = [&tmp](const std::string& call) {
+      const std::string why = std::strerror(errno);
+      std::error_code ignored;
+      std::filesystem::remove(tmp, ignored);
+      throw ServeError(ServeErrc::kIo, call + " failed: " + why);
+    };
     if (::bind(listen_fd, reinterpret_cast<const sockaddr*>(&addr),
                sizeof addr) < 0)
-      throw ServeError(ServeErrc::kIo,
-                       "bind(" + cfg.socket_path +
-                           ") failed: " + std::strerror(errno));
-    if (::listen(listen_fd, 64) < 0)
-      throw ServeError(ServeErrc::kIo, "listen() failed: " +
-                                           std::string(std::strerror(errno)));
+      fail("bind(" + tmp + ")");
+    if (::listen(listen_fd, 64) < 0) fail("listen(" + tmp + ")");
+    // A listening socket, not a written file: recover::write_atomic does
+    // not apply.
+    if (::rename(tmp.c_str(), path.c_str()) < 0)  // lint: allow(atomic-write)
+      fail("rename(" + tmp + ", " + path + ")");
+    published = true;
     set_nonblocking(listen_fd);
 
     int pipefd[2];

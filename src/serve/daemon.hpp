@@ -83,10 +83,11 @@ struct DaemonConfig {
 
 class Daemon {
  public:
-  /// Binds + listens on the socket (replacing a stale socket file) and
-  /// builds the scheduler — which is where journal replay and job
-  /// re-adoption happen, before the first client can connect. Throws
-  /// ServeError(kIo) when the socket cannot be set up.
+  /// Listens on the socket (its path appears only once the daemon
+  /// listens, atomically replacing a stale socket file) and builds the
+  /// scheduler — which is where journal replay and job re-adoption
+  /// happen, before the first client is served. Throws ServeError(kIo)
+  /// when the socket cannot be set up.
   explicit Daemon(DaemonConfig cfg);
   ~Daemon();
 

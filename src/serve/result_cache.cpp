@@ -20,7 +20,7 @@ constexpr recover::NumberedFiles kEntries{"res-", ".twr"};
 
 /// One entry's payload: its key, then the cached result.
 template <class Io, recover::MaybeConst<CacheKey> K,
-          recover::MaybeConst<CachedResult> R>
+          recover::MaybeConst<JobResult> R>
 void fields(Io& io, K& key, R& r) {
   io.u64(key.netlist);
   io.u64(key.params);
@@ -36,7 +36,7 @@ void fields(Io& io, K& key, R& r) {
 /// Reads one entry file back; false when it is unreadable, torn or
 /// invalid (the caller logs and skips it).
 bool read_entry(const std::optional<std::vector<std::uint8_t>>& bytes,
-                CacheKey& key, CachedResult& r) {
+                CacheKey& key, JobResult& r) {
   if (!bytes) return false;
   try {
     ByteReader pr(recover::unframe(*bytes, kMagic, kCacheVersion, "entry"));
@@ -73,7 +73,7 @@ ResultCache::ResultCache(std::string dir, std::uint64_t budget_bytes,
     const std::string path = kEntries.path(dir_, n);
     const auto bytes = recover::read_file(path);
     CacheKey key;
-    CachedResult r;
+    JobResult r;
     if (!read_entry(bytes, key, r)) {
       log_warn("result cache: unreadable or invalid entry ", path,
                " (torn write or foreign file); skipping");
@@ -89,13 +89,13 @@ ResultCache::ResultCache(std::string dir, std::uint64_t budget_bytes,
   prune();
 }
 
-std::optional<CachedResult> ResultCache::lookup(const CacheKey& key) const {
+std::optional<JobResult> ResultCache::lookup(const CacheKey& key) const {
   const auto it = index_.find(key);
   if (it == index_.end()) return std::nullopt;
   return it->second.result;
 }
 
-void ResultCache::put(const CacheKey& key, const CachedResult& result) {
+void ResultCache::put(const CacheKey& key, const JobResult& result) {
   if (!cacheable(result.status)) return;
 
   ByteWriter w;

@@ -42,18 +42,6 @@ struct CacheKey {
   }
 };
 
-/// The cached terminal state of one job (everything a ResultEvent needs
-/// except the per-submission job id and `cached` flag).
-struct CachedResult {
-  JobStatus status = JobStatus::kCompleted;
-  std::uint64_t fingerprint = 0;
-  double final_teil = 0.0;
-  std::int64_t final_chip_area = 0;
-  std::int32_t replicas_succeeded = 0;
-  std::int32_t replicas_total = 0;
-  std::int32_t attempts = 0;
-};
-
 /// True for the deterministic terminal states the cache stores.
 bool cacheable(JobStatus status);
 
@@ -68,14 +56,14 @@ class ResultCache {
   ResultCache(std::string dir, std::uint64_t budget_bytes,
               recover::DiskFaultInjector* disk_faults = nullptr);
 
-  std::optional<CachedResult> lookup(const CacheKey& key) const;
+  std::optional<JobResult> lookup(const CacheKey& key) const;
 
   /// Persists (atomic temp + rename) then indexes the entry; evicts the
   /// oldest files until the directory fits the byte budget again.
   /// Non-cacheable statuses are ignored; an entry that alone exceeds the
   /// whole budget is refused with ServeError(kIo) rather than thrashing
   /// the cache. Throws ServeError(kIo) when the entry cannot be written.
-  void put(const CacheKey& key, const CachedResult& result);
+  void put(const CacheKey& key, const JobResult& result);
 
   int size() const { return static_cast<int>(index_.size()); }
   std::uint64_t bytes() const { return bytes_; }  ///< live entry bytes
@@ -89,7 +77,7 @@ class ResultCache {
   struct Entry {
     int counter = 0;          ///< file number backing this entry
     std::uint64_t bytes = 0;  ///< its on-disk size
-    CachedResult result;
+    JobResult result;
   };
 
   void prune();

@@ -30,33 +30,16 @@ Submitted rejected(RejectCode code, std::string detail,
   return out;
 }
 
-ResultEvent event_from(std::uint64_t job, const CachedResult& r,
-                       bool cached) {
-  ResultEvent ev;
-  ev.job = job;
-  ev.status = r.status;
-  ev.cached = cached;
-  ev.fingerprint = r.fingerprint;
-  ev.final_teil = r.final_teil;
-  ev.final_chip_area = r.final_chip_area;
-  ev.replicas_succeeded = r.replicas_succeeded;
-  ev.replicas_total = r.replicas_total;
-  ev.attempts = r.attempts;
-  return ev;
-}
-
-/// Job-level rollup of an executor result. The winning attempt is always
-/// the best replica's last (run_replica returns at the first usable one).
+/// The job-level result of an executor run, read off its rollup. The
+/// winning attempt is always the best replica's last (run_replica returns
+/// at the first usable one).
 ResultEvent event_from(const pool::ExecutorResult& r) {
   ResultEvent ev;
   ev.job = r.job;
-  ev.replicas_total = static_cast<std::int32_t>(r.replicas.size());
-  for (const pool::ReplicaReport& rep : r.replicas) {
-    ev.attempts += static_cast<std::int32_t>(rep.attempts.size());
-    if (rep.outcome == pool::ReplicaOutcome::kSucceeded)
-      ++ev.replicas_succeeded;
-  }
-  if (r.best < 0) {
+  ev.replicas_succeeded = r.stats.succeeded;
+  ev.replicas_total = r.stats.succeeded + r.stats.failed;
+  ev.attempts = r.stats.attempts;
+  if (!r.ok()) {
     ev.status = JobStatus::kFailed;
     for (const pool::ReplicaReport& rep : r.replicas)
       if (!rep.attempts.empty()) {
@@ -81,18 +64,6 @@ ResultEvent event_from(const pool::ExecutorResult& r) {
   ev.final_teil = best.final_teil;
   ev.final_chip_area = best.final_chip_area;
   return ev;
-}
-
-CachedResult cached_from(const ResultEvent& ev) {
-  CachedResult r;
-  r.status = ev.status;
-  r.fingerprint = ev.fingerprint;
-  r.final_teil = ev.final_teil;
-  r.final_chip_area = ev.final_chip_area;
-  r.replicas_succeeded = ev.replicas_succeeded;
-  r.replicas_total = ev.replicas_total;
-  r.attempts = ev.attempts;
-  return r;
 }
 
 }  // namespace
@@ -180,16 +151,12 @@ Scheduler::Scheduler(SchedulerConfig cfg, pool::PoolExecutor::Hooks hooks)
       }
       continue;
     }
-    Job job;
-    job.id = lj.job;
-    job.key = key;
-    job.params = lj.params;
-    job.yal = std::move(lj.netlist_yal);
-    job.nl = std::make_unique<Netlist>(std::move(*nl));
-    job.cancelled = lj.cancelled;
-    recovered_.push_back(lj.job);
-    enqueue(std::move(job), /*adopt_existing=*/true);
-    if (lj.cancelled) executor_->cancel(lj.job);
+    const std::uint64_t id = lj.job;
+    const bool cancelled = lj.cancelled;
+    recovered_.push_back(id);
+    enqueue(Job{std::move(lj), key, std::make_unique<Netlist>(std::move(*nl))},
+            /*adopt_existing=*/true);
+    if (cancelled) executor_->cancel(id);
   }
   if (!recovered_.empty())
     log_info("recovery: re-adopted ", recovered_.size(),
@@ -208,25 +175,26 @@ std::string Scheduler::job_dir(std::uint64_t id) const {
 }
 
 void Scheduler::enqueue(Job&& job, bool adopt_existing) {
+  const JobParams& p = job.live.params;
   pool::ExecutorJob ej;
-  ej.job = job.id;
-  ej.base = flow_params_from(job.params);
-  ej.master_seed = job.params.master_seed;
-  ej.replicas = job.params.replicas;
-  ej.max_attempts = std::max(1, job.params.max_attempts);
-  ej.watchdog.initial_moves = job.params.watchdog_moves;
-  ej.budget_moves = job.params.budget_moves;
-  ej.budget_steps = job.params.budget_steps;
-  ej.checkpoint_root = job_dir(job.id);
-  ej.checkpoint_every = std::max(1, job.params.checkpoint_every);
-  ej.checkpoint_keep = std::max(0, job.params.checkpoint_keep);
+  ej.job = job.live.job;
+  ej.base = flow_params_from(p);
+  ej.master_seed = p.master_seed;
+  ej.replicas = p.replicas;
+  ej.max_attempts = std::max(1, p.max_attempts);
+  ej.watchdog.initial_moves = p.watchdog_moves;
+  ej.budget_moves = p.budget_moves;
+  ej.budget_steps = p.budget_steps;
+  ej.checkpoint_root = job_dir(job.live.job);
+  ej.checkpoint_every = std::max(1, p.checkpoint_every);
+  ej.checkpoint_keep = std::max(0, p.checkpoint_keep);
   ej.checkpoint_quota_bytes = checkpoint_quota_bytes_;
   ej.disk_faults = disk_faults_;
-  ej.priority = static_cast<int>(job.params.priority);
+  ej.priority = static_cast<int>(p.priority);
   ej.adopt_existing = adopt_existing;
 
-  running_[job.key] = job.id;
-  const auto [it, inserted] = jobs_.emplace(job.id, std::move(job));
+  running_[job.key] = ej.job;
+  const auto [it, inserted] = jobs_.emplace(ej.job, std::move(job));
   // The netlist pointer handed to the executor lives in the job table
   // until finish(); map nodes never move.
   ej.nl = it->second.nl.get();
@@ -276,12 +244,12 @@ Submitted Scheduler::submit(const SubmitRequest& req) {
   const CacheKey key{recover::netlist_digest(*nl), params_digest(p)};
 
   // Dedup, cheapest first: a durable result beats an in-flight job.
-  if (const std::optional<CachedResult> hit = cache_->lookup(key)) {
+  if (const std::optional<JobResult> hit = cache_->lookup(key)) {
     Submitted out;
     out.kind = Submitted::Kind::kCached;
     out.job = next_job_++;  // an id for the reply; no work, no journal
     out.disposition = Disposition::kCached;
-    out.cached = event_from(out.job, *hit, /*cached=*/true);
+    out.cached = ResultEvent{*hit, out.job, /*cached=*/true, {}};
     return out;
   }
   if (const auto it = running_.find(key); it != running_.end()) {
@@ -324,13 +292,9 @@ Submitted Scheduler::submit(const SubmitRequest& req) {
                     /*retry_after_ms=*/1000);
   }
 
-  Job job;
-  job.id = id;
-  job.key = key;
-  job.params = p;
-  job.yal = req.netlist_yal;
-  job.nl = std::make_unique<Netlist>(std::move(*nl));
-  enqueue(std::move(job), /*adopt_existing=*/false);
+  enqueue(Job{LiveJob{id, p, req.netlist_yal}, key,
+              std::make_unique<Netlist>(std::move(*nl))},
+          /*adopt_existing=*/false);
 
   Submitted out;
   out.kind = Submitted::Kind::kAccepted;
@@ -342,8 +306,8 @@ Submitted Scheduler::submit(const SubmitRequest& req) {
 bool Scheduler::cancel(std::uint64_t job) {
   const auto it = jobs_.find(job);
   if (it == jobs_.end()) return false;
-  if (!it->second.cancelled) {
-    it->second.cancelled = true;
+  if (!it->second.live.cancelled) {
+    it->second.live.cancelled = true;
     try {
       journal_->record_cancelled(job);
     } catch (const ServeError& e) {
@@ -383,7 +347,7 @@ ResultEvent Scheduler::finish(pool::ExecutorResult r) {
   // result is still delivered; only cross-restart dedup is lost.
   if (!cache_off_) {
     try {
-      cache_->put(job.key, cached_from(ev));
+      cache_->put(job.key, ev);
     } catch (const ServeError& e) {
       cache_off_ = true;
       log_warn("result cache write failed; cache-off mode engaged: ",
@@ -391,7 +355,7 @@ ResultEvent Scheduler::finish(pool::ExecutorResult r) {
     }
   }
   try {
-    journal_->record_finished(job.id);
+    journal_->record_finished(r.job);
   } catch (const ServeError& e) {
     // The job is done and its result is about to be delivered; a lost
     // terminal record only means a restart would re-run (or re-serve
@@ -403,11 +367,11 @@ ResultEvent Scheduler::finish(pool::ExecutorResult r) {
 
   // The checkpoint tree served its purpose; reclaim the disk.
   std::error_code ec;
-  fs::remove_all(job_dir(job.id), ec);
+  fs::remove_all(job_dir(r.job), ec);
   if (ec)
-    log_warn("cannot remove job dir ", job_dir(job.id), ": ", ec.message());
+    log_warn("cannot remove job dir ", job_dir(r.job), ": ", ec.message());
 
-  done_ring_.emplace_back(job.id, JobState::kDone);
+  done_ring_.emplace_back(r.job, JobState::kDone);
   while (done_ring_.size() > kDoneRing) done_ring_.pop_front();
   jobs_.erase(it);
 
@@ -427,8 +391,7 @@ void Scheduler::maybe_compact() {
   finished_since_compact_ = 0;
   std::vector<LiveJob> live;
   live.reserve(jobs_.size());
-  for (const auto& [id, j] : jobs_)
-    live.push_back(LiveJob{j.id, j.params, j.yal, j.cancelled});
+  for (const auto& [id, j] : jobs_) live.push_back(j.live);
   try {
     journal_->compact(live);
   } catch (const ServeError& e) {

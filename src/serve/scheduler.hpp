@@ -142,13 +142,13 @@ class Scheduler {
   void shutdown();
 
  private:
+  /// One job in flight: its journal record (id, params, netlist text,
+  /// cancel flag — what recovery replays and compaction rewrites), its
+  /// dedup key and the parsed netlist the executor runs on.
   struct Job {
-    std::uint64_t id = 0;
+    LiveJob live;
     CacheKey key;
-    JobParams params;
-    std::string yal;  ///< original text, kept for journal compaction
     std::unique_ptr<Netlist> nl;
-    bool cancelled = false;
   };
 
   std::string job_dir(std::uint64_t id) const;

@@ -248,20 +248,25 @@ enum class JobStatus : std::uint8_t {
 
 const char* to_string(JobStatus s);
 
-/// Terminal event of a job: the headline metrics plus the bit-exact
-/// result fingerprint (pool::result_fingerprint) the soak harness
-/// compares across kill/restart runs.
-struct ResultEvent {
-  std::uint64_t job = 0;
+/// A finished job's terminal result: the headline metrics plus the
+/// bit-exact result fingerprint (pool::result_fingerprint) the soak
+/// harness compares across kill/restart runs. The result cache stores
+/// exactly this for an identical resubmission.
+struct JobResult {
   JobStatus status = JobStatus::kFailed;
-  bool cached = false;  ///< served from the result cache, not computed now
   std::uint64_t fingerprint = 0;
   double final_teil = 0.0;
   std::int64_t final_chip_area = 0;
   std::int32_t replicas_succeeded = 0;
   std::int32_t replicas_total = 0;
   std::int32_t attempts = 0;  ///< supervised attempts across all replicas
-  std::string detail;         ///< failure summary when status == kFailed
+};
+
+/// Terminal event of a job: its result, for this submission.
+struct ResultEvent : JobResult {
+  std::uint64_t job = 0;
+  bool cached = false;  ///< served from the result cache, not computed now
+  std::string detail;   ///< failure summary when status == kFailed
 };
 
 enum class JobState : std::uint8_t {

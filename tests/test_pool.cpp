@@ -224,6 +224,42 @@ TEST(ReplicaPoolTest, InjectedFaultsIntoKofNReplicasDegradeGracefully) {
     EXPECT_GE(res.replicas[i].final_teil, res.best_report().final_teil);
 }
 
+// The pool takes the executor's checkpoint quota and disk-fault seam: a
+// replica whose checkpoint write fails retries with checkpoints off and
+// still finishes.
+TEST(ReplicaPoolTest, CheckpointWriteFailuresDegradeToCheckpointOff) {
+  recover::DiskFaultPlan disk;
+  disk.fail_at(recover::DiskSite::kCheckpointWrite, 0);
+  PoolParams params = base_params(/*replicas=*/2, /*threads=*/1);
+  params.checkpoint_root = fresh_dir("tw_pool_diskfault");
+  params.checkpoint_every = 1;
+  params.disk_faults = &disk;
+  Placement placement(test_netlist());
+  PoolResult res = ReplicaPool(test_netlist(), params).run(placement);
+
+  // One thread runs replica 0 first, so it takes the failed write.
+  const ReplicaReport& r0 = res.replicas[0];
+  EXPECT_EQ(r0.outcome, ReplicaOutcome::kSucceeded);
+  EXPECT_TRUE(r0.checkpoint_off);
+  ASSERT_EQ(r0.attempts.size(), 2u);
+  EXPECT_EQ(r0.attempts[0].outcome, AttemptOutcome::kCheckpointError);
+  EXPECT_TRUE(r0.attempts[1].checkpoints_disabled);
+  EXPECT_EQ(res.replicas[1].attempts.size(), 1u);
+  EXPECT_FALSE(res.replicas[1].checkpoint_off);
+
+  // A quota no checkpoint fits degrades every replica the same way.
+  params.disk_faults = nullptr;
+  params.checkpoint_quota_bytes = 1;
+  params.checkpoint_root = fresh_dir("tw_pool_quota");
+  res = ReplicaPool(test_netlist(), params).run(placement);
+  for (const ReplicaReport& r : res.replicas) {
+    EXPECT_EQ(r.outcome, ReplicaOutcome::kSucceeded);
+    EXPECT_TRUE(r.checkpoint_off);
+    ASSERT_EQ(r.attempts.size(), 2u);
+    EXPECT_EQ(r.attempts[0].outcome, AttemptOutcome::kCheckpointError);
+  }
+}
+
 TEST(ReplicaPoolTest, AllReplicasFailingIsATypedError) {
   const std::string root = fresh_dir("tw_pool_allfail");
 
@@ -420,6 +456,7 @@ pool::ExecutorJob executor_job(std::uint64_t id, std::uint64_t seed,
   j.nl = &test_netlist();
   j.base = fast_flow(0);
   j.master_seed = seed;
+  j.max_attempts = 2;
   j.priority = priority;
   return j;
 }
@@ -510,6 +547,63 @@ TEST(PoolExecutorTest, AutoPreemptionResumesByteIdentically) {
   EXPECT_EQ(batch.best_report().fingerprint, clean_fp)
       << "preempted-then-resumed run diverged from the uninterrupted one";
   ex.shutdown();
+}
+
+// Both runners hold one ReplicaSpec and run each replica through
+// run_replica: the same spec through ReplicaPool and through PoolExecutor
+// must give the same replicas, attempt by attempt, and the same rollup.
+TEST(PoolExecutorTest, SameSpecMatchesReplicaPool) {
+  pool::ReplicaSpec spec;
+  spec.base = fast_flow(0);
+  spec.master_seed = kMaster;
+  spec.budget_moves = 3000;  // well short of a full stage-1 schedule
+  spec.checkpoint_every = 1;
+
+  PoolParams pp;
+  static_cast<pool::ReplicaSpec&>(pp) = spec;
+  pp.replicas = 3;
+  pp.threads = 2;
+  pp.checkpoint_root = fresh_dir("tw_same_spec_pool");
+  Placement placement(test_netlist());
+  const PoolResult pooled = ReplicaPool(test_netlist(), pp).run(placement);
+
+  pool::ExecutorJob ej;
+  static_cast<pool::ReplicaSpec&>(ej) = spec;
+  ej.job = 1;
+  ej.nl = &test_netlist();
+  ej.replicas = 3;
+  ej.checkpoint_root = fresh_dir("tw_same_spec_exec");
+  DoneLog log;
+  pool::PoolExecutor ex(/*threads=*/2, log.hooks());
+  ex.submit(ej);
+  (void)log.wait_for(1);
+  const pool::ExecutorResult executed = log.result_for(1);
+  ex.shutdown();
+
+  ASSERT_EQ(pooled.replicas.size(), 3u);
+  ASSERT_EQ(executed.replicas.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    const ReplicaReport& a = pooled.replicas[i];
+    const ReplicaReport& b = executed.replicas[i];
+    EXPECT_EQ(a.fingerprint, b.fingerprint) << "replica " << i;
+    ASSERT_EQ(a.attempts.size(), b.attempts.size()) << "replica " << i;
+    for (std::size_t k = 0; k < a.attempts.size(); ++k) {
+      EXPECT_EQ(a.attempts[k].outcome, AttemptOutcome::kBudgetExhausted);
+      EXPECT_EQ(a.attempts[k].seed, b.attempts[k].seed);
+      EXPECT_EQ(a.attempts[k].outcome, b.attempts[k].outcome);
+      EXPECT_EQ(a.attempts[k].moves, b.attempts[k].moves);
+      EXPECT_EQ(a.attempts[k].steps, b.attempts[k].steps);
+      EXPECT_EQ(a.attempts[k].resumed, b.attempts[k].resumed);
+    }
+  }
+  ASSERT_TRUE(executed.ok());
+  EXPECT_EQ(pooled.best, executed.best);
+  EXPECT_EQ(pooled.best_report().final_teil,
+            executed.best_report().final_teil);
+  EXPECT_EQ(pooled.best_report().final_chip_area,
+            executed.best_report().final_chip_area);
+  EXPECT_TRUE(pooled.stats == executed.stats);
+  EXPECT_EQ(pooled.stats.attempts, 3);
 }
 
 // --- WorkerCrew: the in-run parallel map (src/pool/workers.*) -----------

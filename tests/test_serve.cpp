@@ -17,6 +17,7 @@
 // and stop it with request_stop().
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -895,8 +896,8 @@ TEST(JournalTest, InjectedRotateFaultsAtRotationAndCompactionAreTyped) {
 // ---------------------------------------------------------------------------
 // Result cache
 
-CachedResult sample_result(std::uint64_t fp) {
-  CachedResult r;
+JobResult sample_result(std::uint64_t fp) {
+  JobResult r;
   r.status = JobStatus::kCompleted;
   r.fingerprint = fp;
   r.final_teil = 123.5;
@@ -909,9 +910,15 @@ CachedResult sample_result(std::uint64_t fp) {
 
 /// On-disk size of one cache entry (they are fixed-width records, so one
 /// probe sizes them all) — the unit the byte-budget tests measure in.
+/// The probe directory is named after the calling test: ctest runs each
+/// case in its own process, and two probes sharing a directory at once
+/// would measure each other's entries.
 std::uint64_t cache_entry_bytes() {
   static const std::uint64_t bytes = [] {
-    ResultCache probe(fresh_dir("tw_srv_cache_probe"), 1u << 20);
+    const std::string leaf =
+        std::string("tw_srv_cache_probe_") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    ResultCache probe(fresh_dir(leaf), 1u << 20);
     probe.put(CacheKey{1, 1}, sample_result(1));
     return probe.bytes();
   }();
@@ -1006,11 +1013,11 @@ TEST(ResultCacheTest, InjectedWriteFaultIsTypedAndLeavesTheCacheConsistent) {
 TEST(ResultCacheTest, NonDeterministicTerminalStatesAreNotCached) {
   const std::string dir = fresh_dir("tw_srv_cache3");
   ResultCache cache(dir, 1u << 20);
-  CachedResult cancelled = sample_result(1);
+  JobResult cancelled = sample_result(1);
   cancelled.status = JobStatus::kCancelled;
-  CachedResult failed = sample_result(2);
+  JobResult failed = sample_result(2);
   failed.status = JobStatus::kFailed;
-  CachedResult partial = sample_result(3);
+  JobResult partial = sample_result(3);
   partial.status = JobStatus::kBudgetExhausted;
 
   cache.put(CacheKey{1, 1}, cancelled);
@@ -1049,7 +1056,7 @@ TEST(ResultCacheTest, TornEntryFromAKilledDaemonIsSkippedOnLoad) {
 /// The bytes of the one entry file a fresh cache in `dir` writes for
 /// `result` under key {5, 6}.
 std::vector<std::uint8_t> cache_entry_file(const std::string& dir,
-                                           const CachedResult& result) {
+                                           const JobResult& result) {
   {
     ResultCache cache(dir, 1u << 20);
     cache.put(CacheKey{5, 6}, result);
@@ -1062,7 +1069,7 @@ TEST(ResultCacheTest, OutOfRangeStatusByteIsSkippedOnLoad) {
   // it, then plant values under a re-stamped CRC: the largest status
   // loads, one past it is an invalid entry the load skips.
   constexpr std::size_t kHeader = 16;  // the CRC sits at offset 12
-  CachedResult partial = sample_result(7);
+  JobResult partial = sample_result(7);
   partial.status = JobStatus::kBudgetExhausted;
   const std::vector<std::uint8_t> a =
       cache_entry_file(fresh_dir("tw_srv_cache_enum_a"), sample_result(7));
@@ -1779,13 +1786,15 @@ TEST(DaemonTest, ExplicitCancelWindsDownToAUsableResult) {
   Message m = client.recv();
   const auto* ack = std::get_if<SubmitReply>(&m);
   ASSERT_NE(ack, nullptr);
+  // Keep the id: `ack` points into `m`, which the loop below reuses.
+  const std::uint64_t job = ack->job;
 
-  client.send(CancelRequest{ack->job});
+  client.send(CancelRequest{job});
   // Skip frames until the job's terminal event.
   for (;;) {
     m = client.recv();
     if (const auto* r = std::get_if<ResultEvent>(&m)) {
-      EXPECT_EQ(r->job, ack->job);
+      EXPECT_EQ(r->job, job);
       EXPECT_EQ(r->status, JobStatus::kCancelled);
       EXPECT_FALSE(r->cached);
       break;
@@ -1854,6 +1863,51 @@ TEST(DaemonTest, ShutdownFrameDrainsAndStops) {
   // gets a typed connection error, not a hang.
   daemon.reset();
   EXPECT_THROW(Client{socket_path}, ServeError);
+}
+
+// The socket path appears only once the daemon listens: right after
+// construction (run() not yet called) a client connects — the kernel
+// queues it until the loop accepts — a stale file on the path has been
+// replaced, and no temporary name is left beside it. A path whose
+// temporary name would not fit a socket address is refused up front, and
+// one the socket cannot be renamed onto leaves no temporary name behind.
+TEST(DaemonTest, SocketPathAppearsOnlyOnceListening) {
+  const std::string dir = fresh_dir("tw_srv_daemon7");
+  const std::string socket_path = dir + "/tw.sock";
+  std::ofstream(socket_path) << "stale file of a killed predecessor";
+  DaemonConfig cfg;
+  cfg.socket_path = socket_path;
+  cfg.scheduler.state_dir = dir + "/state";
+  cfg.scheduler.threads = 1;
+  {
+    Daemon daemon(cfg);
+    EXPECT_TRUE(std::filesystem::is_socket(socket_path));
+    EXPECT_NO_THROW(Client{socket_path});
+    std::vector<std::string> names;
+    for (const auto& e : std::filesystem::directory_iterator(dir))
+      names.push_back(e.path().filename().string());
+    std::sort(names.begin(), names.end());
+    EXPECT_EQ(names, (std::vector<std::string>{"state", "tw.sock"}));
+  }
+  EXPECT_FALSE(std::filesystem::exists(socket_path));
+
+  // 103 bytes fit a socket address (108 with the NUL); the temporary
+  // name, "<path>.tmp.<pid>", is at least 109 and does not.
+  const std::string base = dir + "/";
+  ASSERT_LT(base.size(), 103u);
+  cfg.socket_path = base + std::string(103 - base.size(), 's');
+  EXPECT_THROW(Daemon{cfg}, ServeError);
+  EXPECT_FALSE(std::filesystem::exists(cfg.socket_path));
+
+  // A path the listening socket cannot be renamed onto (a non-empty
+  // directory) is refused too, and its temporary name is removed again.
+  cfg.socket_path = dir + "/blocked";
+  std::filesystem::create_directories(cfg.socket_path + "/inside");
+  EXPECT_THROW(Daemon{cfg}, ServeError);
+  EXPECT_TRUE(std::filesystem::is_directory(cfg.socket_path + "/inside"));
+  for (const auto& e : std::filesystem::directory_iterator(dir))
+    EXPECT_EQ(e.path().filename().string().find(".tmp."), std::string::npos)
+        << e.path();
 }
 
 }  // namespace

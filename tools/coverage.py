@@ -6,6 +6,7 @@ Usage, from the repository root:
   cmake -S . -B build-cov -DCMAKE_BUILD_TYPE=Debug -DTW_CHECK_LEVEL=cheap \\
         "-DCMAKE_CXX_FLAGS=-O1 --coverage" -DCMAKE_EXE_LINKER_FLAGS=--coverage
   cmake --build build-cov -j
+  find build-cov -name '*.gcda' -delete
   (cd build-cov && ctest -E '^tools\\.' -j)
   python3 tools/coverage.py build-cov
 
@@ -14,7 +15,8 @@ under <build>/src) and unions the per-line counts of each src/ file over
 them: a header line counts as covered when any library unit ran it.
 Lines gcov does not mark executable are not counted. Prints covered/total
 lines and the number of src/ functions that never ran, a template
-counting once for all its instances; --functions lists them.
+counting once for all its instances; --functions lists them. Exits 1
+without counting when a .gcda file is torn (see torn()).
 """
 
 from __future__ import annotations
@@ -40,6 +42,24 @@ def gcov_json(gcda: pathlib.Path) -> list[dict]:
     return docs
 
 
+def torn(gcda: pathlib.Path) -> bool:
+    """True when `gcda` ends inside a record: a process was killed while
+    it wrote the file. libgcov cannot merge into such a file ("Merge
+    mismatch"), so every later process's counts for that object are
+    dropped. Walks the GCC 12 layout (16-byte header, records of tag,
+    byte length and payload, where a negative length marks an all-zero
+    counter record without payload, then a zero word); files of older
+    layouts are not checked."""
+    data = gcda.read_bytes()
+    if len(data) < 16 or data[4:8][::-1] < b"B2":
+        return False
+    pos = 16
+    while pos + 8 <= len(data):
+        length = int.from_bytes(data[pos + 4:pos + 8], "little", signed=True)
+        pos += 8 + max(0, length)
+    return data[pos:] != bytes(4)
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawTextHelpFormatter)
@@ -56,6 +76,14 @@ def main() -> int:
         print(f"coverage.py: no .gcda files under {lib} (run the tests "
               "of a --coverage build first)", file=sys.stderr)
         return 2
+
+    broken = [g for g in gcdas if torn(g)]
+    if broken:
+        for g in broken:
+            print(f"coverage.py: {g} is torn (a writer was killed while "
+                  "writing it); later counts for it were dropped",
+                  file=sys.stderr)
+        return 1
 
     lines: dict[tuple[str, int], int] = collections.defaultdict(int)
     funcs: dict[tuple[str, int], int] = collections.defaultdict(int)

@@ -89,6 +89,10 @@ def fail(msg):
 class Daemon:
     """One twserved process over a per-scenario state dir."""
 
+    # Started and not yet seen to exit. main() kills whatever is left when
+    # a scenario ends early, so a failed scenario never leaks a daemon.
+    live = []
+
     def __init__(self, binary, root, kill_at=None, extra=None):
         os.makedirs(root, exist_ok=True)
         self.socket = os.path.join(root, "tw.sock")
@@ -96,7 +100,7 @@ class Daemon:
         self.log = open(os.path.join(root, "daemon.log"), "ab")
         # A killed predecessor leaves its socket file behind; remove it
         # first so waiting for the path to appear observes the *new*
-        # daemon's bind, not the stale file.
+        # daemon, which publishes the path only once it listens.
         if os.path.exists(self.socket):
             os.unlink(self.socket)
         cmd = [binary, "--socket", self.socket, "--state", self.state]
@@ -104,6 +108,7 @@ class Daemon:
             cmd += ["--kill-at", spec]
         cmd += extra or []
         self.proc = subprocess.Popen(cmd, stdout=self.log, stderr=self.log)
+        Daemon.live.append(self)
         deadline = time.monotonic() + 10.0
         while not os.path.exists(self.socket):
             if self.proc.poll() is not None:
@@ -113,30 +118,48 @@ class Daemon:
                 fail("daemon never created its socket")
             time.sleep(0.01)
 
+    def _exited(self):
+        Daemon.live.remove(self)
+        self.log.close()
+
     def wait_killed(self, timeout=120.0):
         """Waits for the armed kill switch (hard exit 137)."""
         try:
             rc = self.proc.wait(timeout=timeout)
         except subprocess.TimeoutExpired:
-            self.proc.kill()
             fail("armed kill point never fired")
+        self._exited()
         if rc != 137:
             fail(f"expected hard-exit 137, daemon exited rc={rc}")
-        self.log.close()
 
     def sigkill(self):
         self.proc.send_signal(signal.SIGKILL)
         self.proc.wait(timeout=30.0)
-        self.log.close()
+        self._exited()
 
-    def stop(self):
+    def shutdown(self, twcli):
+        """Asks the daemon to drain and waits for it to exit 0 on its own.
+
+        twcli returns at the acknowledgement, before the daemon has
+        drained and exited; a signal sent in that window would cut its
+        exit short. A --coverage build writes its .gcda counts at exit,
+        so they would be lost, and a file torn mid-write stops every
+        later process's counts for it from merging.
+        """
+        cli(twcli, self.socket, "shutdown")
+        try:
+            rc = self.proc.wait(timeout=60.0)
+        except subprocess.TimeoutExpired:
+            fail("daemon still running 60 s after its shutdown request")
+        self._exited()
+        if rc != 0:
+            fail(f"daemon exited rc={rc} after its shutdown request")
+
+    def kill(self):
         if self.proc.poll() is None:
-            self.proc.terminate()
-            try:
-                self.proc.wait(timeout=30.0)
-            except subprocess.TimeoutExpired:
-                self.proc.kill()
-        self.log.close()
+            self.proc.kill()
+            self.proc.wait()
+        self._exited()
 
 
 def cli(binary, socket, *args, check=True, timeout=300.0):
@@ -185,10 +208,6 @@ def stats(twcli, socket):
     return parsed
 
 
-def shutdown(twcli, socket):
-    cli(twcli, socket, "shutdown")
-
-
 def baselines(args, root, seeds):
     """Records reference fingerprints from an uninterrupted daemon."""
     d = Daemon(args.twserved, os.path.join(root, "ref"))
@@ -197,8 +216,7 @@ def baselines(args, root, seeds):
         ref[seed], cached = submit(args.twcli, d.socket, args.yal, seed)
         if cached:
             fail(f"reference run seed={seed} claims to be cached")
-    shutdown(args.twcli, d.socket)
-    d.stop()
+    d.shutdown(args.twcli)
     info("references " + " ".join(f"seed{s}={ref[s]}" for s in seeds))
     return ref
 
@@ -226,8 +244,7 @@ def scenario_baseline(args):
                  f"{ref[seed]}")
         if cached:
             fail(f"fresh-state run seed={seed} claims to be cached")
-    shutdown(args.twcli, d.socket)
-    d.stop()
+    d.shutdown(args.twcli)
     info("baseline runs deterministic across daemons")
 
 
@@ -255,8 +272,7 @@ def scenario_kill_mid_anneal(args):
         if fp != ref[seed]:
             fail(f"mid-anneal recovery seed={seed} fingerprint {fp} != "
                  f"baseline {ref[seed]}")
-    shutdown(args.twcli, d.socket)
-    d.stop()
+    d.shutdown(args.twcli)
     info("mid-anneal kill under concurrent load recovered byte-identically")
 
 
@@ -277,8 +293,7 @@ def scenario_kill_pre_ack(args):
     if fp != ref[SEEDS[0]]:
         fail(f"pre-ack recovery fingerprint {fp} != baseline "
              f"{ref[SEEDS[0]]}")
-    shutdown(args.twcli, d.socket)
-    d.stop()
+    d.shutdown(args.twcli)
     info("pre-ack kill recovered byte-identically")
 
 
@@ -306,8 +321,7 @@ def scenario_sigkill(args):
     if not cached or fp != ref[SEEDS[0]]:
         fail(f"expected cached baseline duplicate, got cached={cached} "
              f"fingerprint={fp}")
-    shutdown(args.twcli, d.socket)
-    d.stop()
+    d.shutdown(args.twcli)
     info("SIGKILL recovered byte-identically; duplicate served from cache")
 
 
@@ -358,8 +372,7 @@ def scenario_overload(args):
     if s["preempted"] < 1:
         fail(f"urgent job should have preempted the batch pin, stats "
              f"preempted={s['preempted']}")
-    shutdown(args.twcli, d.socket)  # cancels the pin cooperatively
-    d.stop()
+    d.shutdown(args.twcli)  # cancels the pin cooperatively
     pin.wait(timeout=60.0)
     info("overload shed typed kOverloaded; urgent admitted + preempted "
          "+ byte-identical")
@@ -388,8 +401,7 @@ def scenario_disk_full(args):
     s = stats(args.twcli, d.socket)
     if s["journal_degraded"] != 1 or s["shed"] < 1:
         fail(f"WAL fault not surfaced in stats: {s}")
-    shutdown(args.twcli, d.socket)
-    d.stop()
+    d.shutdown(args.twcli)
     info("WAL ENOSPC shed typed-retryable; backoff retry succeeded")
 
     # (b) Cache disk permanently dead: the daemon flips to cache-off,
@@ -406,8 +418,7 @@ def scenario_disk_full(args):
     s = stats(args.twcli, d.socket)
     if s["cache_off"] != 1:
         fail(f"cache-off mode not surfaced in stats: {s}")
-    shutdown(args.twcli, d.socket)
-    d.stop()
+    d.shutdown(args.twcli)
     info("dead cache degraded to cache-off; results still byte-identical")
 
     # (c) Checkpoint quota of one byte: every checkpoint write dies on
@@ -425,8 +436,7 @@ def scenario_disk_full(args):
     s = stats(args.twcli, d.socket)
     if s["checkpoint_off_jobs"] < 1:
         fail(f"checkpoint-off degradation not surfaced in stats: {s}")
-    shutdown(args.twcli, d.socket)
-    d.stop()
+    d.shutdown(args.twcli)
     info("checkpoint quota degraded to checkpoint-off; job completed")
 
     # (d) Byte budgets under a burst: tiny journal segments force
@@ -447,8 +457,7 @@ def scenario_disk_full(args):
         fail(f"journal accounting looks wrong: {s}")
     if s["journal_bytes"] > 16384 + 4096:
         fail(f"journal never compacted under its byte budget: {s}")
-    shutdown(args.twcli, d.socket)
-    d.stop()
+    d.shutdown(args.twcli)
     info("burst stayed inside journal + cache byte budgets "
          f"(journal={s['journal_bytes']}B/{s['journal_segments']}seg, "
          f"cache={s['cache_bytes']}B, {s['cache_evictions']} evictions)")
@@ -478,8 +487,7 @@ def scenario_slow_client(args):
     s = stats(args.twcli, d.socket)
     if s["progress_dropped"] < 1:
         fail(f"no progress events counted as dropped: {s}")
-    shutdown(args.twcli, d.socket)
-    d.stop()
+    d.shutdown(args.twcli)
     info(f"slow reader lost {s['progress_dropped']} progress event(s), "
          "never the result")
 
@@ -520,8 +528,7 @@ def scenario_slow_client(args):
     s = stats(args.twcli, d.socket)
     if s["reaped"] < 1:
         fail(f"reap not counted in stats: {s}")
-    shutdown(args.twcli, d.socket)
-    d.stop()
+    d.shutdown(args.twcli)
     info("idle client reaped; its job survived into the cache")
 
 
@@ -553,8 +560,7 @@ def scenario_preempt_resume(args):
     s = stats(args.twcli, d.socket)
     if s["preempted"] < 1 or s["resumed"] < 1:
         fail(f"preemption not visible in stats: {s}")
-    shutdown(args.twcli, d.socket)
-    d.stop()
+    d.shutdown(args.twcli)
     info("preempted-then-resumed job byte-identical to uninterrupted run "
          f"(preempted={s['preempted']}, resumed={s['resumed']})")
 
@@ -588,9 +594,13 @@ def main():
         os.makedirs(args.work)
 
     names = args.scenario or list(SCENARIOS)
-    for name in names:
-        info(f"--- scenario {name} ---")
-        SCENARIOS[name](args)
+    try:
+        for name in names:
+            info(f"--- scenario {name} ---")
+            SCENARIOS[name](args)
+    finally:
+        for d in list(Daemon.live):
+            d.kill()
 
     if not args.workdir:
         shutil.rmtree(args.work, ignore_errors=True)
