@@ -159,6 +159,25 @@ std::vector<NetTargets> build_net_targets(const Netlist& nl,
   return out;
 }
 
+SlabCrossing slab_crossing(const ChannelGraph& cg, EdgeId e) {
+  SlabCrossing out;
+  const auto& [sa, sb] = cg.edge_slabs[static_cast<std::size_t>(e)];
+  if (sa < 0 || sa == sb) return out;  // pin stub: no crossing
+  const Rect& ra = cg.slabs[static_cast<std::size_t>(sa)];
+  const Rect& rb = cg.slabs[static_cast<std::size_t>(sb)];
+  if (ra.yhi == rb.ylo || rb.yhi == ra.ylo) {
+    const Span ov = ra.xspan().intersect(rb.xspan());
+    out.at = {(ov.lo + ov.hi) / 2, ra.yhi == rb.ylo ? ra.yhi : rb.yhi};
+  } else {
+    const Span ov = ra.yspan().intersect(rb.yspan());
+    out.at = {ra.xhi == rb.xlo ? ra.xhi : rb.xhi, (ov.lo + ov.hi) / 2};
+  }
+  for (std::size_t r = 0; r < cg.regions.size(); ++r)
+    if (cg.regions[r].rect.contains(out.at))
+      out.regions.push_back(static_cast<std::int32_t>(r));
+  return out;
+}
+
 std::vector<int> region_densities(
     const ChannelGraph& cg,
     const std::vector<std::vector<EdgeId>>& net_route_edges) {
@@ -167,28 +186,9 @@ std::vector<int> region_densities(
   // boundary point inside the region. Counting every region a route merely
   // touches would overstate the density several-fold (routes sweep through
   // large slabs) and balloon the derived channel widths.
-  //
-  // Precompute, per slab-adjacency graph edge, the crossing point (the
-  // midpoint of the shared boundary segment) and the regions containing it.
   std::vector<std::vector<std::int32_t>> edge_regions(cg.edge_slabs.size());
-  for (std::size_t e = 0; e < cg.edge_slabs.size(); ++e) {
-    const auto& [sa, sb] = cg.edge_slabs[e];
-    if (sa < 0 || sa == sb) continue;  // pin stub: no crossing
-    const Rect& ra = cg.slabs[static_cast<std::size_t>(sa)];
-    const Rect& rb = cg.slabs[static_cast<std::size_t>(sb)];
-    // Shared boundary segment between the two slab rectangles.
-    Point crossing;
-    if (ra.yhi == rb.ylo || rb.yhi == ra.ylo) {
-      const Span ov = ra.xspan().intersect(rb.xspan());
-      crossing = {(ov.lo + ov.hi) / 2, ra.yhi == rb.ylo ? ra.yhi : rb.yhi};
-    } else {
-      const Span ov = ra.yspan().intersect(rb.yspan());
-      crossing = {ra.xhi == rb.xlo ? ra.xhi : rb.xhi, (ov.lo + ov.hi) / 2};
-    }
-    for (std::size_t r = 0; r < cg.regions.size(); ++r)
-      if (cg.regions[r].rect.contains(crossing))
-        edge_regions[e].push_back(static_cast<std::int32_t>(r));
-  }
+  for (std::size_t e = 0; e < cg.edge_slabs.size(); ++e)
+    edge_regions[e] = slab_crossing(cg, static_cast<EdgeId>(e)).regions;
 
   std::vector<int> density(cg.regions.size(), 0);
   std::vector<int> last_net(cg.regions.size(), -1);

@@ -61,8 +61,18 @@ ChannelGraph build_channel_graph(const Placement& placement, const Rect& core);
 std::vector<NetTargets> build_net_targets(const Netlist& nl,
                                           const ChannelGraph& cg);
 
+/// Where a route along graph edge `e` crosses from one slab into the
+/// other: the midpoint of the two slabs' shared boundary, and the
+/// critical regions containing that point, ascending. A pin stub crosses
+/// nothing (no regions).
+struct SlabCrossing {
+  Point at;
+  std::vector<std::int32_t> regions;
+};
+SlabCrossing slab_crossing(const ChannelGraph& cg, EdgeId e);
+
 /// Per-region routed density: the number of distinct nets whose selected
-/// route passes through slabs overlapping each critical region (input to
+/// route crosses a slab boundary inside each critical region (input to
 /// Eqn 22).
 std::vector<int> region_densities(
     const ChannelGraph& cg,

@@ -1,7 +1,8 @@
 // Durable files: how the checkpoint sink, the result cache and the job
 // journal name, list, read, frame and atomically write their files. The
-// policies (retention, quota, eviction, rotation, compaction) stay with
-// the stores; failures come back to them to raise as their own errors.
+// policies (retention, quota, eviction, one directory per live job) stay
+// with the stores; failures come back to them to raise as their own
+// errors.
 #pragma once
 
 #include <cstdint>
@@ -16,8 +17,8 @@
 namespace tw::recover {
 
 /// A family of numbered files "<prefix>NNNNNN<suffix>" in one directory
-/// (ckpt-000042.twcp, res-000007.twr, seg-000003.twj). The number has
-/// exactly six digits; any other name is foreign to the family.
+/// (ckpt-000042.twcp, res-000007.twr). The number has exactly six digits;
+/// any other name is foreign to the family.
 struct NumberedFiles {
   std::string_view prefix;
   std::string_view suffix;
@@ -40,7 +41,8 @@ bool remove_file(const std::string& path);
 /// The whole contents of `path`; nullopt when it cannot be opened or read.
 std::optional<std::vector<std::uint8_t>> read_file(const std::string& path);
 
-/// The frame checkpoint files and cache entries share, little-endian:
+/// The frame checkpoint files, cache entries and job records share,
+/// little-endian:
 ///   magic[4] | u32 version | u32 payload size | u32 CRC-32 | payload
 /// `magic` has 4 characters.
 std::vector<std::uint8_t> frame(std::string_view magic, std::uint32_t version,

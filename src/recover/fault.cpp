@@ -36,8 +36,7 @@ void FaultPlan::poll(FaultSite site) {
 const char* to_string(DiskSite site) {
   switch (site) {
     case DiskSite::kCheckpointWrite: return "checkpoint.write";
-    case DiskSite::kJournalAppend: return "journal.append";
-    case DiskSite::kJournalRotate: return "journal.rotate";
+    case DiskSite::kJournalWrite: return "journal.write";
     case DiskSite::kCacheWrite: return "cache.write";
   }
   return "unknown";

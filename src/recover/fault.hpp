@@ -103,18 +103,17 @@ class FaultPlan : public FaultInjector {
 // write indices: each durable-write site polls `write_fault(site)`
 // before touching the filesystem and translates a non-kNone answer into
 // the same typed error a real failure would produce (for kShortWrite,
-// after leaving a genuinely truncated temp/tail behind, so torn-state
+// after leaving a genuinely truncated temp file behind, so torn-state
 // handling is exercised too). Polls are counted, never timed.
 
 /// Instrumented durable-write sites.
 enum class DiskSite : std::uint8_t {
   kCheckpointWrite = 0,  ///< FileCheckpointSink::save
-  kJournalAppend,        ///< job-journal record append
-  kJournalRotate,        ///< journal segment rotation / compaction rewrite
+  kJournalWrite,         ///< a live job's record write (submit, cancel)
   kCacheWrite,           ///< result-cache entry write
 };
 
-inline constexpr std::size_t kNumDiskSites = 4;
+inline constexpr std::size_t kNumDiskSites = 3;
 
 const char* to_string(DiskSite site);
 

@@ -122,21 +122,9 @@ int validate_channel_widths(
     // Collect this net's crossing coordinates per region.
     std::map<std::size_t, std::vector<Point>> touches;
     for (EdgeId e : net_routes[n]) {
-      const auto& [sa, sb] = cg.edge_slabs[static_cast<std::size_t>(e)];
-      if (sa < 0 || sa == sb) continue;
-      const Rect& ra = cg.slabs[static_cast<std::size_t>(sa)];
-      const Rect& rb = cg.slabs[static_cast<std::size_t>(sb)];
-      Point crossing;
-      if (ra.yhi == rb.ylo || rb.yhi == ra.ylo) {
-        const Span ov = ra.xspan().intersect(rb.xspan());
-        crossing = {(ov.lo + ov.hi) / 2, ra.yhi == rb.ylo ? ra.yhi : rb.yhi};
-      } else {
-        const Span ov = ra.yspan().intersect(rb.yspan());
-        crossing = {ra.xhi == rb.xlo ? ra.xhi : rb.xhi, (ov.lo + ov.hi) / 2};
-      }
-      for (std::size_t r = 0; r < cg.regions.size(); ++r)
-        if (cg.regions[r].rect.contains(crossing))
-          touches[r].push_back(crossing);
+      const SlabCrossing c = slab_crossing(cg, e);
+      for (const std::int32_t r : c.regions)
+        touches[static_cast<std::size_t>(r)].push_back(c.at);
     }
     for (const auto& [r, pts] : touches) {
       const CriticalRegion& region = cg.regions[r];

@@ -16,19 +16,6 @@ std::uint64_t next_graph_uid() {
 
 RoutingGraph::RoutingGraph() : uid_(next_graph_uid()) {}
 
-RoutingGraph::RoutingGraph(const RoutingGraph& o)
-    : uid_(next_graph_uid()), pos_(o.pos_), edges_(o.edges_), adj_(o.adj_) {}
-
-RoutingGraph& RoutingGraph::operator=(const RoutingGraph& o) {
-  if (this != &o) {
-    uid_ = next_graph_uid();
-    pos_ = o.pos_;
-    edges_ = o.edges_;
-    adj_ = o.adj_;
-  }
-  return *this;
-}
-
 RoutingGraph::RoutingGraph(RoutingGraph&& o) noexcept
     : uid_(std::exchange(o.uid_, next_graph_uid())),
       pos_(std::move(o.pos_)),

@@ -30,10 +30,11 @@ struct GraphEdge {
 class RoutingGraph {
 public:
   RoutingGraph();
-  // Copies and moves (and moved-from graphs) receive a fresh uid, so a
-  // uid never refers to two graphs with different edges (see uid()).
-  RoutingGraph(const RoutingGraph& o);
-  RoutingGraph& operator=(const RoutingGraph& o);
+  // Not copyable. A move hands the uid to the graph that now holds the
+  // edges and gives the emptied source a fresh one, so a uid never refers
+  // to two graphs with different edges (see uid()).
+  RoutingGraph(const RoutingGraph&) = delete;
+  RoutingGraph& operator=(const RoutingGraph&) = delete;
   RoutingGraph(RoutingGraph&& o) noexcept;
   RoutingGraph& operator=(RoutingGraph&& o) noexcept;
 
@@ -62,11 +63,11 @@ public:
   std::vector<NodeId> walk_nodes(NodeId from,
                                  const std::vector<EdgeId>& path) const;
 
-  /// Process-unique identity of this graph object's edge history. Graphs
-  /// are append-only and every construction/assignment (including the
-  /// moved-from side of a move) draws a fresh uid, so a (uid, num_edges)
-  /// pair identifies an immutable edge prefix — what SearchWorkspace keys
-  /// its incremental A* scale cache on.
+  /// Process-unique identity of this graph's edge history. Graphs are
+  /// append-only, a construction draws a fresh uid and a move carries it
+  /// along with the edges (the emptied source draws a fresh one), so a
+  /// (uid, num_edges) pair identifies an immutable edge prefix — what
+  /// SearchWorkspace keys its incremental A* scale cache on.
   std::uint64_t uid() const { return uid_; }
 
 private:

@@ -1,7 +1,6 @@
 #include "route/steiner.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <set>
 
 namespace tw {
@@ -52,23 +51,6 @@ void mark_connected(const NetTargets& net, PartialTree& t) {
   }
 }
 
-/// One goal-directed sweep from `sources` that settles every alternative
-/// of every unconnected pin; per-pin distances are then read straight off
-/// the workspace (no dense distance vector).
-void sweep_to_unconnected(const RoutingGraph& g, const NetTargets& net,
-                          const std::vector<char>& connected,
-                          std::span<const NodeId> sources, const PathQuery& q,
-                          SearchWorkspace& ws,
-                          std::vector<NodeId>& alt_scratch) {
-  alt_scratch.clear();
-  for (std::size_t p = 0; p < net.pins.size(); ++p) {
-    if (connected[p]) continue;
-    for (NodeId alt : net.pins[p]) alt_scratch.push_back(alt);
-  }
-  ws.clear_blocks();
-  search(g, sources, alt_scratch, q, ws, SearchStop::kAllTargets);
-}
-
 /// The logical pin owning node `alt` among the unconnected pins (-1 when
 /// none does).
 int pin_of_alternative(const NetTargets& net, const std::vector<char>& connected,
@@ -81,50 +63,32 @@ int pin_of_alternative(const NetTargets& net, const std::vector<char>& connected
   return -1;
 }
 
-/// The unconnected logical pins ordered by shortest-path distance from the
-/// tree (Prim order). Empty when all pins are connected; {-2} when no
-/// unconnected pin is reachable. `full_order` asks for every reachable pin
-/// sorted (one exhaustive-over-targets sweep); without it only the nearest
-/// pin is found, via a first-target search that stops at the closest
-/// alternative instead of settling them all — the common (prim_k == 0)
-/// case pays a fraction of the sweep.
-std::vector<int> nearest_unconnected(const RoutingGraph& g,
-                                     const NetTargets& net,
-                                     const PartialTree& t, bool full_order,
-                                     SearchWorkspace& ws,
-                                     std::vector<NodeId>& alt_scratch) {
-  bool any_unconnected = false;
-  for (std::size_t p = 0; p < net.pins.size(); ++p)
-    if (!t.connected[p]) any_unconnected = true;
-  if (!any_unconnected) return {};
-
-  if (!full_order) {
-    alt_scratch.clear();
-    for (std::size_t p = 0; p < net.pins.size(); ++p) {
-      if (t.connected[p]) continue;
-      for (NodeId alt : net.pins[p]) alt_scratch.push_back(alt);
-    }
-    ws.clear_blocks();
-    const NodeId hit = search(g, t.nodes, alt_scratch, {}, ws);
-    if (hit == kInvalidNode) return {-2};
-    return {pin_of_alternative(net, t.connected, hit)};
-  }
-
-  sweep_to_unconnected(g, net, t.connected, t.nodes, {}, ws, alt_scratch);
-  std::vector<std::pair<double, int>> order;
+/// Every alternative node of the logical pins not yet connected, into
+/// `out` (cleared first).
+void unconnected_alternatives(const NetTargets& net,
+                              const std::vector<char>& connected,
+                              std::vector<NodeId>& out) {
+  out.clear();
   for (std::size_t p = 0; p < net.pins.size(); ++p) {
-    if (t.connected[p]) continue;
-    double d = std::numeric_limits<double>::infinity();
-    for (NodeId alt : net.pins[p]) d = std::min(d, ws.dist(alt));
-    if (d == std::numeric_limits<double>::infinity()) continue;
-    order.push_back({d, static_cast<int>(p)});
+    if (connected[p]) continue;
+    for (NodeId alt : net.pins[p]) out.push_back(alt);
   }
-  if (order.empty()) return {-2};
-  std::sort(order.begin(), order.end());
-  std::vector<int> pins;
-  pins.reserve(order.size());
-  for (const auto& [d, p] : order) pins.push_back(p);
-  return pins;
+}
+
+/// The unconnected logical pin nearest to the tree (Prim order), found by
+/// a first-target search that stops at the closest alternative. -1 when
+/// all pins are connected; -2 when no unconnected pin is reachable.
+int nearest_unconnected(const RoutingGraph& g, const NetTargets& net,
+                        const PartialTree& t, SearchWorkspace& ws,
+                        std::vector<NodeId>& alt_scratch) {
+  if (std::all_of(t.connected.begin(), t.connected.end(),
+                  [](char c) { return c != 0; }))
+    return -1;
+  unconnected_alternatives(net, t.connected, alt_scratch);
+  ws.clear_blocks();
+  const NodeId hit = search(g, t.nodes, alt_scratch, {}, ws);
+  if (hit == kInvalidNode) return -2;
+  return pin_of_alternative(net, t.connected, hit);
 }
 
 }  // namespace
@@ -163,37 +127,24 @@ std::vector<Route> m_best_routes(const RoutingGraph& g, const NetTargets& net,
     beam.push_back(std::move(t));
   }
 
-  // The full Prim order is only consumed when footnote 27's multi-pin
-  // branching is on; the default branches on the nearest pin alone.
-  const bool full_order = params.prim_k > 0;
   std::vector<NodeId> alt_scratch;
   for (std::size_t level = 1; level < net.pins.size(); ++level) {
     std::vector<PartialTree> next;
     for (const PartialTree& t : beam) {
-      const std::vector<int> pins =
-          nearest_unconnected(g, net, t, full_order, ws, alt_scratch);
-      if (pins.empty()) {
+      const int pin = nearest_unconnected(g, net, t, ws, alt_scratch);
+      if (pin == -1) {
         next.push_back(t);  // already complete
         continue;
       }
-      if (pins[0] == -2) continue;  // unreachable from this tree
-
-      // Footnote 27: branch over the nearest pin plus up to prim_k more.
-      const std::size_t branch =
-          std::min(pins.size(),
-                   static_cast<std::size_t>(1 + std::max(0, params.prim_k)));
-      for (std::size_t b = 0; b < branch; ++b) {
-        const int pin = pins[b];
-        const auto paths = k_shortest_between_sets(
-            g, t.nodes, net.pins[static_cast<std::size_t>(pin)], beam_width,
-            ws);
-        for (const auto& path : paths) {
-          PartialTree nt = t;
-          nt.length += merge_path(g, nt, path);
-          nt.connected[static_cast<std::size_t>(pin)] = 1;
-          mark_connected(net, nt);
-          next.push_back(std::move(nt));
-        }
+      if (pin == -2) continue;  // unreachable from this tree
+      const auto paths = k_shortest_between_sets(
+          g, t.nodes, net.pins[static_cast<std::size_t>(pin)], beam_width, ws);
+      for (const auto& path : paths) {
+        PartialTree nt = t;
+        nt.length += merge_path(g, nt, path);
+        nt.connected[static_cast<std::size_t>(pin)] = 1;
+        mark_connected(net, nt);
+        next.push_back(std::move(nt));
       }
     }
     if (next.empty()) return {};
@@ -248,11 +199,7 @@ std::optional<Route> greedy_route(const RoutingGraph& g, const NetTargets& net,
     // Nearest unconnected pin under congested costs: one first-target
     // search finds the closest alternative of any unconnected pin; its
     // path comes straight off the same search's parent edges.
-    alt_scratch.clear();
-    for (std::size_t p = 0; p < net.pins.size(); ++p) {
-      if (connected[p]) continue;
-      for (NodeId alt : net.pins[p]) alt_scratch.push_back(alt);
-    }
+    unconnected_alternatives(net, connected, alt_scratch);
     ws.clear_blocks();
     const NodeId hit = search(g, tree, alt_scratch, q, ws);
     int best = -1;

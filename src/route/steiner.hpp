@@ -39,10 +39,6 @@ struct SteinerParams {
   /// Nets with more logical pins than this are routed with beam width 1
   /// (plain Prim/Dijkstra Steiner) to bound the cost on huge nets.
   int wide_net_threshold = 12;
-  /// Footnote 27's generalization: each step also branches on up to
-  /// `prim_k` pins beyond the nearest one, exploring alternative
-  /// connection orders. 0 reproduces the base algorithm.
-  int prim_k = 0;
 };
 
 /// Generates up to M candidate routes for the net, ascending by length.

@@ -22,11 +22,12 @@
 //   "post-ack"      after the ack reached the socket;
 //   "progress"      on a streamed progress event (mid-anneal: the soak
 //                   harness's main kill site);
-//   "pre-finish"    a result arrived from the executor but neither cache
-//                   nor journal saw it — the restart re-adopts and
-//                   reproduces it;
-//   "post-finish"   result cached + journaled but the reply never sent —
-//                   the restart serves the duplicate from cache.
+//   "pre-finish"    a result arrived from the executor but the cache
+//                   never saw it and the job's record is still on disk
+//                   — the restart re-adopts and reproduces it;
+//   "post-finish"   result cached and the job's directory removed, but
+//                   the reply never sent — the restart serves the
+//                   duplicate from cache.
 //
 // Degradation is graceful and typed end to end: overloaded and
 // quota-exceeded submissions get RejectReply frames (kOverloaded carries
@@ -85,8 +86,8 @@ class Daemon {
  public:
   /// Listens on the socket (its path appears only once the daemon
   /// listens, atomically replacing a stale socket file) and builds the
-  /// scheduler — which is where journal replay and job re-adoption
-  /// happen, before the first client is served. Throws ServeError(kIo)
+  /// scheduler — which is where the job records are read back and jobs
+  /// re-adopted, before the first client is served. Throws ServeError(kIo)
   /// when the socket cannot be set up.
   explicit Daemon(DaemonConfig cfg);
   ~Daemon();
@@ -96,7 +97,7 @@ class Daemon {
 
   /// Serves until a ShutdownRequest frame arrives or request_stop() is
   /// called, then drains gracefully (in-flight jobs wind down, results
-  /// are cached + journaled + delivered) and returns 0.
+  /// are cached, their directories removed, delivered) and returns 0.
   int run();
 
   /// Thread-safe stop for in-process tests: wakes the loop, which then

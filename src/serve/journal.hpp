@@ -1,41 +1,26 @@
-// Write-ahead job journal: the daemon's crash-durable source of truth.
+// Write-ahead job records: the daemon's crash-durable memory of which
+// jobs it promised to run.
 //
-// Every accepted submission is appended (and flushed to the kernel)
-// *before* the client sees its ack, so a daemon killed with SIGKILL at
-// any instant can reconstruct exactly the set of jobs it ever promised to
-// run: replay the journal, drop the ones with a terminal record, re-adopt
-// the rest from their surviving checkpoints. Records use the same
-// defensive framing as everything else this package persists —
-// size | CRC-32 | payload — and replay is torn-tail tolerant: a crash
-// mid-append leaves a truncated or CRC-broken final record, which replay
-// drops (reporting it) while keeping every record before it. Appends are
-// strictly sequential, so any valid prefix is a consistent history.
-//
-// The journal is a directory of numbered segments (seg-NNNNNN.twj).
-// Appends go to the newest segment; when a record would push it past
-// max_segment_bytes the writer rotates to a fresh segment, so no single
-// file grows without bound and a record (a submit and its later cancel
-// marker, say) may land in different segments. Replay walks the segments
-// in numeric order as one logical stream. A torn tail is legitimate only
-// in the *newest* segment (only it was ever mid-append); a bad record in
-// an older segment means on-disk damage — replay still salvages
-// everything else, but flags it separately (torn_interior).
-//
-// compact() bounds total size: it rewrites only still-live jobs into one
-// fresh segment (recover::write_atomic, numbered above every existing
-// segment) and then unlinks the old segments. A crash between the rename
-// and the unlinks is safe: replay of old-segments-plus-compacted-segment
-// converges to the same live set, because re-submits of an id already
-// seen (or already finished) are ignored.
+// A live job's whole durable state is one directory, <dir>/job-<id>/: its
+// record (record.twj: the job's id, parameters, netlist text and
+// cancelled flag, framed like a cache entry) next to the checkpoint trees
+// its replicas write (replica-<i>/). The record is written with
+// recover::write_atomic, and so is in the kernel, before the client sees
+// its ack: a daemon killed with SIGKILL at any instant (only power loss
+// defeats this) finds exactly the jobs it ever promised to run by
+// listing <dir>. A cancel rewrites the record whole. Removing
+// the directory is the job's finished record: the record goes first (one
+// unlink, the commit point), then the checkpoint trees, so a kill part
+// way through leaves a directory without a record, which startup sweeps.
 //
 // Disk faults (full disk, short write) surface as typed ServeError(kIo),
-// never a crash or a silently-dropped record; the injection seam
-// (recover::DiskFaultInjector, sites kJournalAppend and kJournalRotate,
-// the latter for rotation and compaction) lets tests script them.
+// never a crash or a silently dropped record: write_atomic leaves the
+// previous record, or none, in place. The injection seam is
+// recover::DiskSite::kJournalWrite.
 #pragma once
 
 #include <cstdint>
-#include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -44,76 +29,54 @@
 
 namespace tw::serve {
 
-/// One submitted-but-not-finished job reconstructed by replay.
+/// One submitted-but-not-finished job: what its record holds.
 struct LiveJob {
   std::uint64_t job = 0;
   JobParams params;
   std::string netlist_yal;
-  bool cancelled = false;  ///< a cancel record followed the submit
-};
-
-/// Everything replay learns from a journal directory.
-struct JournalReplay {
-  std::vector<LiveJob> live;    ///< submitted, no terminal record (in order)
-  std::uint64_t max_job = 0;    ///< highest job id ever journaled
-  int records = 0;              ///< valid records read
-  int dropped = 0;              ///< finished/cancelled-away submissions
-  int segments = 0;             ///< segment files found
-  bool torn_tail = false;       ///< newest segment ended mid-record
-  bool torn_interior = false;   ///< an *older* segment held a bad record
+  bool cancelled = false;  ///< a cancel arrived after the submit
 };
 
 class JobJournal {
  public:
-  /// Opens the journal directory `dir` (created if missing), resuming
-  /// after the highest-numbered existing segment. `max_segment_bytes`
-  /// caps each segment (a single record larger than the cap still gets
-  /// its own segment — records are never split). Throws ServeError(kIo)
-  /// when the directory or active segment cannot be opened.
+  /// Opens the job root `dir`, creating it if missing. Throws
+  /// ServeError(kIo) when it cannot be created.
   explicit JobJournal(std::string dir,
-                      std::uint64_t max_segment_bytes = 1u << 20,
                       recover::DiskFaultInjector* disk_faults = nullptr);
 
-  /// Appends + flushes one record; throws ServeError(kIo) on write
-  /// failure. The flush pushes the record to the kernel, which is what
-  /// kill -9 survivability requires (only power loss defeats it).
-  void record_submitted(std::uint64_t job, const JobParams& params,
-                        const std::string& netlist_yal);
-  void record_finished(std::uint64_t job);
-  void record_cancelled(std::uint64_t job);
+  /// Startup: lists the job directories. Returns every job whose record
+  /// reads back, ascending by id; removes every job directory whose
+  /// record is missing or does not read, with a log line. Never throws
+  /// for what the directories hold: they are daemon-owned state, and
+  /// startup must make the best of what survived.
+  std::vector<LiveJob> recover();
 
-  /// Rewrites the journal keeping only `live` jobs' submit records
-  /// (their cancel markers preserved): one fresh segment via atomic
-  /// temp + rename, then the old segments are unlinked. Throws
-  /// ServeError(kIo) on failure; the old segments survive intact in that
-  /// case (replay still converges either way — see file comment).
-  void compact(const std::vector<LiveJob>& live);
+  /// Writes `job`'s record, creating its directory first; a later write
+  /// for the same id replaces the record whole. Throws ServeError(kIo)
+  /// on failure, leaving the previous record in place; a job's first
+  /// write that fails removes its directory again.
+  void write(const LiveJob& job);
 
-  int appended() const { return appended_; }
-  /// Total bytes across all segment files (the disk-budget measure).
-  std::uint64_t bytes() const { return total_bytes_; }
-  int segments() const { return segments_; }
-  const std::string& dir() const { return dir_; }
+  /// Removes job `id`'s directory: the record first, then everything
+  /// else the job left there. Failures are logged; false when any part
+  /// of the directory is left on disk.
+  bool remove(std::uint64_t id);
 
-  /// Reads a journal directory back. A missing directory is an empty
-  /// history, not an error. Never throws for content defects — a journal
-  /// is daemon-owned state, and replay must always make the best of what
-  /// survived.
-  static JournalReplay replay(const std::string& dir);
+  /// The directory that holds job `id`'s record and checkpoint trees.
+  std::string job_dir(std::uint64_t id) const;
+
+  /// Largest id of a job directory recover() found (0 when none).
+  std::uint64_t max_job() const { return max_job_; }
+  /// Bytes of the live records (the disk-budget measure).
+  std::uint64_t bytes() const;
+  /// Live records: written or recovered, not yet removed.
+  int records() const { return static_cast<int>(record_bytes_.size()); }
 
  private:
-  void append(const std::vector<std::uint8_t>& payload);
-  void open_segment(int number);
-
   std::string dir_;
-  std::uint64_t max_segment_bytes_ = 1u << 20;
   recover::DiskFaultInjector* disk_faults_ = nullptr;
-  std::ofstream out_;
-  int seg_ = 0;                     ///< number of the active segment
-  int segments_ = 0;                ///< segment files on disk
-  std::uint64_t seg_bytes_ = 0;     ///< bytes in the active segment
-  std::uint64_t total_bytes_ = 0;   ///< bytes across all segments
-  int appended_ = 0;
+  std::uint64_t max_job_ = 0;
+  std::map<std::uint64_t, std::uint64_t> record_bytes_;  ///< id -> bytes
 };
 
 }  // namespace tw::serve

@@ -1,7 +1,6 @@
 #include "serve/scheduler.hpp"
 
 #include <algorithm>
-#include <filesystem>
 #include <utility>
 
 #include "netlist/parser.hpp"
@@ -12,15 +11,12 @@
 namespace tw::serve {
 namespace {
 
-namespace fs = std::filesystem;
-
 // The wire protocol's priority classes and the executor's scheduling
 // bands are the same three-step ladder; a drift here would silently
 // misroute priorities.
 static_assert(kNumPriorityClasses == pool::kNumPriorities);
 
-constexpr int kDoneRing = 64;      // finished ids kept for query()
-constexpr int kCompactEvery = 16;  // journal compaction cadence (finishes)
+constexpr int kDoneRing = 64;  // finished ids kept for query()
 
 Submitted rejected(RejectCode code, std::string detail,
                    std::uint32_t retry_after_ms = 0) {
@@ -98,57 +94,40 @@ std::optional<Netlist> parse_submission(const std::string& text,
 }
 
 Scheduler::Scheduler(SchedulerConfig cfg, pool::PoolExecutor::Hooks hooks)
-    : state_dir_(std::move(cfg.state_dir)),
-      limits_(cfg.limits),
+    : limits_(cfg.limits),
       checkpoint_quota_bytes_(cfg.checkpoint_quota_bytes),
-      journal_compact_bytes_(cfg.journal_compact_bytes),
       disk_faults_(cfg.disk_faults) {
-  std::error_code ec;
-  fs::create_directories(state_dir_ + "/jobs", ec);
-  if (ec)
-    throw ServeError(ServeErrc::kIo, "cannot create state dir " + state_dir_ +
-                                         ": " + ec.message());
-  cache_ = std::make_unique<ResultCache>(state_dir_ + "/cache",
+  cache_ = std::make_unique<ResultCache>(cfg.state_dir + "/cache",
                                          cfg.cache_budget_bytes, disk_faults_);
-  const std::string journal_dir = state_dir_ + "/journal";
-  JournalReplay replayed = JobJournal::replay(journal_dir);
-  journal_ = std::make_unique<JobJournal>(
-      journal_dir, cfg.journal_segment_bytes, disk_faults_);
-  next_job_ = replayed.max_job + 1;
+  journal_ =
+      std::make_unique<JobJournal>(cfg.state_dir + "/jobs", disk_faults_);
+  std::vector<LiveJob> live = journal_->recover();
+  next_job_ = journal_->max_job() + 1;
   executor_ = std::make_unique<pool::PoolExecutor>(std::max(1, cfg.threads),
                                                    std::move(hooks));
 
-  // Crash recovery: every journaled job without a terminal record is
-  // still owed a result.
-  for (LiveJob& lj : replayed.live) {
+  // Crash recovery: every job whose record survived is still owed a
+  // result, unless the result already reached the cache.
+  for (LiveJob& lj : live) {
     ParseReport report;
     std::optional<Netlist> nl = parse_submission(lj.netlist_yal, report);
     if (!nl) {
-      // It parsed when accepted; if it no longer does the journal record
-      // is damaged in a CRC-surviving way (or the parser changed).
-      // Retire it visibly rather than crash-looping on it forever.
-      log_warn("recovery: journaled job ", lj.job,
-               " no longer parses; retiring it: ", report.str());
-      try {
-        journal_->record_finished(lj.job);
-      } catch (const ServeError& e) {
-        journal_degraded_ = true;
-        log_warn("recovery: cannot journal retirement: ", e.what());
-      }
+      // It parsed when accepted; if it no longer does the record is
+      // damaged in a CRC-surviving way (or the parser changed). Retire it
+      // visibly rather than crash-looping on it forever.
+      log_warn("recovery: job ", lj.job, " no longer parses; retiring it: ",
+               report.str());
+      retire(lj.job);
       continue;
     }
     const CacheKey key{recover::netlist_digest(*nl),
                        params_digest(lj.params)};
     if (cache_->lookup(key).has_value()) {
-      // The result reached the cache but the kill landed before the
-      // journal's finished record: the work is done, only the
-      // bookkeeping was lost.
-      try {
-        journal_->record_finished(lj.job);
-      } catch (const ServeError& e) {
-        journal_degraded_ = true;
-        log_warn("recovery: cannot journal retirement: ", e.what());
-      }
+      // The result reached the cache but the kill landed before the job's
+      // directory was removed: the work is done, only the cleanup was lost.
+      log_info("recovery: job ", lj.job,
+               "'s result is already cached; removing its directory");
+      retire(lj.job);
       continue;
     }
     const std::uint64_t id = lj.job;
@@ -160,8 +139,7 @@ Scheduler::Scheduler(SchedulerConfig cfg, pool::PoolExecutor::Hooks hooks)
   }
   if (!recovered_.empty())
     log_info("recovery: re-adopted ", recovered_.size(),
-             " in-flight job(s) from journal", replayed.torn_tail
-                 ? " (torn journal tail dropped)" : "");
+             " in-flight job(s) from their records");
 }
 
 Scheduler::~Scheduler() { shutdown(); }
@@ -170,8 +148,8 @@ void Scheduler::shutdown() {
   if (executor_) executor_->shutdown();
 }
 
-std::string Scheduler::job_dir(std::uint64_t id) const {
-  return state_dir_ + "/jobs/job-" + std::to_string(id);
+void Scheduler::retire(std::uint64_t id) {
+  if (!journal_->remove(id)) journal_degraded_ = true;
 }
 
 void Scheduler::enqueue(Job&& job, bool adopt_existing) {
@@ -185,7 +163,7 @@ void Scheduler::enqueue(Job&& job, bool adopt_existing) {
   ej.watchdog.initial_moves = p.watchdog_moves;
   ej.budget_moves = p.budget_moves;
   ej.budget_steps = p.budget_steps;
-  ej.checkpoint_root = job_dir(job.live.job);
+  ej.checkpoint_root = journal_->job_dir(job.live.job);
   ej.checkpoint_every = std::max(1, p.checkpoint_every);
   ej.checkpoint_keep = std::max(0, p.checkpoint_keep);
   ej.checkpoint_quota_bytes = checkpoint_quota_bytes_;
@@ -277,12 +255,13 @@ Submitted Scheduler::submit(const SubmitRequest& req) {
 
   // Accept: the write-ahead record precedes everything the client will
   // ever observe — once the ack is on the wire, the job survives SIGKILL.
-  // A journal that cannot take the record means the daemon is out of the
-  // disk it needs to make that promise: shed the submission (typed,
+  // A record that cannot be written means the daemon is out of the disk
+  // it needs to make that promise: shed the submission (typed,
   // retryable) rather than accept work that would not survive a crash.
   const std::uint64_t id = next_job_++;
+  LiveJob live{id, p, req.netlist_yal};
   try {
-    journal_->record_submitted(id, p, req.netlist_yal);
+    journal_->write(live);
   } catch (const ServeError& e) {
     journal_degraded_ = true;
     ++shed_;
@@ -292,8 +271,7 @@ Submitted Scheduler::submit(const SubmitRequest& req) {
                     /*retry_after_ms=*/1000);
   }
 
-  enqueue(Job{LiveJob{id, p, req.netlist_yal}, key,
-              std::make_unique<Netlist>(std::move(*nl))},
+  enqueue(Job{std::move(live), key, std::make_unique<Netlist>(std::move(*nl))},
           /*adopt_existing=*/false);
 
   Submitted out;
@@ -309,7 +287,7 @@ bool Scheduler::cancel(std::uint64_t job) {
   if (!it->second.live.cancelled) {
     it->second.live.cancelled = true;
     try {
-      journal_->record_cancelled(job);
+      journal_->write(it->second.live);
     } catch (const ServeError& e) {
       // Degraded, not fatal: the cancel still takes effect now; only a
       // restart in this window would resurrect the job at full length.
@@ -340,11 +318,11 @@ ResultEvent Scheduler::finish(pool::ExecutorResult r) {
   if (it == jobs_.end()) return ev;  // rejected-at-shutdown stub
   Job& job = it->second;
 
-  // Cache before the journal's terminal record: if the daemon dies
-  // between the two, recovery finds the cached result and completes the
-  // bookkeeping instead of re-running the job. A cache that cannot be
-  // written degrades to cache-off mode — the job still completes and its
-  // result is still delivered; only cross-restart dedup is lost.
+  // Cache before the job's directory goes: if the daemon dies between
+  // the two, recovery finds the cached result and removes the directory
+  // instead of re-running the job. A cache that cannot be written
+  // degrades to cache-off mode — the job still completes and its result
+  // is still delivered; only cross-restart dedup is lost.
   if (!cache_off_) {
     try {
       cache_->put(job.key, ev);
@@ -354,50 +332,17 @@ ResultEvent Scheduler::finish(pool::ExecutorResult r) {
                e.what());
     }
   }
-  try {
-    journal_->record_finished(r.job);
-  } catch (const ServeError& e) {
-    // The job is done and its result is about to be delivered; a lost
-    // terminal record only means a restart would re-run (or re-serve
-    // from cache) this job. Degraded, not fatal.
-    journal_degraded_ = true;
-    log_warn("journal finish record failed: ", e.what());
-  }
   running_.erase(job.key);
 
-  // The checkpoint tree served its purpose; reclaim the disk.
-  std::error_code ec;
-  fs::remove_all(job_dir(r.job), ec);
-  if (ec)
-    log_warn("cannot remove job dir ", job_dir(r.job), ": ", ec.message());
+  // Removing the job's directory (its record, then its checkpoint tree)
+  // is the finished record. A removal that fails only means a restart
+  // would re-run (or re-serve from cache) this job. Degraded, not fatal.
+  retire(r.job);
 
   done_ring_.emplace_back(r.job, JobState::kDone);
   while (done_ring_.size() > kDoneRing) done_ring_.pop_front();
   jobs_.erase(it);
-
-  ++finished_since_compact_;
-  maybe_compact();
   return ev;
-}
-
-void Scheduler::maybe_compact() {
-  // Two triggers: a finish-count cadence (bounds dead *records*) and a
-  // byte threshold (bounds dead *bytes* — a few huge netlists can blow
-  // the size budget long before the cadence fires).
-  const bool by_count = finished_since_compact_ >= kCompactEvery;
-  const bool by_bytes =
-      journal_compact_bytes_ > 0 && journal_->bytes() > journal_compact_bytes_;
-  if (!by_count && !by_bytes) return;
-  finished_since_compact_ = 0;
-  std::vector<LiveJob> live;
-  live.reserve(jobs_.size());
-  for (const auto& [id, j] : jobs_) live.push_back(j.live);
-  try {
-    journal_->compact(live);
-  } catch (const ServeError& e) {
-    journal_degraded_ = true;
-    log_warn("journal compaction failed (journal intact): ", e.what());
-  }
 }
 
 StatsReply Scheduler::stats() const {
@@ -416,7 +361,7 @@ StatsReply Scheduler::stats() const {
   s.recovered = static_cast<std::int64_t>(recovered_.size());
   s.cache_evictions = cache_->evictions();
   s.journal_bytes = journal_->bytes();
-  s.journal_segments = journal_->segments();
+  s.journal_records = journal_->records();
   s.cache_bytes = cache_->bytes();
   s.cache_budget_bytes = cache_->budget_bytes();
   s.cache_off = cache_off_;

@@ -1,5 +1,5 @@
 // Job scheduler of the placement service: admission control, quotas,
-// dedup, journaling and crash recovery — everything the daemon decides,
+// dedup, job records and crash recovery — everything the daemon decides,
 // with no sockets anywhere, so the whole policy layer is unit-testable
 // in-process.
 //
@@ -11,15 +11,18 @@
 //   dedup: identical (netlist digest, params digest) against the result
 //     cache (serve the cached terminal result, no annealing) and against
 //     in-flight jobs (attach to the running job) ->
-//   journal the submission (write-ahead: durable before the ack) ->
+//   write the job's record (write-ahead: durable before the ack) ->
 //   enqueue on the shared PoolExecutor under the job's RunBudget quota.
 //
-// Crash recovery (construction): replay the journal, drop jobs with a
-// terminal record, finish jobs whose results already reached the cache
-// (the cache put happens before the journal's finished record, so a kill
-// between the two serves from cache instead of re-running), and resubmit
-// the rest with adopt_existing set — each replica continues from the
-// newest valid checkpoint its killed predecessor wrote.
+// A live job's whole durable state is its directory <state>/jobs/job-<id>/
+// (the record and the replicas' checkpoint trees; see journal.hpp), and
+// removing it is the finished record. Crash recovery (construction):
+// list jobs/, remove the directories of jobs whose results already
+// reached the cache (the cache put happens before the removal, so a kill
+// between the two serves from cache instead of re-running) and of jobs
+// whose record or netlist no longer reads, and resubmit the rest in id
+// order with adopt_existing set — each replica continues from the newest
+// valid checkpoint its killed predecessor wrote.
 //
 // Threading: every method here runs on the daemon thread. The executor's
 // callbacks fire on worker threads and must be routed back (the daemon
@@ -63,21 +66,17 @@ struct SchedulerLimits {
 };
 
 struct SchedulerConfig {
-  /// Root of all daemon state: journal/, cache/, jobs/job-<id>/.
+  /// Root of all daemon state: cache/ and jobs/job-<id>/.
   std::string state_dir;
   SchedulerLimits limits;
   int threads = 2;  ///< executor worker threads
   // Disk budgets (0 = unbounded where noted):
   std::uint64_t cache_budget_bytes = 8u << 20;  ///< result cache bytes
-  std::uint64_t journal_segment_bytes = 1u << 20;  ///< per-segment cap
-  /// Compact the journal whenever its total size passes this (on top of
-  /// the finish-count cadence).
-  std::uint64_t journal_compact_bytes = 4u << 20;
   /// Per-replica checkpoint-directory byte quota (0 = unbounded); a save
   /// that would burst it fails typed and the replica degrades to
   /// checkpoint-off mode.
   std::uint64_t checkpoint_quota_bytes = 0;
-  /// Disk-fault injection seam shared by journal, cache and checkpoint
+  /// Disk-fault injection seam shared by job records, cache and checkpoint
   /// sinks (non-owning; must be thread-safe — workers poll it too).
   recover::DiskFaultInjector* disk_faults = nullptr;
 };
@@ -97,17 +96,19 @@ struct Submitted {
 
 class Scheduler {
  public:
-  /// Builds the state directory, replays the journal and resubmits the
-  /// in-flight jobs of a killed predecessor (see recovered()). `hooks`
-  /// goes to the PoolExecutor verbatim — both callbacks fire on worker
-  /// threads; route results back into finish() on the daemon thread.
+  /// Builds the state directory, reads the job records back and
+  /// resubmits the in-flight jobs of a killed predecessor (see
+  /// recovered()). `hooks` goes to the PoolExecutor verbatim — both
+  /// callbacks fire on worker threads; route results back into finish()
+  /// on the daemon thread.
   Scheduler(SchedulerConfig cfg, pool::PoolExecutor::Hooks hooks);
   ~Scheduler();
 
   Submitted submit(const SubmitRequest& req);
 
-  /// Cooperative cancel; journaled so a restart doesn't resurrect the
-  /// job at full length. False for unknown/finished jobs.
+  /// Cooperative cancel; the job's record is rewritten so a restart
+  /// doesn't resurrect the job at full length. False for unknown/finished
+  /// jobs.
   bool cancel(std::uint64_t job);
 
   /// kRunning while in flight, kDone for recently finished jobs, nullopt
@@ -115,13 +116,12 @@ class Scheduler {
   std::optional<JobState> query(std::uint64_t job) const;
 
   /// Terminal bookkeeping for one executor result (daemon thread): cache
-  /// the result, journal the completion, free the job's netlist and
-  /// checkpoint tree, compact the journal when enough dead records
-  /// accumulated. Returns the event to broadcast.
+  /// the result, then remove the job's directory (record and checkpoint
+  /// tree) and free its netlist. Returns the event to broadcast.
   ResultEvent finish(pool::ExecutorResult r);
 
-  /// Jobs resurrected from the journal at construction, in submission
-  /// order (they have no watchers; their results land in the cache).
+  /// Jobs resurrected from their records at construction, in id order
+  /// (they have no watchers; their results land in the cache).
   const std::vector<std::uint64_t>& recovered() const { return recovered_; }
 
   /// The scheduler's half of the health snapshot: queue/running depth by
@@ -133,7 +133,6 @@ class Scheduler {
   int in_flight() const { return static_cast<int>(jobs_.size()); }
   const SchedulerLimits& limits() const { return limits_; }
   ResultCache& cache() { return *cache_; }
-  JobJournal& journal() { return *journal_; }
   bool cache_off() const { return cache_off_; }
   bool journal_degraded() const { return journal_degraded_; }
 
@@ -142,23 +141,21 @@ class Scheduler {
   void shutdown();
 
  private:
-  /// One job in flight: its journal record (id, params, netlist text,
-  /// cancel flag — what recovery replays and compaction rewrites), its
-  /// dedup key and the parsed netlist the executor runs on.
+  /// One job in flight: its record (id, params, netlist text, cancel
+  /// flag — what recovery reads back and a cancel rewrites), its dedup key
+  /// and the parsed netlist the executor runs on.
   struct Job {
     LiveJob live;
     CacheKey key;
     std::unique_ptr<Netlist> nl;
   };
 
-  std::string job_dir(std::uint64_t id) const;
   void enqueue(Job&& job, bool adopt_existing);
-  void maybe_compact();
+  /// Removes job `id`'s directory; a failure flags journal_degraded.
+  void retire(std::uint64_t id);
 
-  std::string state_dir_;
   SchedulerLimits limits_;
   std::uint64_t checkpoint_quota_bytes_ = 0;
-  std::uint64_t journal_compact_bytes_ = 0;
   recover::DiskFaultInjector* disk_faults_ = nullptr;
   std::unique_ptr<ResultCache> cache_;
   std::unique_ptr<JobJournal> journal_;
@@ -168,10 +165,9 @@ class Scheduler {
   std::deque<std::pair<std::uint64_t, JobState>> done_ring_;  ///< recent
   std::vector<std::uint64_t> recovered_;
   std::uint64_t next_job_ = 1;
-  int finished_since_compact_ = 0;
   // Degradation state and shed accounting (see StatsReply):
   bool cache_off_ = false;        ///< cache writes disabled after IO failure
-  bool journal_degraded_ = false; ///< some journal write failed (typed)
+  bool journal_degraded_ = false; ///< a job record write or removal failed
   std::int64_t shed_ = 0;
   std::int64_t checkpoint_off_jobs_ = 0;
 };

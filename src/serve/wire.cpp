@@ -115,7 +115,7 @@ void fields(Io& io, R& m) {
   io.i64(m.progress_dropped);
   io.i64(m.reaped);
   io.u64(m.journal_bytes);
-  io.i32(m.journal_segments);
+  io.i32(m.journal_records);
   io.u64(m.cache_bytes);
   io.u64(m.cache_budget_bytes);
   io.u8(m.cache_off);

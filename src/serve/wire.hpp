@@ -118,7 +118,7 @@ struct JobParams {
 };
 
 /// The canonical field list of JobParams (recover/serialize.hpp): the
-/// wire's submit payload and the journal's submitted record both carry it.
+/// wire's submit payload and the job record (journal.hpp) both carry it.
 template <class Io, recover::MaybeConst<JobParams> R>
 void fields(Io& io, R& p) {
   io.u64(p.master_seed);
@@ -182,7 +182,8 @@ struct CancelRequest {
 
 struct PingRequest {};
 
-/// Graceful stop: drain in-flight jobs' wind-down, journal, exit 0.
+/// Graceful stop: drain in-flight jobs' wind-down, settle their records,
+/// exit 0.
 struct ShutdownRequest {};
 
 /// Health/observability probe: the server answers with a StatsReply.
@@ -298,18 +299,18 @@ struct StatsReply {
   std::int64_t shed = 0;       ///< submissions rejected kOverloaded
   std::int64_t preempted = 0;  ///< replica tasks parked at a checkpoint
   std::int64_t resumed = 0;    ///< parked tasks picked back up
-  std::int64_t recovered = 0;  ///< jobs re-adopted from the journal at boot
+  std::int64_t recovered = 0;  ///< jobs re-adopted from records at boot
   std::int64_t cache_evictions = 0;   ///< entries evicted for the byte budget
   std::int64_t progress_dropped = 0;  ///< events dropped on slow readers
   std::int64_t reaped = 0;            ///< idle connections reaped
   // Disk budget usage:
-  std::uint64_t journal_bytes = 0;
-  std::int32_t journal_segments = 0;
+  std::uint64_t journal_bytes = 0;  ///< bytes of the live job records
+  std::int32_t journal_records = 0;  ///< live job records (jobs in flight)
   std::uint64_t cache_bytes = 0;
   std::uint64_t cache_budget_bytes = 0;  ///< 0 = unbounded
   // Degraded modes currently in effect (typed, never silent):
   bool cache_off = false;      ///< result-cache writes disabled after IO failure
-  bool journal_degraded = false;  ///< a journal write failed at least once
+  bool journal_degraded = false;  ///< a job record write or removal failed
   std::int64_t checkpoint_off_jobs = 0;  ///< jobs finished checkpoint-off
 
   bool operator==(const StatsReply&) const = default;

@@ -72,6 +72,38 @@ TEST(Graph, WalkRejectsDisconnectedSequence) {
   EXPECT_TRUE(f.g.walk_nodes(0, bogus).empty());
 }
 
+TEST(Graph, MoveCarriesTheUidWithTheEdges) {
+  // SearchWorkspace::bind keys its cached A* scale on (uid, num_edges).
+  // After a move the graph that holds the edges keeps their uid and the
+  // emptied source draws a fresh one, so no uid names two edge sets.
+  Grid3 f;
+  const std::uint64_t uid = f.g.uid();
+  const std::size_t edges = f.g.num_edges();
+
+  RoutingGraph moved(std::move(f.g));
+  EXPECT_EQ(moved.uid(), uid);
+  EXPECT_EQ(moved.num_edges(), edges);
+  EXPECT_NE(f.g.uid(), uid);
+  EXPECT_EQ(f.g.num_nodes(), 0u);
+  EXPECT_EQ(f.g.num_edges(), 0u);
+
+  RoutingGraph assigned;
+  const std::uint64_t discarded = assigned.uid();
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.uid(), uid);
+  EXPECT_EQ(assigned.num_edges(), edges);
+  EXPECT_NE(moved.uid(), uid);
+  EXPECT_NE(moved.uid(), discarded);
+  EXPECT_EQ(moved.num_edges(), 0u);
+
+  // An emptied source is a usable empty graph.
+  const NodeId a = f.g.add_node({0, 0});
+  const NodeId b = f.g.add_node({10, 0});
+  f.g.add_edge(a, b, 10.0, 1);
+  EXPECT_EQ(f.g.num_edges(), 1u);
+  EXPECT_TRUE(shortest_path(f.g, a, b).has_value());
+}
+
 TEST(ShortestPath, StraightLine) {
   Grid3 f;
   const auto sp = shortest_path(f.g, 0, 8);

@@ -497,6 +497,35 @@ TEST(PoolExecutorTest, QueueDrainsInPriorityOrderUrgentOvertakesBatch) {
   ex.shutdown();
 }
 
+TEST(PoolExecutorTest, SubmitAfterShutdownFailsEveryReplica) {
+  // A job submitted after shutdown() is never silently dropped: it
+  // completes before submit() returns, with every replica failed.
+  DoneLog log;
+  pool::PoolExecutor ex(/*threads=*/1, log.hooks());
+  ex.shutdown();
+  pool::ExecutorJob late = executor_job(7, 700, /*priority=*/1);
+  late.replicas = 3;
+  ex.submit(late);
+  {
+    const std::lock_guard<std::mutex> lock(log.mu);
+    ASSERT_EQ(log.done.size(), 1u) << "on_done must fire inside submit()";
+  }
+  const pool::ExecutorResult r = log.result_for(7);
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.stats.succeeded, 0);
+  EXPECT_EQ(r.stats.failed, 3);
+  EXPECT_EQ(r.stats.attempts, 3);
+  ASSERT_EQ(r.replicas.size(), 3u);
+  for (int i = 0; i < 3; ++i) {
+    const pool::ReplicaReport& rep = r.replicas[static_cast<std::size_t>(i)];
+    EXPECT_EQ(rep.replica, i);
+    EXPECT_EQ(rep.outcome, pool::ReplicaOutcome::kFailed);
+    ASSERT_EQ(rep.attempts.size(), 1u);
+    EXPECT_EQ(rep.attempts[0].outcome, pool::AttemptOutcome::kError);
+    EXPECT_EQ(rep.attempts[0].error, "executor is shut down");
+  }
+}
+
 // The preemption acceptance test at the executor layer: an urgent arrival
 // on a saturated pool parks the running batch job at its next checkpoint
 // save, runs, and the parked job then resumes from that checkpoint — with

@@ -804,7 +804,7 @@ TEST(RecoverDurable, WriteAtomicNeverRenamesAFailedWrite) {
   const std::string path = dir + "/file";
   const std::vector<std::uint8_t> first = {1, 2, 3, 4};
   const std::vector<std::uint8_t> second = {5, 6, 7, 8, 9, 10};
-  const DiskSite site = DiskSite::kJournalRotate;
+  const DiskSite site = DiskSite::kJournalWrite;
 
   DiskFaultPlan plan;
   plan.fail_at(site, 1, DiskFault::kShortWrite);

@@ -171,29 +171,5 @@ TEST(InstanceSelection, GeneratorEmitsMultiInstanceMacros) {
   EXPECT_EQ(c0.instances[1].height, c0.instances[0].width);
 }
 
-TEST(PrimK, BranchingFindsAtLeastAsGoodRoutes) {
-  // 4x4 grid net with 4 pins: prim_k > 0 explores alternative connection
-  // orders; the best route must be no worse than the base algorithm's.
-  RoutingGraph g;
-  for (int r = 0; r < 4; ++r)
-    for (int c = 0; c < 4; ++c) g.add_node(Point{c * 10, r * 10});
-  for (int r = 0; r < 4; ++r)
-    for (int c = 0; c < 4; ++c) {
-      const NodeId n = static_cast<NodeId>(4 * r + c);
-      if (c + 1 < 4) g.add_edge(n, n + 1, 10.0, 2);
-      if (r + 1 < 4) g.add_edge(n, n + 4, 10.0, 2);
-    }
-  NetTargets net;
-  net.pins = {{0}, {3}, {12}, {15}};
-  SteinerParams base{4, 12, 0};
-  SteinerParams branched{4, 12, 2};
-  const auto r0 = m_best_routes(g, net, base);
-  const auto r2 = m_best_routes(g, net, branched);
-  ASSERT_FALSE(r0.empty());
-  ASSERT_FALSE(r2.empty());
-  EXPECT_LE(r2[0].length, r0[0].length);
-  for (const auto& r : r2) EXPECT_TRUE(route_connects(g, net, r));
-}
-
 }  // namespace
 }  // namespace tw

@@ -382,7 +382,9 @@ TEST(RouterCrew, RandomGridsAreCrewSizeInvariant) {
     const RandomInstance inst(rng);
     GlobalRouterParams params;
     params.steiner.m = static_cast<int>(rng.uniform_int(1, 6));
-    params.steiner.prim_k = static_cast<int>(rng.uniform_int(0, 1));
+    // A draw no parameter takes any more, kept so that this seed still
+    // yields the same random instances.
+    (void)rng.uniform_int(0, 1);
     params.seed = static_cast<std::uint64_t>(iter) + 11;
     const GlobalRouteResult r =
         expect_crew_invariant(inst.g, inst.nets, params);

@@ -1,13 +1,14 @@
 // Placement service (src/serve): wire-protocol framing against truncated,
-// corrupted and hostile byte streams; segmented write-ahead journal
-// replay with rotation, torn tails and crash-safe compaction; the
-// byte-budgeted on-disk result cache; the durable-file layer the journal,
-// the cache and the checkpoint sink share (close-time ENOSPC, golden
-// on-disk bytes); the scheduler's typed admission
+// corrupted and hostile byte streams; the write-ahead job records read
+// back at startup, with damaged records retired one job at a time and
+// dead job directories swept; the byte-budgeted on-disk result cache;
+// the durable-file layer the job records, the cache and the checkpoint
+// sink share (close-time ENOSPC, golden on-disk bytes); the scheduler's
+// typed admission
 // control (quotas, priority-aware overload shedding, parse rejection),
 // dedup against running and cached work, checkpoint preemption with
 // byte-identical resume, disk-fault degraded modes, and crash recovery
-// (journal replay + checkpoint re-adoption reproducing the uninterrupted
+// (job records + checkpoint re-adoption reproducing the uninterrupted
 // fingerprint); and the daemon end-to-end over a real Unix socket —
 // submit, progress streaming, cached duplicates, cooperative cancel,
 // stats snapshots, graceful shutdown.
@@ -162,7 +163,7 @@ TEST(WireTest, RoundTripsEveryMessageType) {
   stats.preempted = 2;
   stats.resumed = 2;
   stats.journal_bytes = 4096;
-  stats.journal_segments = 2;
+  stats.journal_records = 2;
   stats.cache_bytes = 512;
   stats.cache_budget_bytes = 1024;
   stats.cache_off = true;
@@ -261,7 +262,7 @@ TEST(WireTest, PriorityAndRetryHintSurviveTheRoundTrip) {
   stats.progress_dropped = 99;
   stats.reaped = 1;
   stats.journal_bytes = 123456;
-  stats.journal_segments = 3;
+  stats.journal_records = 3;
   stats.cache_bytes = 789;
   stats.cache_budget_bytes = 8192;
   stats.cache_off = true;
@@ -416,7 +417,7 @@ std::vector<Message> golden_messages() {
   stats.progress_dropped = 99;
   stats.reaped = 8;
   stats.journal_bytes = 123456;
-  stats.journal_segments = 9;
+  stats.journal_records = 9;
   stats.cache_bytes = 789;
   stats.cache_budget_bytes = 8192;
   stats.cache_off = true;
@@ -508,389 +509,200 @@ TEST(WireTest, OutOfRangeEnumBytesAreCorrupt) {
 }
 
 // ---------------------------------------------------------------------------
-// Write-ahead journal
+// Write-ahead job records
 
-/// Path of the newest (highest-numbered) segment file in `dir`.
-std::string newest_segment(const std::string& dir) {
-  std::string best;
-  for (const auto& e : std::filesystem::directory_iterator(dir)) {
-    const std::string name = e.path().filename().string();
-    if (name.starts_with("seg-") && e.path().extension() == ".twj" &&
-        (best.empty() || name > std::filesystem::path(best).filename().string()))
-      best = e.path().string();
-  }
-  return best;
-}
-
-int count_segments(const std::string& dir) {
-  int n = 0;
-  for (const auto& e : std::filesystem::directory_iterator(dir))
-    n += e.path().extension() == ".twj" ? 1 : 0;
-  return n;
+/// Path of job `id`'s record under the job root `dir`.
+std::string record_path(const std::string& dir, std::uint64_t id) {
+  return dir + "/job-" + std::to_string(id) + "/record.twj";
 }
 
 TEST(JournalTest, ReplayReconstructsLiveJobsInOrder) {
-  const std::string dir = fresh_dir("tw_srv_journal") + "/journal";
+  const std::string dir = fresh_dir("tw_srv_journal") + "/jobs";
   {
     JobJournal j(dir);
-    j.record_submitted(1, fast_params(1), "netlist one");
-    j.record_submitted(2, fast_params(2), "netlist two");
-    j.record_submitted(3, fast_params(3), "netlist three");
-    j.record_finished(2);
-    j.record_cancelled(3);
+    j.write(LiveJob{3, fast_params(3), "netlist three"});
+    j.write(LiveJob{1, fast_params(1), "netlist one"});
+    j.write(LiveJob{2, fast_params(2), "netlist two"});
+    j.write(LiveJob{3, fast_params(3), "netlist three", /*cancelled=*/true});
+    EXPECT_TRUE(j.remove(2));  // job 2 finished
+    EXPECT_EQ(j.records(), 2);
   }
-  const JournalReplay r = JobJournal::replay(dir);
-  EXPECT_EQ(r.records, 5);
-  EXPECT_EQ(r.max_job, 3u);
-  EXPECT_EQ(r.dropped, 1);
-  EXPECT_EQ(r.segments, 1);
-  EXPECT_FALSE(r.torn_tail);
-  EXPECT_FALSE(r.torn_interior);
-  ASSERT_EQ(r.live.size(), 2u);
-  EXPECT_EQ(r.live[0].job, 1u);
-  EXPECT_EQ(r.live[0].netlist_yal, "netlist one");
-  EXPECT_FALSE(r.live[0].cancelled);
-  EXPECT_EQ(r.live[1].job, 3u);
-  EXPECT_TRUE(r.live[1].cancelled);
-  EXPECT_EQ(r.live[1].params, fast_params(3));
+  EXPECT_FALSE(std::filesystem::exists(dir + "/job-2"));
+
+  JobJournal j(dir);
+  const std::vector<LiveJob> live = j.recover();
+  EXPECT_EQ(j.max_job(), 3u);
+  EXPECT_EQ(j.records(), 2);
+  EXPECT_EQ(j.bytes(), std::filesystem::file_size(record_path(dir, 1)) +
+                           std::filesystem::file_size(record_path(dir, 3)));
+  ASSERT_EQ(live.size(), 2u);
+  EXPECT_EQ(live[0].job, 1u);
+  EXPECT_EQ(live[0].netlist_yal, "netlist one");
+  EXPECT_FALSE(live[0].cancelled);
+  EXPECT_EQ(live[1].job, 3u);
+  EXPECT_TRUE(live[1].cancelled) << "the cancel rewrite must survive";
+  EXPECT_EQ(live[1].params, fast_params(3));
 }
 
 TEST(JournalTest, MissingJournalIsAnEmptyHistory) {
-  const JournalReplay r =
-      JobJournal::replay(fresh_dir("tw_srv_nojournal") + "/none");
-  EXPECT_TRUE(r.live.empty());
-  EXPECT_EQ(r.records, 0);
-  EXPECT_EQ(r.segments, 0);
-  EXPECT_FALSE(r.torn_tail);
+  const std::string dir = fresh_dir("tw_srv_nojournal") + "/none";
+  JobJournal j(dir);
+  EXPECT_TRUE(j.recover().empty());
+  EXPECT_EQ(j.max_job(), 0u);
+  EXPECT_EQ(j.records(), 0);
+  EXPECT_EQ(j.bytes(), 0u);
+  EXPECT_TRUE(std::filesystem::is_directory(dir));
 }
 
 TEST(JournalTest, TornTailIsDroppedEarlierRecordsSurvive) {
-  const std::string dir = fresh_dir("tw_srv_torn") + "/journal";
+  // write_atomic never publishes a partial record, so a torn one is disk
+  // damage; it retires its own job and no other.
+  const std::string dir = fresh_dir("tw_srv_torn") + "/jobs";
   {
     JobJournal j(dir);
-    j.record_submitted(1, fast_params(1), "first");
-    j.record_submitted(2, fast_params(2), "second");
+    j.write(LiveJob{1, fast_params(1), "first"});
+    j.write(LiveJob{2, fast_params(2), "second"});
   }
-  // Chop bytes off the tail: a kill mid-append leaves exactly this shape.
-  const std::string path = newest_segment(dir);
-  const auto full = std::filesystem::file_size(path);
-  std::filesystem::resize_file(path, full - 5);
+  const std::string path = record_path(dir, 2);
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) - 5);
 
-  const JournalReplay r = JobJournal::replay(dir);
-  EXPECT_TRUE(r.torn_tail);
-  EXPECT_FALSE(r.torn_interior);
-  EXPECT_EQ(r.records, 1);
-  ASSERT_EQ(r.live.size(), 1u);
-  EXPECT_EQ(r.live[0].job, 1u);
-  EXPECT_EQ(r.live[0].netlist_yal, "first");
+  JobJournal j(dir);
+  const std::vector<LiveJob> live = j.recover();
+  ASSERT_EQ(live.size(), 1u);
+  EXPECT_EQ(live[0].job, 1u);
+  EXPECT_EQ(live[0].netlist_yal, "first");
+  EXPECT_FALSE(std::filesystem::exists(dir + "/job-2"));
+  EXPECT_EQ(j.max_job(), 2u) << "a retired job's id stays taken";
 }
 
 TEST(JournalTest, CorruptTailRecordIsDroppedNotFatal) {
-  const std::string dir = fresh_dir("tw_srv_crc") + "/journal";
+  const std::string dir = fresh_dir("tw_srv_crc") + "/jobs";
   {
     JobJournal j(dir);
-    j.record_submitted(1, fast_params(1), "good");
-    j.record_submitted(2, fast_params(2), "about to rot");
+    j.write(LiveJob{1, fast_params(1), "good"});
+    j.write(LiveJob{2, fast_params(2), "about to rot"});
   }
-  const std::string path = newest_segment(dir);
-  {  // Flip a byte inside the LAST record's payload.
-    std::ifstream in(path, std::ios::binary);
-    std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
-                            std::istreambuf_iterator<char>());
-    ASSERT_GT(bytes.size(), 3u);
-    bytes[bytes.size() - 3] ^= 0x40;
-    std::ofstream(path, std::ios::binary | std::ios::trunc)
-        .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-  const JournalReplay r = JobJournal::replay(dir);
-  EXPECT_TRUE(r.torn_tail);
-  ASSERT_EQ(r.live.size(), 1u);
-  EXPECT_EQ(r.live[0].job, 1u);
-}
+  // Flip a byte in the tail of job 2's record: its CRC no longer holds.
+  std::vector<std::uint8_t> bytes = file_bytes(record_path(dir, 2));
+  ASSERT_GT(bytes.size(), 3u);
+  bytes[bytes.size() - 3] ^= 0x40;
+  write_bytes(record_path(dir, 2), bytes);
+  // A valid record under another job's directory is corrupt too.
+  std::filesystem::create_directories(dir + "/job-4");
+  std::filesystem::copy_file(record_path(dir, 1), record_path(dir, 4));
 
-/// Appends one hand-made record (u32 size | u32 CRC-32 | payload) to the
-/// journal segment at `path`.
-void append_raw_record(const std::string& path,
-                       const std::vector<std::uint8_t>& payload) {
-  std::vector<std::uint8_t> rec;
-  const auto put32 = [&rec](std::uint32_t v) {
-    for (int i = 0; i < 4; ++i)
-      rec.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  };
-  put32(static_cast<std::uint32_t>(payload.size()));
-  put32(recover::crc32(payload));
-  rec.insert(rec.end(), payload.begin(), payload.end());
-  std::ofstream(path, std::ios::binary | std::ios::app)
-      .write(reinterpret_cast<const char*>(rec.data()),
-             static_cast<std::streamsize>(rec.size()));
-}
-
-TEST(JournalTest, UnknownOpIsSkippedAndReplayContinues) {
-  // A CRC-valid record whose op this build does not know (a newer
-  // format's, with bytes after the id) is skipped, not fatal: its id is
-  // still taken, and every later record replays.
-  const std::string dir = fresh_dir("tw_srv_unknown_op") + "/journal";
-  {
-    JobJournal j(dir);
-    j.record_submitted(1, fast_params(1), "before");
-  }
-  append_raw_record(newest_segment(dir),
-                    {7, 9, 0, 0, 0, 0, 0, 0, 0, 0xAA, 0xBB});
-  {
-    JobJournal j(dir);
-    j.record_submitted(2, fast_params(2), "after");
-  }
-  const JournalReplay r = JobJournal::replay(dir);
-  EXPECT_FALSE(r.torn_tail);
-  EXPECT_EQ(r.records, 3);
-  EXPECT_EQ(r.max_job, 9u);
-  ASSERT_EQ(r.live.size(), 2u);
-  EXPECT_EQ(r.live[0].netlist_yal, "before");
-  EXPECT_EQ(r.live[1].netlist_yal, "after");
+  JobJournal j(dir);
+  std::vector<LiveJob> live;
+  ASSERT_NO_THROW(live = j.recover());
+  ASSERT_EQ(live.size(), 1u);
+  EXPECT_EQ(live[0].job, 1u);
+  EXPECT_FALSE(std::filesystem::exists(dir + "/job-2"));
+  EXPECT_FALSE(std::filesystem::exists(dir + "/job-4"));
+  EXPECT_EQ(j.max_job(), 4u);
 }
 
 TEST(JournalTest, OutOfRangePriorityMakesACorruptRecordNotAThrow) {
-  // Replay never throws for content: a CRC-valid submit whose priority
-  // byte is one past kUrgent is a corrupt record. Replay keeps what came
-  // before it, drops it and the segment tail, and still counts its id as
-  // taken (it was read before the bad byte).
-  const auto journal = [](const std::string& dir, JobPriority priority) {
+  // Startup never throws for content: a CRC-valid record whose priority
+  // byte is one past kUrgent retires its own job only, and its id stays
+  // taken.
+  const auto write_jobs = [](const std::string& dir, JobPriority priority) {
     JobJournal j(dir);
-    j.record_submitted(1, fast_params(1), "kept");
+    j.write(LiveJob{1, fast_params(1), "kept"});
     JobParams p = fast_params(5);
     p.priority = priority;
-    j.record_submitted(5, p, "damaged");
-    j.record_submitted(6, fast_params(6), "after the damage");
-    return file_bytes(newest_segment(dir));
+    j.write(LiveJob{5, p, "damaged"});
+    j.write(LiveJob{6, fast_params(6), "after the damage"});
+    return file_bytes(record_path(dir, 5));
   };
   const std::vector<std::uint8_t> batch =
-      journal(fresh_dir("tw_srv_prio_a") + "/journal", JobPriority::kBatch);
-  const std::string dir = fresh_dir("tw_srv_prio") + "/journal";
-  std::vector<std::uint8_t> bytes = journal(dir, JobPriority::kUrgent);
-  ASSERT_EQ(batch.size(), bytes.size());
+      write_jobs(fresh_dir("tw_srv_prio_a") + "/jobs", JobPriority::kBatch);
+  const std::string dir = fresh_dir("tw_srv_prio") + "/jobs";
+  std::vector<std::uint8_t> bytes = write_jobs(dir, JobPriority::kUrgent);
 
-  // The second record starts after the first; diff its payload only (its
-  // CRC differs too).
-  const auto u32_at = [&bytes](std::size_t at) {
-    std::uint32_t v = 0;
-    for (std::size_t i = 0; i < 4; ++i)
-      v |= static_cast<std::uint32_t>(bytes[at + i]) << (8 * i);
-    return v;
-  };
-  const std::size_t rec = 8 + u32_at(0);
-  const std::size_t end = rec + 8 + u32_at(rec);
-  const std::size_t at = only_difference(batch, bytes, rec + 8, end);
+  // The frame header is magic, version, size and CRC (at 12); the
+  // payload starts at 16.
+  const std::size_t at = only_difference(batch, bytes, 16, bytes.size());
   ASSERT_EQ(bytes[at], static_cast<std::uint8_t>(JobPriority::kUrgent));
   bytes[at] = static_cast<std::uint8_t>(JobPriority::kUrgent) + 1;
-  restamp_crc(bytes, rec + 4, rec + 8, end);
-  write_bytes(newest_segment(dir), bytes);
+  restamp_crc(bytes, 12, 16, bytes.size());
+  write_bytes(record_path(dir, 5), bytes);
 
-  JournalReplay r;
-  ASSERT_NO_THROW(r = JobJournal::replay(dir));
-  EXPECT_TRUE(r.torn_tail);
-  EXPECT_EQ(r.records, 1);
-  EXPECT_EQ(r.max_job, 5u);
-  ASSERT_EQ(r.live.size(), 1u);
-  EXPECT_EQ(r.live[0].netlist_yal, "kept");
-}
-
-TEST(JournalTest, RotationSplitsRecordsAcrossSegmentsReplaySeesOneStream) {
-  const std::string dir = fresh_dir("tw_srv_rotate") + "/journal";
-  // A segment cap small enough that every submit record bursts it: each
-  // record rotates into its own segment.
-  JobJournal j(dir, /*max_segment_bytes=*/64);
-  const std::string netlist(100, 'x');
-  for (std::uint64_t id = 1; id <= 4; ++id)
-    j.record_submitted(id, fast_params(id), netlist);
-  j.record_finished(2);   // terminal record lands segments away from its
-  j.record_cancelled(3);  // submit — replay must still connect them
-  EXPECT_GE(j.segments(), 3);
-
-  const JournalReplay r = JobJournal::replay(dir);
-  EXPECT_EQ(r.segments, j.segments());
-  EXPECT_EQ(r.records, 6);
-  EXPECT_FALSE(r.torn_tail);
-  EXPECT_FALSE(r.torn_interior);
-  ASSERT_EQ(r.live.size(), 3u);
-  EXPECT_EQ(r.live[0].job, 1u);
-  EXPECT_EQ(r.live[1].job, 3u);
-  EXPECT_TRUE(r.live[1].cancelled) << "cancel marker in a later segment "
-                                      "must reach its submit record";
-  EXPECT_EQ(r.live[2].job, 4u);
-
-  // Total bytes equal the sum of the on-disk segment files.
-  std::uint64_t disk = 0;
-  for (const auto& e : std::filesystem::directory_iterator(dir))
-    if (e.path().extension() == ".twj")
-      disk += std::filesystem::file_size(e.path());
-  EXPECT_EQ(j.bytes(), disk);
-}
-
-TEST(JournalTest, TornTailInNewestSegmentOnlyOlderDamageIsInterior) {
-  const std::string dir = fresh_dir("tw_srv_interior") + "/journal";
-  {
-    JobJournal j(dir, /*max_segment_bytes=*/64);
-    for (std::uint64_t id = 1; id <= 3; ++id)
-      j.record_submitted(id, fast_params(id), std::string(100, 'y'));
-  }
-  ASSERT_GE(count_segments(dir), 3);
-
-  // Damage an *older* segment (the first): replay flags torn_interior,
-  // not torn_tail, and still salvages the later segments.
-  std::string first;
-  for (const auto& e : std::filesystem::directory_iterator(dir)) {
-    const std::string p = e.path().string();
-    if (e.path().extension() == ".twj" && (first.empty() || p < first))
-      first = p;
-  }
-  std::filesystem::resize_file(first,
-                               std::filesystem::file_size(first) - 5);
-
-  const JournalReplay r = JobJournal::replay(dir);
-  EXPECT_TRUE(r.torn_interior);
-  EXPECT_FALSE(r.torn_tail) << "older-segment damage is disk rot, not a "
-                               "legitimate crash signature";
-  ASSERT_EQ(r.live.size(), 2u);
-  EXPECT_EQ(r.live[0].job, 2u);
-  EXPECT_EQ(r.live[1].job, 3u);
-}
-
-TEST(JournalTest, CompactionKeepsOnlyLiveJobsAndCancelMarkers) {
-  const std::string dir = fresh_dir("tw_srv_compact") + "/journal";
   JobJournal j(dir);
-  for (std::uint64_t id = 1; id <= 6; ++id)
-    j.record_submitted(id, fast_params(id), "job " + std::to_string(id));
-  for (std::uint64_t id = 1; id <= 4; ++id) j.record_finished(id);
-  j.record_cancelled(6);
-
-  JournalReplay before = JobJournal::replay(dir);
-  ASSERT_EQ(before.live.size(), 2u);
-  const std::uint64_t bytes_before = j.bytes();
-  j.compact(before.live);
-  EXPECT_LT(j.bytes(), bytes_before) << "compaction must shed dead bytes";
-  EXPECT_EQ(j.segments(), 1) << "old segments must be unlinked";
-
-  const JournalReplay after = JobJournal::replay(dir);
-  EXPECT_EQ(after.dropped, 0);
-  ASSERT_EQ(after.live.size(), 2u);
-  EXPECT_EQ(after.live[0].job, 5u);
-  EXPECT_FALSE(after.live[0].cancelled);
-  EXPECT_EQ(after.live[1].job, 6u);
-  EXPECT_TRUE(after.live[1].cancelled);
-  EXPECT_EQ(after.max_job, 6u);
-
-  // The journal stays appendable after the rewrite.
-  j.record_submitted(7, fast_params(7), "post-compact");
-  const JournalReplay more = JobJournal::replay(dir);
-  ASSERT_EQ(more.live.size(), 3u);
-  EXPECT_EQ(more.live[2].job, 7u);
+  std::vector<LiveJob> live;
+  ASSERT_NO_THROW(live = j.recover());
+  ASSERT_EQ(live.size(), 2u);
+  EXPECT_EQ(live[0].netlist_yal, "kept");
+  EXPECT_EQ(live[1].netlist_yal, "after the damage");
+  EXPECT_FALSE(std::filesystem::exists(dir + "/job-5"));
+  EXPECT_EQ(j.max_job(), 6u);
 }
 
-TEST(JournalTest, ReplayConvergesWhenCompactionCrashedBeforeUnlinking) {
-  // A crash between the compacted segment's rename and the unlinks of the
-  // old segments leaves BOTH on disk. Replay must converge to the same
-  // live set, because a re-submit of an already-seen id is ignored.
-  const std::string dir = fresh_dir("tw_srv_compact_crash") + "/journal";
-  JobJournal j(dir, /*max_segment_bytes=*/64);
-  for (std::uint64_t id = 1; id <= 4; ++id)
-    j.record_submitted(id, fast_params(id), std::string(80, 'z'));
-  j.record_finished(1);
-  j.record_finished(2);
-  const JournalReplay before = JobJournal::replay(dir);
-  ASSERT_EQ(before.live.size(), 2u);
-
-  // Simulate the crash: write the compacted segment by hand (a fresh
-  // journal in a scratch dir, then copy its segment in ABOVE the existing
-  // numbers) without removing the old segments.
-  const std::string scratch = fresh_dir("tw_srv_compact_scratch") + "/j";
+TEST(JournalTest, StartupSweepsJobDirectoriesWithoutARecord) {
+  // A checkpoint tree whose record is gone (a removal cut short) and a
+  // torn temp that never became a record (a kill before the ack) are
+  // removed; their ids stay taken. Names the journal never writes are
+  // not its to remove.
+  const std::string dir = fresh_dir("tw_srv_sweep") + "/jobs";
   {
-    JobJournal c(scratch);
-    for (const LiveJob& lj : before.live)
-      c.record_submitted(lj.job, lj.params, lj.netlist_yal);
+    JobJournal j(dir);
+    j.write(LiveJob{2, fast_params(2), "live"});
   }
-  std::filesystem::copy_file(newest_segment(scratch),
-                             dir + "/seg-999999.twj");
+  std::filesystem::create_directories(dir + "/job-3/replica-0");
+  write_bytes(dir + "/job-3/replica-0/ckpt-000001.twcp", {1, 2, 3});
+  std::filesystem::create_directories(dir + "/job-9");
+  write_bytes(record_path(dir, 9) + ".tmp", {1, 2});
+  std::filesystem::create_directories(dir + "/job-011");
+  std::filesystem::create_directories(dir + "/notes");
 
-  const JournalReplay merged = JobJournal::replay(dir);
-  EXPECT_FALSE(merged.torn_tail);
-  ASSERT_EQ(merged.live.size(), 2u);
-  EXPECT_EQ(merged.live[0].job, 3u);
-  EXPECT_EQ(merged.live[1].job, 4u);
-  EXPECT_EQ(merged.max_job, 4u);
+  JobJournal j(dir);
+  const std::vector<LiveJob> live = j.recover();
+  ASSERT_EQ(live.size(), 1u);
+  EXPECT_EQ(live[0].job, 2u);
+  EXPECT_FALSE(std::filesystem::exists(dir + "/job-3"));
+  EXPECT_FALSE(std::filesystem::exists(dir + "/job-9"));
+  EXPECT_TRUE(std::filesystem::exists(dir + "/job-011"));
+  EXPECT_TRUE(std::filesystem::exists(dir + "/notes"));
+  EXPECT_EQ(j.max_job(), 9u);
 }
 
-TEST(JournalTest, InjectedAppendFaultsAreTypedAndTornTailIsGenuine) {
-  const std::string dir = fresh_dir("tw_srv_jfault") + "/journal";
+TEST(JournalTest, InjectedWriteFaultsAreTypedAndLeaveNoRecord) {
+  const std::string dir = fresh_dir("tw_srv_jfault") + "/jobs";
   recover::DiskFaultPlan plan;
-  plan.fail_at(recover::DiskSite::kJournalAppend, 1,
+  plan.fail_at(recover::DiskSite::kJournalWrite, 1,
                recover::DiskFault::kEnospc);
-  plan.fail_at(recover::DiskSite::kJournalAppend, 2,
+  plan.fail_at(recover::DiskSite::kJournalWrite, 2,
                recover::DiskFault::kShortWrite);
-  JobJournal j(dir, 1u << 20, &plan);
-  j.record_submitted(1, fast_params(1), "survives");
-  // ENOSPC: nothing written, typed error, journal still appendable.
-  EXPECT_THROW(j.record_submitted(2, fast_params(2), "enospc"), ServeError);
-  // Short write: a truncated prefix reaches the disk (a genuine torn
-  // tail), then the typed error.
-  EXPECT_THROW(j.record_submitted(3, fast_params(3), "torn"), ServeError);
-
-  const JournalReplay r = JobJournal::replay(dir);
-  EXPECT_TRUE(r.torn_tail) << "the short write must leave a real torn tail";
-  ASSERT_EQ(r.live.size(), 1u);
-  EXPECT_EQ(r.live[0].job, 1u);
-}
-
-TEST(JournalTest, InjectedRotateFaultsAtRotationAndCompactionAreTyped) {
-  // DiskSite::kJournalRotate covers both ways the journal starts a new
-  // segment: rotating past the cap, and compaction's rewrite.
-  const std::string dir = fresh_dir("tw_srv_jrotate") + "/journal";
-  recover::DiskFaultPlan plan;
-  plan.fail_at(recover::DiskSite::kJournalRotate, 0,
-               recover::DiskFault::kEnospc);
-  plan.fail_at(recover::DiskSite::kJournalRotate, 2,
+  plan.fail_at(recover::DiskSite::kJournalWrite, 3,
                recover::DiskFault::kShortWrite);
-  // Every record bursts a 64-byte cap, so every append but the first
-  // rotates.
-  JobJournal j(dir, /*max_segment_bytes=*/64, &plan);
-  const std::string netlist(100, 'r');
-  j.record_submitted(1, fast_params(1), netlist);
-
-  // Rotation (poll 0) fails: the record is refused, nothing is lost.
+  JobJournal j(dir, &plan);
+  j.write(LiveJob{1, fast_params(1), "survives"});
+  // A job's first write that fails, with nothing written (ENOSPC) or a
+  // torn temp file (short write), takes its directory with it.
   EXPECT_EQ(error_code_of<ServeError>(
-                [&] { j.record_submitted(2, fast_params(2), netlist); }),
+                [&] { j.write(LiveJob{2, fast_params(2), "enospc"}); }),
             ServeErrc::kIo);
-  EXPECT_EQ(j.segments(), 1);
-  j.record_submitted(2, fast_params(2), netlist);  // poll 1
-  EXPECT_EQ(j.segments(), 2);
-  const JournalReplay before = JobJournal::replay(dir);
-  ASSERT_EQ(before.live.size(), 2u);
-
-  // Compaction (poll 2) fails with a short write: the torn temp never
-  // reaches a segment name and the old segments stay in place.
-  EXPECT_EQ(error_code_of<ServeError>([&] { j.compact(before.live); }),
+  EXPECT_EQ(error_code_of<ServeError>(
+                [&] { j.write(LiveJob{3, fast_params(3), "torn"}); }),
             ServeErrc::kIo);
-  EXPECT_TRUE(std::filesystem::exists(dir + "/seg-000003.twj.tmp"));
-  EXPECT_FALSE(std::filesystem::exists(dir + "/seg-000003.twj"));
-  EXPECT_EQ(j.segments(), 2);
-  const JournalReplay after = JobJournal::replay(dir);
-  EXPECT_FALSE(after.torn_tail);
-  EXPECT_EQ(after.records, before.records);
-  ASSERT_EQ(after.live.size(), 2u);
-  EXPECT_EQ(after.live[0].job, 1u);
-  EXPECT_EQ(after.live[1].job, 2u);
+  EXPECT_FALSE(std::filesystem::exists(dir + "/job-2"));
+  EXPECT_FALSE(std::filesystem::exists(dir + "/job-3"));
+  // A rewrite (a cancel) that fails keeps the record it could not
+  // replace; the torn temp next to it is never read.
+  EXPECT_EQ(error_code_of<ServeError>([&] {
+              j.write(LiveJob{1, fast_params(1), "survives", true});
+            }),
+            ServeErrc::kIo);
+  EXPECT_TRUE(std::filesystem::exists(record_path(dir, 1) + ".tmp"));
+  EXPECT_EQ(j.records(), 1);
+  EXPECT_EQ(plan.count(recover::DiskSite::kJournalWrite), 4);
 
-  // Later appends (poll 3 rotates) and a retried compaction (poll 4)
-  // succeed.
-  j.record_finished(1);
-  const JournalReplay live = JobJournal::replay(dir);
-  ASSERT_EQ(live.live.size(), 1u);
-  j.compact(live.live);
-  EXPECT_EQ(j.segments(), 1);
-  EXPECT_EQ(plan.count(recover::DiskSite::kJournalRotate), 5);
-  const JournalReplay compacted = JobJournal::replay(dir);
-  ASSERT_EQ(compacted.live.size(), 1u);
-  EXPECT_EQ(compacted.live[0].job, 2u);
-  EXPECT_EQ(compacted.live[0].netlist_yal, netlist);
+  JobJournal reread(dir);
+  const std::vector<LiveJob> live = reread.recover();
+  ASSERT_EQ(live.size(), 1u);
+  EXPECT_EQ(live[0].job, 1u);
+  EXPECT_EQ(live[0].netlist_yal, "survives");
+  EXPECT_FALSE(live[0].cancelled);
+  EXPECT_EQ(reread.max_job(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -1097,9 +909,9 @@ TEST(ResultCacheTest, OutOfRangeStatusByteIsSkippedOnLoad) {
 }
 
 // ---------------------------------------------------------------------------
-// Durable files: the checkpoint sink, the result cache and the journal
-// share one atomic write, one numbered-file scheme and (checkpoints and
-// cache entries) one frame (recover/durable.hpp).
+// Durable files: the checkpoint sink, the result cache and the job
+// records share one atomic write and one frame, and the first two one
+// numbered-file scheme (recover/durable.hpp).
 
 /// Removes a directory when the test leaves it, on a failed ASSERT too.
 struct RemoveOnExit {
@@ -1150,23 +962,29 @@ TEST(RecoverDurable, CloseTimeEnospcIsTypedAndRenamesNothing) {
     EXPECT_EQ(reloaded.size(), 0);
     EXPECT_EQ(reloaded.loaded(), 0);
   }
-  {  // Journal compaction: the old segment and both live jobs survive.
-    const std::string dir = root + "/journal";
+  {  // Job records: a failed rewrite keeps the old record; a failed
+     // first write leaves no directory.
+    const std::string dir = root + "/jobs";
     JobJournal j(dir);
-    j.record_submitted(1, fast_params(1), "first live job");
-    j.record_submitted(2, fast_params(2), "second live job");
-    const JournalReplay before = JobJournal::replay(dir);
-    ASSERT_EQ(before.live.size(), 2u);
-    plant(dir + "/seg-000002.twj.tmp");
-    ASSERT_EQ(error_code_of<ServeError>([&] { j.compact(before.live); }),
+    j.write(LiveJob{1, fast_params(1), "live job"});
+    plant(dir + "/job-1/record.twj.tmp");
+    ASSERT_EQ(error_code_of<ServeError>([&] {
+                j.write(LiveJob{1, fast_params(1), "live job", true});
+              }),
               ServeErrc::kIo);
-    EXPECT_FALSE(std::filesystem::exists(dir + "/seg-000002.twj"));
-    EXPECT_EQ(j.segments(), 1);
-    const JournalReplay after = JobJournal::replay(dir);
-    EXPECT_EQ(after.records, 2);
-    ASSERT_EQ(after.live.size(), 2u);
-    EXPECT_EQ(after.live[0].netlist_yal, "first live job");
-    EXPECT_EQ(after.live[1].netlist_yal, "second live job");
+    std::filesystem::create_directories(dir + "/job-2");
+    plant(dir + "/job-2/record.twj.tmp");
+    ASSERT_EQ(error_code_of<ServeError>([&] {
+                j.write(LiveJob{2, fast_params(2), "second job"});
+              }),
+              ServeErrc::kIo);
+    EXPECT_FALSE(std::filesystem::exists(dir + "/job-2"));
+    EXPECT_EQ(j.records(), 1);
+    JobJournal reread(dir);
+    const std::vector<LiveJob> live = reread.recover();
+    ASSERT_EQ(live.size(), 1u);
+    EXPECT_EQ(live[0].netlist_yal, "live job");
+    EXPECT_FALSE(live[0].cancelled);
   }
 }
 
@@ -1236,15 +1054,13 @@ TEST(RecoverDurable, OnDiskBytesMatchGoldenDigests) {
   EXPECT_EQ(file_digest(root + "/cache/res-000001.twr"),
             0xd9d81eb0fba86621ull);
 
+  // One job record: a daemon's successor must read what it left behind.
   {
-    JobJournal j(root + "/journal");
-    j.record_submitted(1, fast_params(1), "golden netlist one");
-    j.record_submitted(2, fast_params(2), "golden netlist two");
-    j.record_cancelled(2);
-    j.record_finished(1);
+    JobJournal j(root + "/jobs");
+    j.write(LiveJob{2, fast_params(2), "golden netlist two", true});
   }
-  EXPECT_EQ(file_digest(root + "/journal/seg-000001.twj"),
-            0xeeb093b3a92e4f33ull);
+  EXPECT_EQ(file_digest(root + "/jobs/job-2/record.twj"),
+            0xad85751815259db3ull);
 }
 
 // ---------------------------------------------------------------------------
@@ -1427,8 +1243,10 @@ TEST(SchedulerTest, AdmissionThresholdsAreGradedByPriority) {
 TEST(SchedulerTest, JournalWriteFailureShedsTypedAndFlagsDegraded) {
   DoneQueue q;
   recover::DiskFaultPlan plan;
-  plan.fail_at(recover::DiskSite::kJournalAppend, 0,
+  plan.fail_at(recover::DiskSite::kJournalWrite, 0,
                recover::DiskFault::kEnospc);
+  plan.fail_at(recover::DiskSite::kJournalWrite, 1,
+               recover::DiskFault::kShortWrite);
   SchedulerConfig cfg;
   cfg.state_dir = fresh_dir("tw_srv_jdeg");
   cfg.threads = 1;
@@ -1437,18 +1255,27 @@ TEST(SchedulerTest, JournalWriteFailureShedsTypedAndFlagsDegraded) {
 
   // The WAL cannot take the record, so the daemon cannot promise the job
   // survives a crash — it must shed (typed, retryable), never accept.
-  const Submitted s = sched.submit(fast_submit(1));
-  ASSERT_EQ(s.kind, Submitted::Kind::kRejected);
-  EXPECT_EQ(s.reject.code, RejectCode::kOverloaded);
-  EXPECT_EQ(s.reject.retry_after_ms, 1000u);
+  // Neither a full disk nor a short write leaves a job directory behind.
+  for (int fault = 0; fault < 2; ++fault) {
+    const Submitted s = sched.submit(fast_submit(1));
+    ASSERT_EQ(s.kind, Submitted::Kind::kRejected);
+    EXPECT_EQ(s.reject.code, RejectCode::kOverloaded);
+    EXPECT_EQ(s.reject.retry_after_ms, 1000u);
+  }
   EXPECT_TRUE(sched.journal_degraded());
   EXPECT_TRUE(sched.stats().journal_degraded);
+  EXPECT_TRUE(std::filesystem::is_empty(cfg.state_dir + "/jobs"));
 
-  // The fault was one-shot (disk freed up): the retry is admitted and
-  // completes normally.
+  // The faults were one-shot (disk freed up): the retry is admitted and
+  // completes normally, and its record lives exactly as long as the job.
   const Submitted retry = sched.submit(fast_submit(1));
   ASSERT_EQ(retry.kind, Submitted::Kind::kAccepted);
+  EXPECT_EQ(sched.stats().journal_records, 1);
+  EXPECT_GT(sched.stats().journal_bytes, 0u);
   EXPECT_EQ(sched.finish(q.wait_pop()).status, JobStatus::kCompleted);
+  EXPECT_EQ(sched.stats().journal_records, 0);
+  EXPECT_EQ(sched.stats().journal_bytes, 0u);
+  EXPECT_TRUE(std::filesystem::is_empty(cfg.state_dir + "/jobs"));
   sched.shutdown();
 }
 
@@ -1611,8 +1438,8 @@ TEST(SchedulerTest, FinishedResultsServeDuplicatesFromCacheAcrossRestart) {
     sched.shutdown();
   }
 
-  // Fresh daemon, same state dir: nothing to recover (the journal saw the
-  // completion), and the duplicate still comes from the on-disk cache.
+  // Fresh daemon, same state dir: nothing to recover (finish() removed the
+  // job's directory), and the duplicate still comes from the on-disk cache.
   DoneQueue q2;
   SchedulerConfig cfg2;
   cfg2.state_dir = state;
@@ -1679,6 +1506,82 @@ TEST(SchedulerTest, RecoveryReadoptsJournaledJobsAndReproducesBytes) {
   ASSERT_EQ(dup.kind, Submitted::Kind::kCached);
   EXPECT_EQ(dup.cached.fingerprint, clean_fp);
   sched3.shutdown();
+}
+
+TEST(SchedulerTest, RecoveryLeavesNoDeadJobTree) {
+  // The crash windows around finish()'s removal of a job's directory:
+  // (a) a kill after the cache put leaves the record, the cached result
+  // and the checkpoint tree; (b) a kill part way through the removal
+  // leaves a checkpoint tree without a record. Startup removes both
+  // directories and re-runs nothing.
+  const std::string state = fresh_dir("tw_srv_dead_tree");
+  const SubmitRequest req = fast_submit(13);
+  {
+    ParseReport report;
+    const std::optional<Netlist> nl = parse_submission(req.netlist_yal, report);
+    ASSERT_TRUE(nl.has_value());
+    ResultCache cache(state + "/cache", 1u << 20);
+    cache.put(CacheKey{recover::netlist_digest(*nl), params_digest(req.params)},
+              sample_result(0x5eed));
+    JobJournal journal(state + "/jobs");
+    journal.write(LiveJob{4, req.params, req.netlist_yal});
+  }
+  for (const char* job : {"/jobs/job-4", "/jobs/job-7"}) {
+    std::filesystem::create_directories(state + job + "/replica-0");
+    write_bytes(state + job + "/replica-0/ckpt-000001.twcp", {1, 2, 3});
+  }
+
+  DoneQueue q;
+  SchedulerConfig cfg;
+  cfg.state_dir = state;
+  cfg.threads = 1;
+  Scheduler sched(cfg, q.hooks());
+  EXPECT_TRUE(sched.recovered().empty());
+  EXPECT_EQ(sched.in_flight(), 0);
+  EXPECT_FALSE(std::filesystem::exists(state + "/jobs/job-4"));
+  EXPECT_FALSE(std::filesystem::exists(state + "/jobs/job-7"));
+  EXPECT_FALSE(sched.stats().journal_degraded);
+
+  // The duplicate comes from the cache, under an id above every
+  // directory startup found.
+  const Submitted dup = sched.submit(req);
+  ASSERT_EQ(dup.kind, Submitted::Kind::kCached);
+  EXPECT_EQ(dup.cached.fingerprint, 0x5eedu);
+  EXPECT_EQ(dup.job, 8u);
+  sched.shutdown();
+  const std::lock_guard<std::mutex> lock(q.mu);
+  EXPECT_TRUE(q.results.empty()) << "a finished job was re-run";
+}
+
+TEST(SchedulerTest, CancelSurvivesARestart) {
+  // A cancel rewrites the job's record. A scheduler that dies before the
+  // job finishes hands the cancel to its successor, which winds the job
+  // down instead of running it at full length.
+  SubmitRequest req = fast_submit(14);
+  req.params.s1_attempts_per_cell = 5000;  // seconds of work uncancelled
+  const std::string state = fresh_dir("tw_srv_cancel_restart");
+  SchedulerConfig cfg;
+  cfg.state_dir = state;
+  cfg.threads = 1;
+  std::uint64_t id = 0;
+  {
+    DoneQueue q;
+    Scheduler sched(cfg, q.hooks());
+    const Submitted s = sched.submit(req);
+    ASSERT_EQ(s.kind, Submitted::Kind::kAccepted);
+    id = s.job;
+    EXPECT_TRUE(sched.cancel(id));
+    // Die without finish(), as a SIGKILL would.
+  }
+
+  DoneQueue q;
+  Scheduler sched(cfg, q.hooks());
+  ASSERT_EQ(sched.recovered(), std::vector<std::uint64_t>{id});
+  const ResultEvent done = sched.finish(q.wait_pop());
+  EXPECT_EQ(done.job, id);
+  EXPECT_EQ(done.status, JobStatus::kCancelled);
+  EXPECT_TRUE(std::filesystem::is_empty(state + "/jobs"));
+  sched.shutdown();
 }
 
 TEST(SchedulerTest, ParseSubmissionSpeaksBothFormats) {
@@ -1829,12 +1732,12 @@ TEST(DaemonTest, StatsReportHealthOverTheSocket) {
   ASSERT_TRUE(out.result.has_value());
   ASSERT_EQ(out.result->status, JobStatus::kCompleted);
 
-  // The snapshot reflects the finished job: nothing in flight, its
-  // journal records and cached result on disk and measured in bytes.
+  // The snapshot reflects the finished job: nothing in flight, no job
+  // record left, its cached result on disk and measured in bytes.
   const StatsReply after = client.stats();
   EXPECT_EQ(after.jobs_in_flight, 0);
-  EXPECT_GT(after.journal_bytes, 0u);
-  EXPECT_GE(after.journal_segments, 1);
+  EXPECT_EQ(after.journal_bytes, 0u);
+  EXPECT_EQ(after.journal_records, 0);
   EXPECT_GT(after.cache_bytes, 0u);
   EXPECT_GT(after.cache_budget_bytes, 0u);
   EXPECT_LE(after.cache_bytes, after.cache_budget_bytes);

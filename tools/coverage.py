@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Line coverage of src/ from a gcc --coverage build.
 
-Usage, from the repository root:
+Usage, from the repository root (the script itself may run from any
+directory: --root defaults to the repository that holds it):
 
   cmake -S . -B build-cov -DCMAKE_BUILD_TYPE=Debug -DTW_CHECK_LEVEL=cheap \\
         "-DCMAKE_CXX_FLAGS=-O1 --coverage" -DCMAKE_EXE_LINKER_FLAGS=--coverage
@@ -16,7 +17,8 @@ them: a header line counts as covered when any library unit ran it.
 Lines gcov does not mark executable are not counted. Prints covered/total
 lines and the number of src/ functions that never ran, a template
 counting once for all its instances; --functions lists them. Exits 1
-without counting when a .gcda file is torn (see torn()).
+without counting when a .gcda file is torn (see torn()), and 2 when no
+.gcda file is found or none of their lines is in <root>/src.
 """
 
 from __future__ import annotations
@@ -65,7 +67,10 @@ def main() -> int:
                                  formatter_class=argparse.RawTextHelpFormatter)
     ap.add_argument("build", help="build tree of a --coverage build, after "
                                   "its tests ran")
-    ap.add_argument("--root", default=".", help="repository root")
+    ap.add_argument("--root",
+                    default=pathlib.Path(__file__).resolve().parent.parent,
+                    help="repository root (default: the one holding this "
+                         "script)")
     ap.add_argument("--functions", action="store_true",
                     help="also list the src/ functions that never ran")
     args = ap.parse_args()
@@ -108,6 +113,10 @@ def main() -> int:
 
     covered = sum(1 for count in lines.values() if count > 0)
     total = len(lines)
+    if total == 0:
+        print(f"coverage.py: no line of the .gcda files under {lib} is in "
+              f"{src} (is --root the tree that was built?)", file=sys.stderr)
+        return 2
     print(f"src/ line coverage: {100.0 * covered / total:.1f} % "
           f"({covered} of {total} lines)")
     never = sorted(k for k, count in funcs.items() if count == 0)

@@ -7,9 +7,9 @@ checked end-to-end over real processes and a real Unix socket:
 
   * a daemon killed hard at any point in a job's life must, after
     restart, converge to the *byte-identical* result of a
-    never-interrupted run — by journal replay plus checkpoint
-    re-adoption (work in flight), or by serving the result cache (work
-    that finished before the crash);
+    never-interrupted run — by reading the job records back plus
+    checkpoint re-adoption (work in flight), or by serving the result
+    cache (work that finished before the crash);
   * resource exhaustion (overload, full disks, slow or half-dead
     clients) must end in *typed* outcomes — kOverloaded rejections with
     retry hints, degraded modes surfaced in stats — never a crash, a
@@ -23,10 +23,10 @@ fingerprints from an uninterrupted daemon):
                     and not spuriously cached
   kill_mid_anneal - three concurrent submissions; `--kill-at
                     progress:250` fires deep in the anneal with the
-                    queue loaded; restart re-adopts the journaled jobs
+                    queue loaded; restart re-adopts the recorded jobs
                     from their newest checkpoints and duplicate
                     submissions must return every baseline fingerprint
-  kill_pre_ack    - `--kill-at post-journal:1` dies after the WAL write
+  kill_pre_ack    - `--kill-at post-journal:1` dies after the job record
                     but before the client ever saw an ack; the job
                     still exists after restart (write-ahead ordering)
   sigkill         - a real `kill -9` at an arbitrary wall-clock moment;
@@ -39,17 +39,17 @@ fingerprints from an uninterrupted daemon):
                     urgent submission is still admitted — preempting
                     the running batch job — and completes byte-identically
   disk_full       - injected ENOSPC at every durability site: a failed
-                    WAL append sheds the submission typed-retryable and
+                    job-record write sheds the submission typed-retryable and
                     the client's backoff retry succeeds; a dead cache
                     degrades to cache-off with results still delivered
                     byte-identically; a checkpoint quota degrades to
-                    checkpoint-off with the job still completing;
-                    journal and cache stay inside their byte budgets
-                    under a multi-job burst
+                    checkpoint-off with the job still completing; the
+                    cache stays inside its byte budget under a multi-job
+                    burst and no job record outlives its job
   slow_client     - a reader past its outgoing-buffer bound loses
                     progress events (counted) but never its result; an
                     idle connection is reaped after its tick deadline
-                    without its journaled job being cancelled
+                    without its recorded job being cancelled
   preempt_resume  - an urgent submission preempts a running batch job
                     at a checkpoint boundary; the batch job resumes and
                     must fingerprint byte-identically to an
@@ -266,7 +266,7 @@ def scenario_kill_mid_anneal(args):
     d.wait_killed()
     for p in doomed:
         p.wait(timeout=60.0)  # their connections died with the daemon
-    d = Daemon(args.twserved, root)  # same state dir: journal replay
+    d = Daemon(args.twserved, root)  # same state dir: records read back
     for seed in SEEDS:
         fp, _ = submit(args.twcli, d.socket, args.yal, seed)
         if fp != ref[seed]:
@@ -277,8 +277,9 @@ def scenario_kill_mid_anneal(args):
 
 
 def scenario_kill_pre_ack(args):
-    """Kill between journal write and ack: write-ahead ordering means
-    the job exists after restart even though no client ever saw an ack."""
+    """Kill between the job record's write and the ack: write-ahead
+    ordering means the job exists after restart even though no client
+    ever saw an ack."""
     root = make_root(args, "kill_pre_ack")
     ref = baselines(args, root, [SEEDS[0]])
     d = Daemon(args.twserved, root, kill_at=["post-journal:1"])
@@ -384,11 +385,11 @@ def scenario_disk_full(args):
     root = make_root(args, "disk_full")
     ref = baselines(args, root, [SEEDS[0]])
 
-    # (a) One-shot ENOSPC on the submission's WAL append: the submission
+    # (a) One-shot ENOSPC on the submission's job record: the submission
     # is shed typed-retryable; twcli's deterministic backoff retry then
     # succeeds (the disk "recovered") byte-identically.
     d = Daemon(args.twserved, os.path.join(root, "wal"),
-               extra=["--fail-disk", "journal-append:0:enospc"])
+               extra=["--fail-disk", "journal-write:0:enospc"])
     out = cli(args.twcli, d.socket, "submit", args.yal,
               *submit_args(SEEDS[0]))
     status, cached, fp = parse_result(out.stdout, out.stderr)
@@ -439,13 +440,11 @@ def scenario_disk_full(args):
     d.shutdown(args.twcli)
     info("checkpoint quota degraded to checkpoint-off; job completed")
 
-    # (d) Byte budgets under a burst: tiny journal segments force
-    # rotation + compaction, a tiny cache budget forces eviction, and
-    # both stay inside their budgets.
+    # (d) Byte budgets under a burst: a tiny cache budget forces
+    # eviction and the cache stays inside it; each job's record goes
+    # with its job, so once every job has finished none is left.
     d = Daemon(args.twserved, os.path.join(root, "budget"),
-               extra=["--journal-segment-bytes", "4096",
-                      "--journal-compact-bytes", "16384",
-                      "--cache-budget-bytes", "300"])
+               extra=["--cache-budget-bytes", "300"])
     for seed in range(21, 27):
         submit(args.twcli, d.socket, args.yal, seed)
     s = stats(args.twcli, d.socket)
@@ -453,14 +452,12 @@ def scenario_disk_full(args):
         fail(f"cache over budget: {s['cache_bytes']} > {s['cache_budget']}")
     if s["cache_evictions"] < 1:
         fail(f"expected cache evictions under a 300-byte budget: {s}")
-    if s["journal_segments"] < 1 or s["journal_bytes"] == 0:
-        fail(f"journal accounting looks wrong: {s}")
-    if s["journal_bytes"] > 16384 + 4096:
-        fail(f"journal never compacted under its byte budget: {s}")
+    if s["journal_bytes"] != 0 or s["journal_records"] != 0:
+        fail(f"job records outlived their finished jobs: {s}")
     d.shutdown(args.twcli)
-    info("burst stayed inside journal + cache byte budgets "
-         f"(journal={s['journal_bytes']}B/{s['journal_segments']}seg, "
-         f"cache={s['cache_bytes']}B, {s['cache_evictions']} evictions)")
+    info("burst stayed inside the cache byte budget and left no job "
+         f"record (cache={s['cache_bytes']}B, "
+         f"{s['cache_evictions']} evictions)")
 
 
 def scenario_slow_client(args):

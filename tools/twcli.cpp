@@ -238,7 +238,7 @@ int run_stats(Client& client) {
             << " progress_dropped=" << s.progress_dropped
             << " reaped=" << s.reaped
             << " journal_bytes=" << s.journal_bytes
-            << " journal_segments=" << s.journal_segments
+            << " journal_records=" << s.journal_records
             << " cache_bytes=" << s.cache_bytes
             << " cache_budget=" << s.cache_budget_bytes
             << " cache_off=" << (s.cache_off ? 1 : 0)

@@ -3,20 +3,20 @@
 //   twserved --socket /tmp/tw.sock --state /var/lib/twserved
 //
 // Accepts placement jobs (YAL or native netlist text) over a Unix domain
-// socket, journals every accepted job before acking, anneals them on a
-// shared replica-pool executor under per-job work quotas, streams
+// socket, writes every accepted job's record before acking, anneals them
+// on a shared replica-pool executor under per-job work quotas, streams
 // progress, dedups identical submissions against a bounded on-disk result
-// cache, and survives kill -9 at any point: on restart the journal is
-// replayed and in-flight jobs continue from their newest valid
+// cache, and survives kill -9 at any point: on restart the job records
+// are read back and in-flight jobs continue from their newest valid
 // checkpoints. See docs/ROBUSTNESS.md "Placement service".
 //
 // --kill-at site:count arms the deterministic crash switch (the soak
 // harness's instrument); see serve/daemon.hpp for the site names.
 // --fail-disk site:nth[:kind] arms the disk-fault seam the same way: the
-// nth write at a durability site (checkpoint, journal-append,
-// journal-rotate, cache-write) pretends the disk failed (enospc, or a
-// short-write that leaves a genuinely torn record). The soak harness's
-// disk-full scenario drives the degraded modes through this.
+// nth write at a durability site (checkpoint, journal-write, cache-write)
+// pretends the disk failed (enospc, or a short-write that leaves a
+// genuinely torn temp file). The soak harness's disk-full scenario
+// drives the degraded modes through this.
 
 #include <cstdint>
 #include <cstdlib>
@@ -34,7 +34,7 @@ void usage() {
   std::cerr <<
       "usage: twserved --socket PATH --state DIR [options]\n"
       "  --socket PATH        Unix socket to listen on (required)\n"
-      "  --state DIR          journal/cache/checkpoint root (required)\n"
+      "  --state DIR          job-record/cache/checkpoint root (required)\n"
       "  --threads N          executor worker threads (default 2)\n"
       "  --max-jobs N         urgent-job admission bound; normal and batch\n"
       "                       jobs shed earlier (default 8)\n"
@@ -43,9 +43,6 @@ void usage() {
       "  --max-budget-moves N per-job move-quota cap, -1=unlimited\n"
       "  --max-budget-steps N per-job step-quota cap, -1=unlimited\n"
       "  --cache-budget-bytes N    result-cache byte budget (default 8MiB)\n"
-      "  --journal-segment-bytes N journal segment rotation size (1MiB)\n"
-      "  --journal-compact-bytes N journal size that forces compaction\n"
-      "                            (default 4MiB)\n"
       "  --checkpoint-quota N      per-replica checkpoint-dir byte quota,\n"
       "                            0=unlimited (default 0)\n"
       "  --tick-ms N          poll tick length, the daemon's clock unit\n"
@@ -59,10 +56,9 @@ void usage() {
       "                       pre-finish post-finish; repeatable)\n"
       "  --fail-disk SITE:N[:KIND]  fail the N-th (0-based) write at a\n"
       "                       disk site (testing; sites: checkpoint\n"
-      "                       journal-append journal-rotate cache-write;\n"
-      "                       kinds: enospc short; suffix N with + to\n"
-      "                       fail every write from the N-th on;\n"
-      "                       repeatable)\n";
+      "                       journal-write cache-write; kinds: enospc\n"
+      "                       short; suffix N with + to fail every write\n"
+      "                       from the N-th on; repeatable)\n";
 }
 
 bool parse_kill(const std::string& arg, tw::serve::KillSpec& out) {
@@ -92,10 +88,8 @@ bool parse_fail_disk(const std::string& arg, tw::recover::DiskFaultPlan& plan) {
 
   tw::recover::DiskSite site;
   if (site_s == "checkpoint") site = tw::recover::DiskSite::kCheckpointWrite;
-  else if (site_s == "journal-append")
-    site = tw::recover::DiskSite::kJournalAppend;
-  else if (site_s == "journal-rotate")
-    site = tw::recover::DiskSite::kJournalRotate;
+  else if (site_s == "journal-write")
+    site = tw::recover::DiskSite::kJournalWrite;
   else if (site_s == "cache-write") site = tw::recover::DiskSite::kCacheWrite;
   else return false;
 
@@ -153,10 +147,6 @@ int main(int argc, char** argv) {
       sc.limits.max_budget_steps = std::stoll(value());
     else if (a == "--cache-budget-bytes")
       sc.cache_budget_bytes = std::stoull(value());
-    else if (a == "--journal-segment-bytes")
-      sc.journal_segment_bytes = std::stoull(value());
-    else if (a == "--journal-compact-bytes")
-      sc.journal_compact_bytes = std::stoull(value());
     else if (a == "--checkpoint-quota")
       sc.checkpoint_quota_bytes = std::stoull(value());
     else if (a == "--tick-ms") cfg.poll_tick_ms = std::stoi(value());
