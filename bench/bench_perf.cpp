@@ -245,7 +245,7 @@ void BM_MBestRoutes(benchmark::State& state) {
   std::size_t n = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        m_best_routes(cg.graph, targets[n % targets.size()], {4, 12}));
+        m_best_routes(cg.graph, targets[n % targets.size()], {4}));
     ++n;
   }
 }
@@ -256,7 +256,7 @@ void BM_GlobalRoute(benchmark::State& state) {
   const ChannelGraph cg = build_channel_graph(f.placement, f.core);
   const auto targets = build_net_targets(f.nl, cg);
   for (auto _ : state) {
-    GlobalRouter router(cg.graph, {{4, 12}, 3});
+    GlobalRouter router(cg.graph, {{4}, 3});
     benchmark::DoNotOptimize(router.route(targets));
   }
 }
@@ -277,7 +277,7 @@ void BM_RouterThroughput(benchmark::State& state) {
   PlacedFixture f(cells);
   const ChannelGraph cg = build_channel_graph(f.placement, f.core);
   const auto targets = build_net_targets(f.nl, cg);
-  GlobalRouterParams params{{4, 12}, 3};
+  GlobalRouterParams params{{4}, 3};
   params.workers = workers;
   long long nets = 0;
   double seconds = 0.0;

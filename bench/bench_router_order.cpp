@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
   }
   table.print();
 
-  GlobalRouter router(cg.graph, {{cfg.m, 12}, cfg.seed + 777});
+  GlobalRouter router(cg.graph, {{cfg.m}, cfg.seed + 777});
   const GlobalRouteResult inter = router.route(targets);
 
   std::printf(

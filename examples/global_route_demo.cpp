@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
 
   // Phase 1 + 2 (Section 4.2).
   const auto targets = build_net_targets(nl, cg);
-  GlobalRouter router(cg.graph, {{8, 12}, seed + 9});
+  GlobalRouter router(cg.graph, {{8}, seed + 9});
   const GlobalRouteResult routed = router.route(targets);
   std::printf("global routing: total length %.0f, overflow X = %d, "
               "%d unrouted, %lld interchange attempts\n",

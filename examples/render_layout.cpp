@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
 
   // Routing figure: channel structure shaded by density plus the routes.
   const ChannelGraph cg = build_channel_graph(placement, frame);
-  GlobalRouter router(cg.graph, {{8, 12}, seed + 99});
+  GlobalRouter router(cg.graph, {{8}, seed + 99});
   const GlobalRouteResult routed = router.route(build_net_targets(nl, cg));
   {
     std::ofstream out(prefix + "_routing.svg");

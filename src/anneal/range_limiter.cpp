@@ -7,9 +7,9 @@
 namespace tw {
 
 RangeLimiter::RangeLimiter(Coord wx_inf, Coord wy_inf, double t_inf,
-                           double rho, Coord min_span)
-    : wx_inf_(wx_inf), wy_inf_(wy_inf), rho_(rho), min_span_(min_span) {
-  if (wx_inf < min_span || wy_inf < min_span)
+                           double rho)
+    : wx_inf_(wx_inf), wy_inf_(wy_inf), rho_(rho) {
+  if (wx_inf < kMinSpan || wy_inf < kMinSpan)
     throw std::invalid_argument("RangeLimiter: initial window below minimum");
   if (t_inf <= 0.0) throw std::invalid_argument("RangeLimiter: t_inf <= 0");
   if (rho < 1.0 || rho > 10.0)
@@ -26,18 +26,18 @@ double RangeLimiter::raw_span(Coord w_inf, double t) const {
 
 Coord RangeLimiter::window_x(double t) const {
   const Coord w = static_cast<Coord>(std::llround(raw_span(wx_inf_, t)));
-  return std::clamp(w, min_span_, wx_inf_);
+  return std::clamp(w, kMinSpan, wx_inf_);
 }
 
 Coord RangeLimiter::window_y(double t) const {
   const Coord w = static_cast<Coord>(std::llround(raw_span(wy_inf_, t)));
-  return std::clamp(w, min_span_, wy_inf_);
+  return std::clamp(w, kMinSpan, wy_inf_);
 }
 
 bool RangeLimiter::at_minimum(double t) const {
   // With rho = 1 the window never shrinks; report minimum when the raw
   // span has reached (or numerically crossed) the clamp on both axes.
-  return window_x(t) <= min_span_ && window_y(t) <= min_span_;
+  return window_x(t) <= kMinSpan && window_y(t) <= kMinSpan;
 }
 
 Rect RangeLimiter::window(Point center, double t) const {

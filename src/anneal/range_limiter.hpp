@@ -9,7 +9,7 @@
 // rho = 4 gave both the lowest final TEIL and the lowest residual cell
 // overlap in the paper's sweep (1 <= rho <= 10); the sweep itself is
 // reproduced by bench_rho. Stage 1 ends when the window has contracted to
-// its minimum span (6 grid units).
+// its minimum span, kMinSpan.
 #pragma once
 
 #include "geom/rect.hpp"
@@ -18,12 +18,15 @@ namespace tw {
 
 class RangeLimiter {
 public:
+  /// The smallest window span, in grid units: at 6 the D_s point set of
+  /// Eqn 16 (s = W/6, multipliers up to 3) steps by one unit.
+  static constexpr Coord kMinSpan = 6;
+
   /// `wx_inf`, `wy_inf`: window spans at T = T_inf (normally the full core
   /// span, so initial moves can cross the whole chip).
-  RangeLimiter(Coord wx_inf, Coord wy_inf, double t_inf, double rho = 4.0,
-               Coord min_span = 6);
+  RangeLimiter(Coord wx_inf, Coord wy_inf, double t_inf, double rho = 4.0);
 
-  /// Window span in x at temperature `t`, clamped to [min_span, wx_inf].
+  /// Window span in x at temperature `t`, clamped to [kMinSpan, wx_inf].
   Coord window_x(double t) const;
   Coord window_y(double t) const;
 
@@ -34,9 +37,6 @@ public:
   /// The window rectangle centered on `center` at temperature `t`.
   Rect window(Point center, double t) const;
 
-  double rho() const { return rho_; }
-  Coord min_span() const { return min_span_; }
-
 private:
   double raw_span(Coord w_inf, double t) const;
 
@@ -44,7 +44,6 @@ private:
   Coord wy_inf_;
   double rho_;
   double lambda_;  ///< rho^log10(T_inf), Eqn 14
-  Coord min_span_;
 };
 
 }  // namespace tw

@@ -18,12 +18,17 @@ struct AffinityEdge {
   double w = 0.0;
 };
 
+/// Nets touching more cells than this contribute no connectivity affinity:
+/// hub nets (clock, reset) touch everything and would glue unrelated cells
+/// into one blob. They still survive as coarse nets.
+constexpr int kMaxScoringDegree = 16;
+
 /// Per-cell adjacency with accumulated net affinities, neighbor lists
 /// sorted by id. Affinity of a shared net of degree d is 1/(d-1) — the
 /// standard edge-coarsening weight: a 2-pin net binds its cells with
 /// weight 1, a wide net spreads the same total pull over its members.
 std::vector<std::vector<std::pair<CellId, double>>> build_affinity(
-    const Netlist& nl, int max_scoring_degree) {
+    const Netlist& nl) {
   std::vector<AffinityEdge> edges;
   std::vector<CellId> on_net;
   for (const Net& net : nl.nets()) {
@@ -32,7 +37,7 @@ std::vector<std::vector<std::pair<CellId, double>>> build_affinity(
     std::sort(on_net.begin(), on_net.end());
     on_net.erase(std::unique(on_net.begin(), on_net.end()), on_net.end());
     const auto d = static_cast<int>(on_net.size());
-    if (d < 2 || d > max_scoring_degree) continue;
+    if (d < 2 || d > kMaxScoringDegree) continue;
     const double w = 1.0 / static_cast<double>(d - 1);
     for (std::size_t i = 0; i < on_net.size(); ++i)
       for (std::size_t j = i + 1; j < on_net.size(); ++j)
@@ -67,7 +72,7 @@ std::vector<std::vector<std::pair<CellId, double>>> build_affinity(
 std::vector<std::vector<CellId>> grow_clusters(const Netlist& nl,
                                                const ClusterParams& params) {
   const auto n = static_cast<CellId>(nl.num_cells());
-  const auto adj = build_affinity(nl, params.max_scoring_degree);
+  const auto adj = build_affinity(nl);
 
   // Seed visit order: a seeded Fisher-Yates shuffle of the cell ids.
   std::vector<CellId> order(static_cast<std::size_t>(n));
@@ -208,8 +213,6 @@ Point to_boundary(Point p, Coord w, Coord h) {
 Clustering cluster_netlist(const Netlist& nl, const ClusterParams& params) {
   TW_REQUIRE(params.max_cluster_size >= 1,
              "max_cluster_size=", params.max_cluster_size);
-  TW_REQUIRE(params.max_scoring_degree >= 2,
-             "max_scoring_degree=", params.max_scoring_degree);
   TW_REQUIRE(params.member_spacing >= 0,
              "member_spacing=", params.member_spacing);
   TW_REQUIRE(nl.num_cells() > 0, "clustering needs at least one cell");

@@ -36,11 +36,6 @@ struct ClusterParams {
   /// reproduces the same one.
   std::uint64_t seed = 1;
 
-  /// Nets wider than this contribute no connectivity affinity: hub nets
-  /// (clock, reset) touch everything and would glue unrelated cells into
-  /// one blob. They still survive as coarse nets.
-  int max_scoring_degree = 16;
-
   /// Uniform spacing inserted around every member when packing a
   /// cluster's interior (a routing allowance, in grid units). The flow
   /// passes the technology-consistent nominal_spacing(nl).

@@ -49,9 +49,8 @@ double Modulation::fy(Coord y) const {
   return my - rel * (my - by) / (0.5 * h);
 }
 
-DynamicAreaEstimator::DynamicAreaEstimator(const Netlist& nl,
-                                           WireEstimateParams wire_params)
-    : nl_(nl), wire_(nl, wire_params) {
+DynamicAreaEstimator::DynamicAreaEstimator(const Netlist& nl)
+    : nl_(nl), wire_(nl) {
   mod_.mx = mod_.my = nl.tech().modulation_max;
   mod_.bx = mod_.by = nl.tech().modulation_min;
   avg_pin_density_ = nl.average_pin_density();
@@ -86,18 +85,15 @@ DynamicAreaEstimator::DynamicAreaEstimator(const Netlist& nl,
   }
 }
 
-Rect DynamicAreaEstimator::compute_initial_core(double aspect,
-                                                double packing_efficiency) {
-  if (aspect <= 0.0)
-    throw std::invalid_argument("compute_initial_core: bad aspect");
-  if (packing_efficiency <= 0.0 || packing_efficiency > 1.0)
-    throw std::invalid_argument("compute_initial_core: bad packing efficiency");
+Rect DynamicAreaEstimator::compute_initial_core() {
+  // Share of the core the cells can fill (DESIGN.md section 4 item 7).
+  constexpr double kPackingEfficiency = 0.85;
   const double cell_area = static_cast<double>(nl_.total_cell_area());
   double area = cell_area * 1.5;  // starting guess; iteration refines it
 
   Coord w = 1, h = 1;
   for (int iter = 0; iter < 12; ++iter) {
-    w = std::max<Coord>(1, static_cast<Coord>(std::llround(std::sqrt(area / aspect))));
+    w = std::max<Coord>(1, static_cast<Coord>(std::llround(std::sqrt(area))));
     h = std::max<Coord>(1, static_cast<Coord>(std::llround(area / static_cast<double>(w))));
     const double cw = wire_.channel_width(w, h);
     // Eqn 5: maximum modulation, unity pin-density factor.
@@ -108,14 +104,14 @@ Rect DynamicAreaEstimator::compute_initial_core(double aspect,
       eff += (static_cast<double>(inst.width) + 2.0 * e0) *
              (static_cast<double>(inst.height) + 2.0 * e0);
     }
-    eff /= packing_efficiency;
+    eff /= kPackingEfficiency;
     if (std::abs(eff - area) < 0.001 * area) {
       area = eff;
       break;
     }
     area = eff;
   }
-  w = std::max<Coord>(1, static_cast<Coord>(std::llround(std::sqrt(area / aspect))));
+  w = std::max<Coord>(1, static_cast<Coord>(std::llround(std::sqrt(area))));
   h = std::max<Coord>(1, static_cast<Coord>(std::llround(area / static_cast<double>(w))));
 
   const Rect core{-w / 2, -h / 2, -w / 2 + w, -h / 2 + h};

@@ -49,19 +49,17 @@ struct Modulation {
 
 class DynamicAreaEstimator {
 public:
-  explicit DynamicAreaEstimator(const Netlist& nl,
-                                WireEstimateParams wire_params = {});
+  explicit DynamicAreaEstimator(const Netlist& nl);
 
   /// Determines the target core region (Section 2.2, "Determining the Core
   /// Area"): iterates Eqn 5 — cell areas inflated by the maximum-modulation
   /// expansion — until the total effective area is self-consistent with the
-  /// channel-width estimate, then divides by `packing_efficiency`
-  /// (heterogeneous rectangles never pack perfectly; without this slack the
-  /// target core cannot hold an overlap-free placement at all). The core is
-  /// centered at the origin with height/width ratio `aspect`. Also installs
-  /// the result via set_core().
-  Rect compute_initial_core(double aspect = 1.0,
-                            double packing_efficiency = 0.85);
+  /// channel-width estimate, then divides by the 0.85 packing efficiency
+  /// (DESIGN.md section 4 item 7: heterogeneous rectangles never pack
+  /// perfectly; without this slack the target core cannot hold an
+  /// overlap-free placement at all). The core is a square centered at the
+  /// origin. Also installs the result via set_core().
+  Rect compute_initial_core();
 
   /// Installs a core region: updates the modulation extents and C_W.
   void set_core(const Rect& core);

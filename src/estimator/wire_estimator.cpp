@@ -3,12 +3,25 @@
 #include <cmath>
 
 namespace tw {
+namespace {
 
-WireEstimator::WireEstimator(const Netlist& nl, WireEstimateParams params)
-    : nl_(nl), params_(params) {
+/// Length-model prefactor kappa (DESIGN.md section 4 item 9). C_W must
+/// anticipate the *routed* net length (global-route detours included),
+/// which runs about twice the bounding-box lower bound; kappa = 2 makes
+/// the end-of-stage-1 chip area match the post-refinement area across the
+/// nine reproduction circuits (the Table 3 criterion).
+constexpr double kLengthKappa = 2.0;
+
+/// p in (d - 1)^p: multi-pin nets grow sub-linearly with their degree
+/// (Sechen's average-interconnection-length model).
+constexpr double kDegreeExponent = 0.75;
+
+}  // namespace
+
+WireEstimator::WireEstimator(const Netlist& nl) : nl_(nl) {
   for (const auto& n : nl.nets()) {
     const double d = static_cast<double>(n.degree());
-    if (d >= 2.0) degree_sum_ += std::pow(d - 1.0, params_.degree_exp);
+    if (d >= 2.0) degree_sum_ += std::pow(d - 1.0, kDegreeExponent);
   }
   cell_perimeter_ = nl.total_cell_perimeter();
 }
@@ -17,7 +30,7 @@ double WireEstimator::total_length(double core_area) const {
   const double nc = static_cast<double>(nl_.num_cells());
   if (nc == 0.0) return 0.0;
   const double pitch_len = std::sqrt(core_area / nc);
-  return params_.kappa * pitch_len * degree_sum_;
+  return kLengthKappa * pitch_len * degree_sum_;
 }
 
 double WireEstimator::total_channel_length(Coord core_w, Coord core_h) const {

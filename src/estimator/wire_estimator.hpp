@@ -12,9 +12,10 @@
 //    bounding-box length of a net grows with the core dimension and, for
 //    multi-pin nets, sub-linearly with the net degree. We use
 //        l(n) = kappa * sqrt(A_core / N_c) * (d(n) - 1)^p
-//    with kappa ~ 1.0 and p ~ 0.75; both are exposed as parameters. The
-//    exact constants only scale C_W, and the dynamic estimator's accuracy
-//    is measured end-to-end by the Table 3 experiment.
+//    with p = 0.75 and kappa = 2 (calibrated, DESIGN.md section 4 item 9;
+//    both constants are in wire_estimator.cpp). The exact constants only
+//    scale C_W, and the dynamic estimator's accuracy is measured
+//    end-to-end by the Table 3 experiment.
 //  * C_L: every routing channel is bordered by exactly two cell edges (or
 //    one cell edge and the core boundary), so the total channel length is
 //    approximately half the total exposed cell perimeter plus half the
@@ -25,19 +26,9 @@
 
 namespace tw {
 
-struct WireEstimateParams {
-  /// Length-model prefactor. Calibrated against the full flow: C_W must
-  /// anticipate the *routed* net length (global-route detours included),
-  /// which runs about twice the bounding-box lower bound; kappa = 2 makes
-  /// the end-of-stage-1 chip area match the post-refinement area across
-  /// the nine reproduction circuits (the Table 3 criterion).
-  double kappa = 2.0;
-  double degree_exp = 0.75;  ///< p in (d-1)^p
-};
-
 class WireEstimator {
 public:
-  WireEstimator(const Netlist& nl, WireEstimateParams params = {});
+  explicit WireEstimator(const Netlist& nl);
 
   /// Expected final total interconnect length N_L for a core of the given
   /// area.
@@ -51,7 +42,6 @@ public:
 
 private:
   const Netlist& nl_;
-  WireEstimateParams params_;
   double degree_sum_ = 0.0;    ///< sum over nets of (d-1)^p
   Coord cell_perimeter_ = 0;   ///< total exposed cell perimeter
 };

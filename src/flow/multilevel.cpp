@@ -124,12 +124,11 @@ MultilevelResult MultilevelFlow::run_impl(
     r.warm.clusters = checkpoint->ml_clusters;
     r.warm.dropped_nets = checkpoint->ml_dropped_nets;
   } else {
-    // The refinement anneal will size the same core from the same netlist
-    // and estimator parameters; computing it here hands the warm-start
-    // source the exact region the refinement expects cells in.
-    DynamicAreaEstimator estimator(nl_, params_.refine.wire);
-    const Rect core =
-        estimator.compute_initial_core(params_.refine.core_aspect);
+    // The refinement anneal will size the same core from the same netlist;
+    // computing it here hands the warm-start source the exact region the
+    // refinement expects cells in.
+    DynamicAreaEstimator estimator(nl_);
+    const Rect core = estimator.compute_initial_core();
     r.warm = warm_->prepare(placement, core,
                             derive_seed(params_.seed, "warm"),
                             params_.recover.budget);

@@ -16,59 +16,52 @@ const char* cell_color(CellId c, bool custom) {
   return macro_colors[static_cast<std::size_t>(c) % 5];
 }
 
-void draw_cells(SvgWriter& svg, const Placement& placement,
-                const VisualizeOptions& opts) {
+/// Every cell (its tiles and name) and every pin.
+void draw_cells(SvgWriter& svg, const Placement& placement) {
   const Netlist& nl = placement.netlist();
   for (const auto& cell : nl.cells()) {
     const char* color = cell_color(cell.id, cell.is_custom());
     for (const Rect& t : placement.absolute_tiles(cell.id))
       svg.rect(t, color, "#222", 1.0, 0.85);
-    if (opts.show_names) {
-      const Rect bb = placement.bbox(cell.id);
-      svg.text(bb.center(), cell.name,
-               std::max(8.0, static_cast<double>(bb.height()) / 6.0), "#fff");
-    }
+    const Rect bb = placement.bbox(cell.id);
+    svg.text(bb.center(), cell.name,
+             std::max(8.0, static_cast<double>(bb.height()) / 6.0), "#fff");
   }
-  if (opts.show_pins) {
-    for (const auto& pin : nl.pins())
-      svg.circle(placement.pin_position(pin.id), 1.5,
-                 pin.equiv_class != 0 ? "#e15759" : "#f1ce63");
-  }
+  for (const auto& pin : nl.pins())
+    svg.circle(placement.pin_position(pin.id), 1.5,
+               pin.equiv_class != 0 ? "#e15759" : "#f1ce63");
 }
 
 }  // namespace
 
-std::string placement_svg(const Placement& placement, const Rect& core,
-                          const VisualizeOptions& opts) {
+std::string placement_svg(const Placement& placement, const Rect& core) {
   SvgWriter svg(core, core.width() / 20);
-  if (opts.show_core) svg.rect(core, "#f7f7f7", "#999", 2.0);
-  draw_cells(svg, placement, opts);
+  svg.rect(core, "#f7f7f7", "#999", 2.0);
+  draw_cells(svg, placement);
   return svg.str();
 }
 
 std::string routing_svg(const Placement& placement, const Rect& core,
-                        const ChannelGraph& cg, const GlobalRouteResult& routed,
-                        const VisualizeOptions& opts) {
+                        const ChannelGraph& cg,
+                        const GlobalRouteResult& routed) {
   SvgWriter svg(core, core.width() / 20);
-  if (opts.show_core) svg.rect(core, "#f7f7f7", "#999", 2.0);
+  svg.rect(core, "#f7f7f7", "#999", 2.0);
 
-  if (opts.show_channels) {
-    // Channel regions shaded by routed density.
-    std::vector<std::vector<EdgeId>> route_edges(routed.choice.size());
-    for (std::size_t n = 0; n < routed.choice.size(); ++n)
-      if (const Route* r = routed.route_of(n)) route_edges[n] = r->edges;
-    const auto densities = region_densities(cg, route_edges);
-    const int dmax = std::max(
-        1, *std::max_element(densities.begin(), densities.end()));
-    for (std::size_t r = 0; r < cg.regions.size(); ++r) {
-      const double load =
-          static_cast<double>(densities[r]) / static_cast<double>(dmax);
-      if (load <= 0.0) continue;
-      svg.rect(cg.regions[r].rect, "#e15759", "none", 0.0, 0.15 + 0.45 * load);
-    }
+  // Channel regions shaded by routed density.
+  std::vector<std::vector<EdgeId>> route_edges(routed.choice.size());
+  for (std::size_t n = 0; n < routed.choice.size(); ++n)
+    if (const Route* r = routed.route_of(n)) route_edges[n] = r->edges;
+  const auto densities = region_densities(cg, route_edges);
+  const int dmax =
+      std::max(1, *std::max_element(densities.begin(), densities.end()));
+  for (std::size_t r = 0; r < cg.regions.size(); ++r) {
+    const double load =
+        static_cast<double>(densities[r]) / static_cast<double>(dmax);
+    if (load <= 0.0) continue;
+    svg.rect(cg.regions[r].rect, "#e15759", "none", 0.0, 0.15 + 0.45 * load);
   }
 
-  draw_cells(svg, placement, opts);
+  draw_cells(svg, placement);
 
   // Selected routes, as polylines through the graph nodes.
   for (std::size_t n = 0; n < routed.choice.size(); ++n) {

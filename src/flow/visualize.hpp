@@ -11,24 +11,15 @@
 
 namespace tw {
 
-struct VisualizeOptions {
-  bool show_pins = true;
-  bool show_names = true;
-  bool show_core = true;
-  /// Draw critical regions (channel structure) shaded by density when a
-  /// routing result is supplied.
-  bool show_channels = true;
-};
-
 /// The placed cells (macros blue, custom cells green, with pins and
 /// names) inside the core.
-std::string placement_svg(const Placement& placement, const Rect& core,
-                          const VisualizeOptions& opts = {});
+std::string placement_svg(const Placement& placement, const Rect& core);
 
-/// Placement plus channel structure and the selected global routes (drawn
-/// through the slab centers).
+/// Placement plus channel structure (critical regions shaded by routed
+/// density) and the selected global routes (drawn through the slab
+/// centers).
 std::string routing_svg(const Placement& placement, const Rect& core,
-                        const ChannelGraph& cg, const GlobalRouteResult& routed,
-                        const VisualizeOptions& opts = {});
+                        const ChannelGraph& cg,
+                        const GlobalRouteResult& routed);
 
 }  // namespace tw

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "netlist/validate.hpp"
+
 namespace tw {
 namespace {
 
@@ -229,52 +231,8 @@ double Netlist::average_pin_density() const {
 }
 
 void Netlist::validate() const {
-  for (const auto& c : cells_) {
-    if (c.instances.empty())
-      throw std::runtime_error("cell " + c.name + ": no instances");
-    for (const auto& inst : c.instances) {
-      if (inst.pin_offsets.size() != c.pins.size())
-        throw std::runtime_error("cell " + c.name +
-                                 ": instance pin-offset count mismatch");
-      for (std::size_t i = 0; i < inst.tiles.size(); ++i) {
-        const Rect& ti = inst.tiles[i];
-        if (!ti.valid() || ti.area() == 0)
-          throw std::runtime_error("cell " + c.name + ": degenerate tile");
-        for (std::size_t j = i + 1; j < inst.tiles.size(); ++j)
-          if (ti.overlaps(inst.tiles[j]))
-            throw std::runtime_error("cell " + c.name +
-                                     ": overlapping tiles in one instance");
-      }
-      const Rect bb = bounding_box(inst.tiles);
-      if (bb.xlo != 0 || bb.ylo != 0)
-        throw std::runtime_error("cell " + c.name +
-                                 ": instance bbox not normalized to origin");
-      for (std::size_t k = 0; k < c.pins.size(); ++k) {
-        const Pin& p = pin(c.pins[k]);
-        if (p.commit != PinCommit::kFixed) continue;
-        if (!bb.contains(inst.pin_offsets[k]))
-          throw std::runtime_error("cell " + c.name + ": pin " + p.name +
-                                   " outside instance bbox");
-      }
-    }
-    for (std::size_t gi = 0; gi < c.groups.size(); ++gi)
-      for (PinId pid : c.groups[gi].pins)
-        if (pin(pid).group != static_cast<GroupId>(gi) ||
-            pin(pid).cell != c.id)
-          throw std::runtime_error("cell " + c.name +
-                                   ": inconsistent group membership");
-  }
-  for (const auto& n : nets_) {
-    if (n.pins.size() < 2)
-      throw std::runtime_error("net " + n.name + ": fewer than 2 pins");
-    for (PinId pid : n.pins)
-      if (pin(pid).net != n.id)
-        throw std::runtime_error("net " + n.name + ": pin back-pointer broken");
-  }
-  for (const auto& p : pins_) {
-    if (p.cell == kInvalidCell)
-      throw std::runtime_error("pin " + p.name + ": no owner cell");
-  }
+  const ValidationReport r = validate_netlist(*this);
+  if (!r.ok()) throw std::runtime_error(r.str());
 }
 
 }  // namespace tw

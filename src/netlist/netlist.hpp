@@ -102,9 +102,10 @@ public:
   /// Average pin density D_p = (total pins) / (sum of perimeters).
   double average_pin_density() const;
 
-  /// Checks structural invariants (tile overlap, pin offsets inside the
-  /// bbox, group membership, net degrees). Throws std::runtime_error with
-  /// a description of the first violation; returns normally when valid.
+  /// Checks the structural invariants of validate_netlist (tile overlap,
+  /// pin offsets inside the bbox, group membership, net degrees, ...).
+  /// Throws std::runtime_error carrying its whole report; returns normally
+  /// when valid.
   void validate() const;
 
 private:

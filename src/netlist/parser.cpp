@@ -269,14 +269,8 @@ std::optional<Netlist> parse_netlist(std::istream& in, ParseReport& report) {
     report.add(st.line_no, 0, "unterminated cell block " + cell_name);
   if (!report.ok()) return std::nullopt;
 
-  // A clean scan still has to produce a coherent netlist: run the
-  // structural invariants and the semantic checker before handing it out.
-  try {
-    st.nl.validate();
-  } catch (const std::exception& e) {
-    report.add(0, 0, e.what());
-    return std::nullopt;
-  }
+  // A clean scan still has to produce a coherent netlist: check every
+  // structural invariant before handing it out.
   const ValidationReport vr = validate_netlist(st.nl);
   if (!vr.ok()) {
     report.add(0, 0, "netlist validation failed: " + vr.str());

@@ -36,8 +36,8 @@ namespace tw {
 /// Parses the format above, collecting every diagnostic it can localize
 /// (line + column + message) into `report` instead of stopping at the
 /// first: a malformed line is recorded and skipped, and scanning
-/// continues. Returns the netlist — structurally validated and checked by
-/// check::validate_netlist — when `report.ok()`, nullopt otherwise.
+/// continues. Returns the netlist — checked by validate_netlist — when
+/// `report.ok()`, nullopt otherwise.
 std::optional<Netlist> parse_netlist(std::istream& in, ParseReport& report);
 std::optional<Netlist> parse_netlist_string(const std::string& text,
                                             ParseReport& report);

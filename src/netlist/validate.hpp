@@ -16,8 +16,12 @@ namespace tw {
 
 /// Structural netlist invariants: pin/net/cell cross-references are
 /// mutually consistent, net degrees >= 2, every cell has at least one
-/// instance with per-pin offsets, custom aspect-ratio ranges are sane, and
-/// per-cell pin-site capacity can accommodate the uncommitted pins.
+/// instance with per-pin offsets, each instance's tiles are non-degenerate
+/// and disjoint with their bounding box at the origin and every fixed pin
+/// inside it, custom aspect-ratio ranges are sane, and per-cell pin-site
+/// capacity can accommodate the uncommitted pins. Every violation is
+/// reported, each naming its cell, pin or net. Netlist::validate() throws
+/// this report; the parsers return it as a diagnostic.
 ValidationReport validate_netlist(const Netlist& nl);
 
 }  // namespace tw

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -11,6 +12,13 @@
 
 namespace tw {
 namespace {
+
+/// Power and ground signals, skipped by the parser (see yal.hpp).
+bool is_power_signal(const std::string& sig) {
+  static const std::set<std::string> kPowerNames = {"VDD", "VSS", "GND",
+                                                    "vdd", "vss", "gnd"};
+  return kPowerNames.count(sig) != 0;
+}
 
 /// Thrown by Lexer::fail after recording a diagnostic: unwinds the module
 /// being parsed — the caller recovers at the next MODULE keyword.
@@ -214,8 +222,7 @@ YalModule parse_module(Lexer& lex) {
 
 }  // namespace
 
-std::optional<Netlist> parse_yal(std::istream& in, ParseReport& report,
-                                 const YalOptions& opts) {
+std::optional<Netlist> parse_yal(std::istream& in, ParseReport& report) {
   Lexer lex(in, report);
   std::map<std::string, YalModule> modules;
   const YalModule* parent = nullptr;
@@ -317,7 +324,7 @@ std::optional<Netlist> parse_yal(std::istream& in, ParseReport& report,
       }
       for (std::size_t k = 0; k < proto.terminals.size(); ++k) {
         const std::string& sig = inst.signals[k];
-        if (opts.power_names.count(sig)) continue;
+        if (is_power_signal(sig)) continue;
         bindings.push_back({cell, proto.terminals[k].name,
                             proto.terminals[k].at - Point{min_x, min_y}, sig});
       }
@@ -333,7 +340,7 @@ std::optional<Netlist> parse_yal(std::istream& in, ParseReport& report,
   for (const auto& b : bindings) ++fanout[b.signal];
   std::map<std::string, int> pin_counter;
   for (const auto& b : bindings) {
-    if (opts.drop_singleton_nets && fanout[b.signal] < 2) continue;
+    if (fanout[b.signal] < 2) continue;
     const int k = pin_counter[b.terminal + "@" +
                               std::to_string(b.cell)]++;
     nl.add_fixed_pin(b.cell, k == 0 ? b.terminal
@@ -341,12 +348,6 @@ std::optional<Netlist> parse_yal(std::istream& in, ParseReport& report,
                      net_id(b.signal), b.offset);
   }
 
-  try {
-    nl.validate();
-  } catch (const std::exception& e) {
-    report.add(0, 0, e.what());
-    return std::nullopt;
-  }
   const ValidationReport vr = validate_netlist(nl);
   if (!vr.ok()) {
     report.add(0, 0, "netlist validation failed: " + vr.str());
@@ -356,33 +357,31 @@ std::optional<Netlist> parse_yal(std::istream& in, ParseReport& report,
 }
 
 std::optional<Netlist> parse_yal_string(const std::string& text,
-                                        ParseReport& report,
-                                        const YalOptions& opts) {
+                                        ParseReport& report) {
   std::istringstream is(text);
-  return parse_yal(is, report, opts);
+  return parse_yal(is, report);
 }
 
 std::optional<Netlist> parse_yal_file(const std::string& path,
-                                      ParseReport& report,
-                                      const YalOptions& opts) {
+                                      ParseReport& report) {
   std::ifstream in(path);
   if (!in) {
     report.add(0, 0, "cannot open YAL file " + path);
     return std::nullopt;
   }
-  return parse_yal(in, report, opts);
+  return parse_yal(in, report);
 }
 
-Netlist parse_yal_string(const std::string& text, const YalOptions& opts) {
+Netlist parse_yal_string(const std::string& text) {
   ParseReport report;
-  std::optional<Netlist> nl = parse_yal_string(text, report, opts);
+  std::optional<Netlist> nl = parse_yal_string(text, report);
   if (!nl) throw ParseError(std::move(report));
   return std::move(*nl);
 }
 
-Netlist parse_yal_file(const std::string& path, const YalOptions& opts) {
+Netlist parse_yal_file(const std::string& path) {
   ParseReport report;
-  std::optional<Netlist> nl = parse_yal_file(path, report, opts);
+  std::optional<Netlist> nl = parse_yal_file(path, report);
   if (!nl) throw ParseError(std::move(report));
   return std::move(*nl);
 }

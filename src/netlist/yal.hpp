@@ -19,9 +19,10 @@
 //  * every non-PARENT module becomes a cell *prototype*; each NETWORK
 //    instantiation creates one macro cell with the module's outline and
 //    one fixed pin per IOLIST terminal (signals bind positionally);
-//  * signals named in `power_names` (VDD/VSS/GND by default) are skipped —
-//    the paper handles power/ground specially (Section 5 assumes they run
-//    in every channel) and they would otherwise appear as giant nets;
+//  * power and ground signals (VDD, VSS, GND, in upper or lower case) are
+//    skipped — the paper handles power/ground specially (Section 5 assumes
+//    they run in every channel) and they would otherwise appear as giant
+//    nets;
 //  * signals connected to fewer than two remaining pins are dropped;
 //  * PAD modules are instantiated like any other cell (TimberWolfMC does
 //    not model a fixed pad ring; callers may pin them after parsing);
@@ -35,7 +36,6 @@
 
 #include <iosfwd>
 #include <optional>
-#include <set>
 #include <string>
 
 #include "netlist/netlist.hpp"
@@ -43,32 +43,21 @@
 
 namespace tw {
 
-struct YalOptions {
-  /// Signals treated as power/ground and skipped.
-  std::set<std::string> power_names = {"VDD", "VSS", "GND", "vdd", "vss",
-                                       "gnd"};
-  /// Drop nets with fewer than two pins after power filtering.
-  bool drop_singleton_nets = true;
-};
-
 /// Parses the YAL subset above, collecting every diagnostic it can
 /// localize into `report` instead of stopping at the first: a malformed
 /// module is recorded and parsing resynchronizes at the next MODULE
-/// keyword. Returns the netlist — structurally validated and checked by
-/// validate_netlist — when `report.ok()`, nullopt otherwise.
-std::optional<Netlist> parse_yal(std::istream& in, ParseReport& report,
-                                 const YalOptions& opts = {});
+/// keyword. Returns the netlist — checked by validate_netlist — when
+/// `report.ok()`, nullopt otherwise.
+std::optional<Netlist> parse_yal(std::istream& in, ParseReport& report);
 std::optional<Netlist> parse_yal_string(const std::string& text,
-                                        ParseReport& report,
-                                        const YalOptions& opts = {});
+                                        ParseReport& report);
 std::optional<Netlist> parse_yal_file(const std::string& path,
-                                      ParseReport& report,
-                                      const YalOptions& opts = {});
+                                      ParseReport& report);
 
 /// Throwing conveniences: as above, but a non-ok report becomes a
 /// ParseError carrying all diagnostics.
-Netlist parse_yal_string(const std::string& text, const YalOptions& opts = {});
-Netlist parse_yal_file(const std::string& path, const YalOptions& opts = {});
+Netlist parse_yal_string(const std::string& text);
+Netlist parse_yal_file(const std::string& path);
 
 /// Serializes a netlist to YAL (one module per cell + PARENT network).
 std::string write_yal(const Netlist& nl, const std::string& chip_name = "chip");

@@ -7,6 +7,13 @@
 #include "check/contracts.hpp"
 
 namespace tw {
+namespace {
+
+/// kappa of the pin-site penalty (Eqn 10): the paper's constant, which
+/// drives the overloaded-site count to zero before stage 1 ends.
+constexpr double kPinSiteKappa = 5.0;
+
+}  // namespace
 
 CostModel::CostModel(const Placement& placement, const OverlapEngine& overlap,
                      CostParams params)
@@ -48,7 +55,7 @@ CostTerms CostModel::full() const {
   t.c2_raw = static_cast<double>(overlap_->total_overlap());
   for (const auto& cell : placement_->netlist().cells())
     if (cell.is_custom())
-      t.c3 += placement_->site_penalty(cell.id, params_.kappa);
+      t.c3 += placement_->site_penalty(cell.id, kPinSiteKappa);
   return t;
 }
 
@@ -100,7 +107,7 @@ double CostModel::partial_c3(std::span<const CellId> cells) const {
   double sum = 0.0;
   for (CellId c : cells)
     if (placement_->netlist().cell(c).is_custom())
-      sum += placement_->site_penalty(c, params_.kappa);
+      sum += placement_->site_penalty(c, kPinSiteKappa);
   return sum;
 }
 

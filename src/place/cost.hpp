@@ -24,8 +24,7 @@
 namespace tw {
 
 struct CostParams {
-  double eta = 0.5;    ///< target p2*C2 / C1 ratio at T_inf (Eqn 9)
-  double kappa = 5.0;  ///< pin-site penalty constant (Eqn 10)
+  double eta = 0.5;  ///< target p2*C2 / C1 ratio at T_inf (Eqn 9)
 };
 
 /// Value of the three cost terms; `c2_raw` is the un-normalized overlap.

@@ -165,8 +165,10 @@ Coord bare_overlap(const Placement& placement) {
 }
 
 LegalizeResult legalize_spread(Placement& placement, const Rect& core,
-                               Coord margin, int max_iterations,
-                               bool allow_repack) {
+                               Coord margin) {
+  // At most this many sweeps; a spread that stops making progress ends
+  // sooner (the stall test below).
+  constexpr int kMaxSweeps = 300;
   TileCache cache(placement);
   LegalizeResult result;
   result.initial_overlap = pair_overlap_sum(cache, 0);
@@ -178,7 +180,7 @@ LegalizeResult legalize_spread(Placement& placement, const Rect& core,
   // overlap of the margin-inflated tiles.
   Coord best_seen = pair_overlap_sum(cache, m2);
   int stalled = 0;
-  for (int iter = 0; iter < max_iterations; ++iter) {
+  for (int iter = 0; iter < kMaxSweeps; ++iter) {
     // Stop early when the sweeps cycle without progress — continuing only
     // random-walks the cells and degrades the wirelength.
     if (iter % 5 == 4) {
@@ -271,7 +273,7 @@ LegalizeResult legalize_spread(Placement& placement, const Rect& core,
   // the area a detailed router absorbs in one channel — are tolerated.
   const Coord tolerance =
       std::max<Coord>(1, placement.netlist().total_cell_area() / 50);
-  if (allow_repack && result.final_overlap > tolerance) {
+  if (result.final_overlap > tolerance) {
     legalize_repack(placement, core, margin);
     result.repacked = true;
     result.final_overlap = bare_overlap(placement);

@@ -36,13 +36,12 @@ bool relocate_overlapping(Placement& placement, const Rect& core,
                           Coord margin);
 
 /// Separates overlapping cells and clamps every cell into `core`.
-/// Deterministic; at most `max_iterations` sweeps. `margin` is an extra
-/// separation beyond "just touching" — stage 2 passes ~2 track pitches so
-/// that every channel keeps a nonzero width and the free space (and hence
-/// the channel graph) stays connected.
+/// Deterministic; at most 300 sweeps. `margin` is an extra separation
+/// beyond "just touching" — stage 2 passes ~2 track pitches so that every
+/// channel keeps a nonzero width and the free space (and hence the channel
+/// graph) stays connected.
 LegalizeResult legalize_spread(Placement& placement, const Rect& core,
-                               Coord margin = 0, int max_iterations = 300,
-                               bool allow_repack = true);
+                               Coord margin = 0);
 
 /// Total bare-tile pairwise overlap of the placement (no expansions, no
 /// border term) — the legality measure.

@@ -11,10 +11,22 @@
 #include "util/stats.hpp"
 
 namespace tw {
+namespace {
+
+/// Final-temperature factor (DESIGN.md section 4 item 3): stage 1 cools
+/// until T <= S_T * kStopFactor *and* the range-limiter window has reached
+/// its minimum span. 0.1 reproduces the paper's ~6 decades of temperature
+/// (S_T * 1e5 down to ~S_T * 0.1, about 120 steps under Table 1). On the
+/// paper's fine-grid industrial circuits the window minimum alone lands
+/// there; on coarse grids the window bottoms out early and the temperature
+/// floor carries the stopping criterion.
+constexpr double kStopFactor = 0.1;
+
+}  // namespace
 
 Stage1Placer::Stage1Placer(const Netlist& nl, Stage1Params params,
                            std::uint64_t seed)
-    : nl_(nl), params_(params), rng_(seed), estimator_(nl, params.wire) {}
+    : nl_(nl), params_(params), rng_(seed), estimator_(nl) {}
 
 MoveOutcome pin_move(const Netlist& nl, const MetropolisJudge& judge,
                      CellId i, double t, const char* what) {
@@ -168,14 +180,14 @@ Stage1Result Stage1Placer::run_impl(Placement& placement,
   // Core and scaling are pure functions of the netlist (no RNG), so both
   // the fresh and the resumed path compute them the same way; computing
   // them here also primes the estimator's internal core-dependent state.
-  const Rect core = estimator_.compute_initial_core(params_.core_aspect);
+  const Rect core = estimator_.compute_initial_core();
 
   const double scale = stage1_temperature_scale(nl_, estimator_);
   double t;
   int first_step = 0;
   if (cursor != nullptr) {
     TW_REQUIRE(cursor->next_step >= 0 &&
-                   cursor->next_step <= params_.max_temperature_steps,
+                   cursor->next_step <= kStage1MaxSteps,
                "cursor step=", cursor->next_step);
     TW_REQUIRE(cursor->t > 0.0 && cursor->p2_base > 0.0,
                "cursor t=", cursor->t, " p2_base=", cursor->p2_base);
@@ -245,7 +257,7 @@ Stage1Result Stage1Placer::run_impl(Placement& placement,
   }
 
   CostTerms current = model.full();  // resynced each temperature step
-  CostAudit audit(model, params_.audit);
+  CostAudit audit(model);
   MoveTxn txn(placement, overlap, model);
   const MetropolisJudge judge{txn,           rng_, current, audit,
                               hooks_.faults, recover::FaultSite::kStage1Accept};
@@ -260,7 +272,7 @@ Stage1Result Stage1Placer::run_impl(Placement& placement,
 
   // Penalty-weight ramp: reach p2_base * growth as T crosses the stopping
   // temperature (geometric in log T, so it tracks the cooling profile).
-  const double t_final = std::max(1e-9, scale * params_.t_stop_factor);
+  const double t_final = std::max(1e-9, scale * kStopFactor);
   const double log_span = std::log(result.t_infinity / t_final);
 
   // Best-feasible-so-far tracking for graceful degradation: only budgeted
@@ -281,7 +293,7 @@ Stage1Result Stage1Placer::run_impl(Placement& placement,
   bool stopped = false;
 
   // --- the annealing loop ----------------------------------------------------
-  for (int step = first_step; step < params_.max_temperature_steps; ++step) {
+  for (int step = first_step; step < kStage1MaxSteps; ++step) {
     if (hooks_.step_boundary(step, recover::FaultSite::kStage1Step, [&] {
           return Stage1Cursor{step, t, p2_base, result, rng_.state()};
         })) {
@@ -392,8 +404,8 @@ Stage1Result Stage1Placer::run_impl(Placement& placement,
 
     // Stopping criterion: an inner loop executed with the window at its
     // minimum span, once the temperature has descended through the full
-    // profile (see t_stop_factor).
-    if (limiter.at_minimum(t) && t <= scale * params_.t_stop_factor) break;
+    // profile (see kStopFactor).
+    if (limiter.at_minimum(t) && t <= scale * kStopFactor) break;
     t = schedule.next(t, scale);
   }
 
@@ -436,7 +448,7 @@ void Stage1Placer::quench(const Placement& placement,
   // so one sweep of minimum-window displacements monotonically cleans up
   // whatever the interrupted anneal left mid-flight — the same repertoire
   // as the low-temperature tail of the schedule, never an uphill step.
-  const Coord span = RangeLimiter(core.width(), core.height(), 1.0).min_span();
+  const Coord span = RangeLimiter::kMinSpan;
   const auto num_cells = static_cast<CellId>(nl_.num_cells());
   for (long long it = 0; it < inner; ++it) {
     const CellId i = static_cast<CellId>(rng_.uniform_int(0, num_cells - 1));

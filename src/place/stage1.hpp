@@ -61,16 +61,8 @@ struct Stage1Params {
   /// Displacement-point selection: D_s (structured) or D_r (random).
   PointSelect selector = PointSelect::kStructured;
 
-  /// eta / kappa of the cost function.
+  /// eta of the cost function.
   CostParams cost;
-
-  /// Desired core height/width ratio.
-  double core_aspect = 1.0;
-
-  /// Wire-length model driving the C_W estimate (Eqn 1). kappa calibrates
-  /// the expected *routed* length (detours included), not the bounding-box
-  /// lower bound — see WireEstimateParams.
-  WireEstimateParams wire;
 
   /// Interconnect-area estimation mode (kDynamic = the paper; the others
   /// exist for the ablation bench).
@@ -87,19 +79,6 @@ struct Stage1Params {
   /// weight for the same reason). 1.0 disables the ramp.
   double overlap_penalty_growth = 20.0;
 
-  /// Final-temperature factor: stage 1 cools until T <= S_T * t_stop_factor
-  /// *and* the range-limiter window has reached its minimum span. The
-  /// default reproduces the paper's ~6 decades of temperature (S_T * 1e5
-  /// down to ~S_T * 0.1, about 120 steps under Table 1). On the paper's
-  /// fine-grid industrial circuits the window minimum alone lands there;
-  /// on coarse grids the window bottoms out early and the temperature
-  /// floor carries the stopping criterion.
-  double t_stop_factor = 0.1;
-
-  /// Safety net: hard cap on temperature steps (rho=1 never reaches the
-  /// window minimum).
-  int max_temperature_steps = 200;
-
   /// Warm start (the multilevel flow's refinement anneal). 1.0 is the
   /// paper's cold start: the caller-provided placement is irrelevant (the
   /// p2 calibration leaves the last random sample as the initial
@@ -111,12 +90,11 @@ struct Stage1Params {
   /// warm start runs with proportionally contracted move windows — the
   /// refinement regime.
   double warm_start_t_factor = 1.0;
-
-  /// Incremental-cost drift checkpoints (see check/cost_audit.hpp). The
-  /// default checks at every temperature step in full-checks builds and is
-  /// free otherwise.
-  CostAuditParams audit;
 };
+
+/// Safety net: hard cap on stage 1's temperature steps (rho = 1 never
+/// reaches the window minimum).
+inline constexpr int kStage1MaxSteps = 200;
 
 /// Per-temperature trace entry (drives tests and the cooling diagnostics).
 struct TemperaturePoint {

@@ -71,16 +71,13 @@ class RunBudget {
   /// checkpoint is durably saved. Unlike cancellation this is not a
   /// wind-down — no quench runs, no partial result is produced — the run
   /// is expected to be resumed later from that checkpoint and finish
-  /// byte-identically. Ignored by runs that take no checkpoints (there
-  /// is nowhere to park them).
+  /// byte-identically, under a fresh budget. Ignored by runs that take no
+  /// checkpoints (there is nowhere to park them).
   void request_preempt() { preempt_.store(true, std::memory_order_relaxed); }
 
   bool preempt_requested() const {
     return preempt_.load(std::memory_order_relaxed);
   }
-
-  /// Re-arms a budget for the resumed run after a preemption.
-  void clear_preempt() { preempt_.store(false, std::memory_order_relaxed); }
 
   bool exhausted() const {
     const std::int64_t mm = max_moves_;

@@ -13,6 +13,26 @@
 #include "util/log.hpp"
 
 namespace tw {
+namespace {
+
+/// Refinement executions: three suffice for the TEIL and chip area to
+/// converge, and the last stops on the cost-unchanged criterion
+/// (Section 4.3).
+constexpr int kRefinementPasses = 3;
+
+/// Window contraction rho of the refinement anneal's range limiter and of
+/// its Eqn 28 start temperature: stage 1's default (Section 3.2.2).
+constexpr double kRho = 4.0;
+
+/// Safety cap on each refinement anneal's temperature steps.
+constexpr int kMaxSteps = 80;
+
+/// The last pass stops once the cost is unchanged for this many inner
+/// loops (Section 4.3).
+constexpr int kFinalStallLoops = 3;
+
+}  // namespace
+
 Stage2Refiner::Stage2Refiner(const Netlist& nl, Stage2Params params,
                              std::uint64_t seed)
     : nl_(nl), params_(params), rng_(seed) {}
@@ -54,13 +74,13 @@ int Stage2Refiner::anneal(Placement& placement, OverlapEngine& overlap,
                           bool& stopped) {
   const Rect& core = at.working_core;
   const CoolingSchedule schedule = CoolingSchedule::stage2();
-  RangeLimiter limiter(core.width(), core.height(), t_inf, params_.rho);
+  RangeLimiter limiter(core.width(), core.height(), t_inf, kRho);
   const auto num_cells = static_cast<CellId>(nl_.num_cells());
   const long long inner =
       static_cast<long long>(params_.attempts_per_cell) * num_cells;
 
   CostTerms current = model.full();
-  CostAudit audit(model, params_.audit);
+  CostAudit audit(model);
   MoveTxn txn(placement, overlap, model);
   const MetropolisJudge judge{txn,           rng_, current, audit,
                               hooks_.faults, recover::FaultSite::kStage2Accept};
@@ -106,7 +126,7 @@ int Stage2Refiner::anneal(Placement& placement, OverlapEngine& overlap,
     cur.rng = rng_.state();
     return cur;
   };
-  for (; steps < params_.max_temperature_steps; ++steps) {
+  for (; steps < kMaxSteps; ++steps) {
     if (hooks_.step_boundary(steps, recover::FaultSite::kStage2Step, cursor) ||
         !sweep(t, /*budgeted=*/true)) {
       stopped = true;
@@ -120,9 +140,9 @@ int Stage2Refiner::anneal(Placement& placement, OverlapEngine& overlap,
     if (budget != nullptr) budget->charge_step();
 
     if (final_pass) {
-      // Stop when the cost is unchanged for `final_stall_loops` inner loops.
+      // Stop when the cost is unchanged for kFinalStallLoops inner loops.
       if (cost == last_cost) {
-        if (++stall >= params_.final_stall_loops) {
+        if (++stall >= kFinalStallLoops) {
           ++steps;
           break;
         }
@@ -167,8 +187,7 @@ Stage2Result Stage2Refiner::run_impl(Placement& placement, const Rect& core,
   TW_REQUIRE(nl_.num_cells() > 0, "stage 2 needs at least one cell");
   TW_REQUIRE(t_inf > 0.0 && scale > 0.0, "t_inf=", t_inf, " scale=", scale);
   Stage2Result result;
-  const double t_start =
-      initial_temperature(params_.mu, t_inf, params_.rho);
+  const double t_start = initial_temperature(params_.mu, t_inf, kRho);
   const auto num_cells = static_cast<CellId>(nl_.num_cells());
 
   // The working core starts at stage 1's target and grows whenever the
@@ -176,7 +195,7 @@ Stage2Result Stage2Refiner::run_impl(Placement& placement, const Rect& core,
   Rect working_core = core;
   int first_pass = 0;
   if (cursor != nullptr) {
-    TW_REQUIRE(cursor->pass >= 0 && cursor->pass < params_.refinement_steps,
+    TW_REQUIRE(cursor->pass >= 0 && cursor->pass < kRefinementPasses,
                "cursor pass=", cursor->pass);
     TW_REQUIRE(cursor->expansions.size() == nl_.num_cells(),
                "cursor expansions=", cursor->expansions.size());
@@ -189,12 +208,12 @@ Stage2Result Stage2Refiner::run_impl(Placement& placement, const Rect& core,
   // Expansion state persists across passes; start with zero (the stage-1
   // estimator's space is already baked into the cell positions).
   OverlapEngine overlap(placement, working_core, {});
-  CostModel model(placement, overlap, params_.cost);
+  CostModel model(placement, overlap);
 
   recover::RunBudget* budget = hooks_.budget;
   bool stopped = false;
 
-  for (int pass = first_pass; pass < params_.refinement_steps; ++pass) {
+  for (int pass = first_pass; pass < kRefinementPasses; ++pass) {
     // `at` is this pass at its anneal's entry, what its checkpoints carry.
     // A cursor restarts its pass mid-anneal: steps 0-2 (and the pass-entry
     // fault poll) already happened before the checkpoint, so their outputs
@@ -294,7 +313,7 @@ Stage2Result Stage2Refiner::run_impl(Placement& placement, const Rect& core,
       const CostTerms t0 = model.full();
       const double c2_floor =
           0.01 * static_cast<double>(nl_.total_cell_area());
-      at.p2 = params_.cost.eta * t0.c1 / std::max(t0.c2_raw, c2_floor);
+      at.p2 = model.params().eta * t0.c1 / std::max(t0.c2_raw, c2_floor);
       model.set_p2(at.p2);
       at.anneal = {t_start, 0, 0, model.total(model.full())};
     }
@@ -302,7 +321,7 @@ Stage2Result Stage2Refiner::run_impl(Placement& placement, const Rect& core,
     at.working_core = working_core;
     at.done = result.passes;
 
-    const bool final_pass = pass == params_.refinement_steps - 1;
+    const bool final_pass = pass == kRefinementPasses - 1;
     bool anneal_stopped = false;
     rp.temperature_steps = anneal(placement, overlap, model, at, t_inf, scale,
                                   final_pass, anneal_stopped);

@@ -25,14 +25,8 @@ namespace tw {
 
 struct Stage2Params {
   double mu = 0.03;             ///< initial window fraction of the core span
-  int refinement_steps = 3;
   int attempts_per_cell = 50;   ///< A_c for the refinement anneal
-  double rho = 4.0;             ///< window contraction (shared with stage 1)
-  CostParams cost;
   GlobalRouterParams router;
-  int max_temperature_steps = 80;   ///< safety cap per refinement pass
-  int final_stall_loops = 3;    ///< pass-3 stop: cost unchanged this long
-  CostAuditParams audit;        ///< drift checkpoints (check/cost_audit.hpp)
 };
 
 /// Measurements after one refinement execution.

@@ -176,9 +176,6 @@ public:
   bool is_target(NodeId n) const {
     return target_gen_[static_cast<std::size_t>(n)] == query_gen_;
   }
-  void unmark_target(NodeId n) {
-    target_gen_[static_cast<std::size_t>(n)] = 0;
-  }
 
   // --- node labels (survive queries until the next begin_labels) ----------
   // Used by the deviation algorithm to map endpoint nodes to their rank in

@@ -8,11 +8,19 @@
 #include "route/interchange.hpp"
 
 namespace tw {
+namespace {
+
+/// Additive cost per unit of existing overflow on an edge (soft congestion
+/// avoidance; a saturated edge costs length + penalty * excess). It is
+/// positive and penalties only ever grow during a run, which keeps the
+/// workspace's A* heuristic admissible (see search_workspace.hpp).
+constexpr double kCongestionPenalty = 1e4;
+
+}  // namespace
 
 SequentialResult route_sequential(const RoutingGraph& g,
                                   const std::vector<NetTargets>& nets,
-                                  std::span<const int> order,
-                                  const SequentialParams& params) {
+                                  std::span<const int> order) {
   SequentialResult r;
   r.routes.resize(nets.size());
   r.edge_usage.assign(g.num_edges(), 0);
@@ -24,24 +32,11 @@ SequentialResult route_sequential(const RoutingGraph& g,
     order = natural;
   }
 
-  SequentialScratch local;
-  SequentialScratch& scratch =
-      params.scratch != nullptr ? *params.scratch : local;
-  std::vector<double>& extra = scratch.extra;
-  extra.assign(g.num_edges(), 0.0);  // reuses capacity on a warm scratch
-  TW_REQUIRE(params.congestion_penalty >= 0.0,
-             "congestion_penalty must be non-negative (penalties are "
-             "monotone and must keep A* admissible)");
+  SearchWorkspace ws;
+  std::vector<double> extra(g.num_edges(), 0.0);  // per-edge penalty, >= 0
   for (int idx : order) {
     const auto i = static_cast<std::size_t>(idx);
-    if (params.budget != nullptr) {
-      if (params.budget->stop_requested()) {
-        ++r.unrouted_nets;
-        continue;  // count every remaining net as unrouted
-      }
-      params.budget->charge_move();
-    }
-    auto route = greedy_route(g, nets[i], &extra, scratch.ws);
+    auto route = greedy_route(g, nets[i], &extra, ws);
     if (!route) {
       ++r.unrouted_nets;
       continue;
@@ -56,7 +51,7 @@ SequentialResult route_sequential(const RoutingGraph& g,
       // Penalize edges at or beyond capacity for subsequent nets.
       const int cap = g.edge(e).capacity;
       if (r.edge_usage[ei] >= cap)
-        extra[ei] = params.congestion_penalty *
+        extra[ei] = kCongestionPenalty *
                     static_cast<double>(r.edge_usage[ei] - cap + 1);
     }
   }

@@ -9,34 +9,9 @@
 
 #include <span>
 
-#include "recover/budget.hpp"
 #include "route/steiner.hpp"
 
 namespace tw {
-
-/// Reusable scratch for route_sequential: the search workspace plus the
-/// per-edge penalty vector. Callers that route many instances on graphs of
-/// similar size pass one scratch to every call and pay the O(V + E) vector
-/// growth only once; the penalty vector is reset (values, not capacity) at
-/// the start of each call.
-struct SequentialScratch {
-  SearchWorkspace ws;
-  std::vector<double> extra;  ///< per-edge additive penalty, >= 0 throughout
-};
-
-struct SequentialParams {
-  /// Additive cost per unit of existing overflow on an edge (soft
-  /// congestion avoidance; a saturated edge costs length + penalty*excess).
-  /// Must be >= 0: penalties only ever grow during a run (monotone in the
-  /// number of nets routed), and non-negative extra costs are what keeps
-  /// the workspace's A* heuristic admissible (see search_workspace.hpp).
-  double congestion_penalty = 1e4;
-  /// Optional work budget (non-owning): one move per routed net; on expiry
-  /// the remaining nets are left unrouted.
-  recover::RunBudget* budget = nullptr;
-  /// Optional reusable scratch (non-owning). nullptr uses a private one.
-  SequentialScratch* scratch = nullptr;
-};
 
 struct SequentialResult {
   std::vector<Route> routes;  ///< per net (empty edges+length 0 if unroutable)
@@ -50,7 +25,6 @@ struct SequentialResult {
 /// indices; empty means natural order).
 SequentialResult route_sequential(const RoutingGraph& g,
                                   const std::vector<NetTargets>& nets,
-                                  std::span<const int> order = {},
-                                  const SequentialParams& params = {});
+                                  std::span<const int> order = {});
 
 }  // namespace tw

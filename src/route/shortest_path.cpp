@@ -72,24 +72,21 @@ NodeId search(const RoutingGraph& g, std::span<const NodeId> sources,
            ws.edge_blocked(e);
   };
 
+  const bool seek = stop == SearchStop::kFirstTarget;
   TargetBox box;
-  std::size_t targets_left = 0;
   for (NodeId t : targets) {
     box.add(g.node_pos(t));
-    if (ws.is_target(t)) continue;  // duplicate target entries count once
     ws.mark_target(t);
-    ++targets_left;
   }
-  // Target-seeking stop modes are trivially complete with no targets; only
+  // The target-seeking mode is trivially complete with no targets; only
   // kAllReachable wants the exhaustive sweep then.
-  if (targets_left == 0 && stop != SearchStop::kAllReachable)
-    return kInvalidNode;
+  if (seek && targets.empty()) return kInvalidNode;
 
   // An exact (promoted-query) heuristic dominates the geometric bound and
   // returns kInf for nodes that cannot reach any target at all — those are
   // never entered.
-  const bool exact = targets_left > 0 && ws.exact_heuristic();
-  const double alpha = targets_left > 0 ? ws.heuristic_scale() : 0.0;
+  const bool exact = !targets.empty() && ws.exact_heuristic();
+  const double alpha = targets.empty() ? 0.0 : ws.heuristic_scale();
   auto h = [&](NodeId v) {
     if (exact) return ws.exact_h(v);
     return alpha > 0.0 ? alpha * box_manhattan(g.node_pos(v), box) : 0.0;
@@ -104,11 +101,10 @@ NodeId search(const RoutingGraph& g, std::span<const NodeId> sources,
     ws.heap_push(hs, 0.0, s);
   }
 
-  // Dead ends, skipped by the target-seeking modes only (see the header).
+  // Dead ends, skipped by the target-seeking mode only (see the header).
   // A target that is not an admitted source is settled across an open
   // edge from an open neighbour or not at all; when no target has one,
   // the search would settle everything it reaches and then fail.
-  const bool seek = stop != SearchStop::kAllReachable;
   auto can_settle = [&](NodeId t) {
     if (ws.dist(t) < kInf) return true;
     for (EdgeId eid : g.incident(t))
@@ -124,12 +120,7 @@ NodeId search(const RoutingGraph& g, std::span<const NodeId> sources,
     const NodeId u = e.node;
     if (e.d > ws.dist(u)) continue;  // stale heap entry
     ++ws.counters.nodes_popped;
-    if (targets_left > 0 && ws.is_target(u)) {
-      if (stop == SearchStop::kFirstTarget) return u;
-      ws.unmark_target(u);
-      if (--targets_left == 0 && stop == SearchStop::kAllTargets)
-        return kInvalidNode;
-    }
+    if (seek && ws.is_target(u)) return u;
     for (EdgeId eid : g.incident(u)) {
       if (edge_blocked(eid)) continue;
       const GraphEdge& ge = g.edge(eid);

@@ -51,7 +51,6 @@ struct PathQuery {
 /// When the low-level search may stop.
 enum class SearchStop {
   kFirstTarget,   ///< at the first (nearest) settled target
-  kAllTargets,    ///< once every reachable target is settled
   kAllReachable,  ///< never early — settle everything reachable
 };
 
@@ -61,12 +60,12 @@ enum class SearchStop {
 /// the wrappers below, which clear them). Results are read back through
 /// `ws.dist()` / `ws.via_edge()` / `extract_path`; with kFirstTarget the
 /// settled target is returned (kInvalidNode when no target is
-/// reachable). Under kFirstTarget/kAllTargets only target distances are
+/// reachable). Under kFirstTarget only the returned target's distance is
 /// guaranteed final; other settled nodes may carry non-final labels when
 /// A* terminated early.
 ///
-/// The target-seeking modes (kFirstTarget, kAllTargets) also skip two
-/// kinds of dead end; kAllReachable settles every node it can reach.
+/// The target-seeking mode (kFirstTarget) also skips two kinds of dead
+/// end; kAllReachable settles every node it can reach.
 ///  * Stubs: a degree-1 node that is not a target is never entered (it
 ///    keeps no label). No path to a target runs through one, and its pop
 ///    would relax only the edge it came in by. Channel graphs hang every

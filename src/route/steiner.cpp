@@ -112,7 +112,7 @@ std::vector<Route> m_best_routes(const RoutingGraph& g, const NetTargets& net,
 
   const int m = std::max(1, params.m);
   const int beam_width =
-      static_cast<int>(net.pins.size()) > params.wide_net_threshold ? 1 : m;
+      static_cast<int>(net.pins.size()) > kWideNetPins ? 1 : m;
 
   // Start from the first logical pin (the paper picks an arbitrary start).
   std::vector<PartialTree> beam;

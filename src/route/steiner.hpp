@@ -36,14 +36,15 @@ struct Route {
 
 struct SteinerParams {
   int m = 8;  ///< M: alternatives kept per net (paper uses ~20)
-  /// Nets with more logical pins than this are routed with beam width 1
-  /// (plain Prim/Dijkstra Steiner) to bound the cost on huge nets.
-  int wide_net_threshold = 12;
 };
 
-/// Generates up to M candidate routes for the net, ascending by length.
-/// Returns an empty vector when the net cannot be connected (disconnected
-/// graph). Single-pin (or empty) nets yield one empty route. The
+/// Nets with more logical pins than this are routed with beam width 1
+/// (plain Prim/Dijkstra Steiner) to bound the cost on huge nets.
+inline constexpr int kWideNetPins = 12;
+
+/// Generates up to M candidate routes for the net, ascending by length
+/// (one route for a net wider than kWideNetPins). Returns an empty vector
+/// when the net cannot be connected (disconnected graph). Single-pin (or empty) nets yield one empty route. The
 /// workspace-taking overload reuses `ws` across every internal search
 /// (allocation-free once warm); the other builds a fresh one per call.
 std::vector<Route> m_best_routes(const RoutingGraph& g, const NetTargets& net,

@@ -93,6 +93,31 @@ TEST(BadInput, MultipleDefectsAreAllReported) {
     EXPECT_GE(d.line, 0) << d.str();
 }
 
+TEST(BadInput, GeometryDefectsNameTheirCell) {
+  // Each file scans cleanly; validation rejects it with one diagnostic
+  // naming the defective cell and the defect.
+  const struct {
+    const char* file;
+    const char* cell;
+    const char* defect;
+  } cases[] = {
+      {"overlapping_tiles.net", "cell 0 'blob'", "tiles 0 and 1 overlap"},
+      {"degenerate_tile.net", "cell 0 'flat'", "is degenerate"},
+      {"pin_outside_bbox.net", "cell 0 'stray'", "outside bbox"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.file);
+    ParseReport report;
+    EXPECT_FALSE(parse_netlist_file(
+                     std::string(TW_BAD_INPUT_DIR) + "/" + c.file, report)
+                     .has_value());
+    ASSERT_EQ(report.diagnostics.size(), 1u) << report.str();
+    const std::string& msg = report.diagnostics[0].message;
+    EXPECT_NE(msg.find(c.cell), std::string::npos) << msg;
+    EXPECT_NE(msg.find(c.defect), std::string::npos) << msg;
+  }
+}
+
 TEST(BadInput, SaturationCountsTheSuppressedTail) {
   // 200 defective lines against a 50-diagnostic cap: the overflow must be
   // counted and named, not silently dropped, so a saturated report is

@@ -191,7 +191,7 @@ TEST(CriticalRegions, RouteCrossesJunction) {
   p.set_center(3, Point{8, 8});
   const ChannelGraph cg = build_channel_graph(p, Rect{-30, -30, 30, 30});
   const auto targets = build_net_targets(nl, cg);
-  const auto routes = m_best_routes(cg.graph, targets[0], {4, 12});
+  const auto routes = m_best_routes(cg.graph, targets[0], {4});
   ASSERT_FALSE(routes.empty());
   EXPECT_TRUE(route_connects(cg.graph, targets[0], routes[0]));
 }

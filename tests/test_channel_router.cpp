@@ -104,7 +104,7 @@ TEST(Eqn22, RoutedChannelsFitWithinDPlusOneTracks) {
   const Stage1Result s1 = placer.run(placement);
   legalize_spread(placement, s1.core, 2 * nl.tech().track_separation);
   const ChannelGraph cg = build_channel_graph(placement, s1.core);
-  GlobalRouter router(cg.graph, {{4, 12}, 3});
+  GlobalRouter router(cg.graph, {{4}, 3});
   const auto routed = router.route(build_net_targets(nl, cg));
   std::vector<std::vector<EdgeId>> route_edges(nl.num_nets());
   for (std::size_t n = 0; n < route_edges.size(); ++n)

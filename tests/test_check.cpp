@@ -201,7 +201,7 @@ struct RoutingFixture {
     for (int x = 0; x < 3; ++x) g.add_edge(at(x, 0), at(x, 1), 10.0, 2);
     nets.push_back({{{at(0, 0)}, {at(2, 0)}}});
     nets.push_back({{{at(0, 1)}, {at(2, 1)}}});
-    result = GlobalRouter(g, {{4, 12}, 3}).route(nets);
+    result = GlobalRouter(g, {{4}, 3}).route(nets);
   }
 };
 

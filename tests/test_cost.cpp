@@ -169,8 +169,8 @@ TEST(Cost, CalibrationTargetsEta) {
 TEST(Cost, CalibrationRespondsToEta) {
   Fixture f(3);
   Rng r1(17), r2(17);
-  CostModel weak(f.placement, f.overlap, CostParams{0.25, 5.0});
-  CostModel strong(f.placement, f.overlap, CostParams{1.0, 5.0});
+  CostModel weak(f.placement, f.overlap, CostParams{0.25});
+  CostModel strong(f.placement, f.overlap, CostParams{1.0});
   const double p_weak = weak.calibrate_p2(f.placement, f.overlap, f.core, r1, 16);
   const double p_strong =
       strong.calibrate_p2(f.placement, f.overlap, f.core, r2, 16);

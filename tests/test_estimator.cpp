@@ -103,16 +103,19 @@ TEST(AreaEstimator, InitialCoreFitsCells) {
 }
 
 TEST(AreaEstimator, CoreRespectsAspect) {
+  // The core is square (height/width 1) and holds the cells at the 0.85
+  // packing efficiency: its area exceeds the cells' by at least 1/0.85.
   const Netlist nl = generate_circuit(tiny_circuit());
   DynamicAreaEstimator est(nl);
-  const Rect tall = est.compute_initial_core(2.0);
-  EXPECT_NEAR(static_cast<double>(tall.height()) / tall.width(), 2.0, 0.1);
+  const Rect core = est.compute_initial_core();
+  EXPECT_LE(std::abs(core.height() - core.width()), 1);
+  EXPECT_GE(static_cast<double>(core.area()),
+            static_cast<double>(nl.total_cell_area()) / 0.85);
 }
 
 TEST(AreaEstimator, RejectsBadInputs) {
   const Netlist nl = generate_circuit(tiny_circuit());
   DynamicAreaEstimator est(nl);
-  EXPECT_THROW(est.compute_initial_core(0.0), std::invalid_argument);
   EXPECT_THROW(est.set_core(Rect{0, 0, 0, 0}), std::invalid_argument);
 }
 

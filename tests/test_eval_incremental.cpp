@@ -206,7 +206,7 @@ void run_fuzz(const Netlist& nl, const FuzzConfig& cfg) {
   Placement p(nl);
   Rng rng(cfg.seed);
   DynamicAreaEstimator est(nl);
-  Rect core = est.compute_initial_core(1.0);
+  Rect core = est.compute_initial_core();
 
   std::optional<OverlapEngine> ov;
   if (cfg.dynamic_engine) {
@@ -584,7 +584,7 @@ TEST(EvalIncremental, CommitAndRevertSemantics) {
   Placement p(nl);
   Rng rng(5);
   DynamicAreaEstimator est(nl);
-  const Rect core = est.compute_initial_core(1.0);
+  const Rect core = est.compute_initial_core();
   OverlapEngine ov(p, core, {});
   p.randomize(rng, core);
   ov.refresh_all();

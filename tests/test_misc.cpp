@@ -1,35 +1,16 @@
 // Edge cases across modules that the per-module suites do not cover:
-// visualization options, junction-region expansion handling, degenerate
-// pin-site configurations, estimator core updates, and report stability.
+// junction-region expansion handling, degenerate pin-site configurations,
+// estimator core updates, and report stability.
 #include <gtest/gtest.h>
 
 #include "channel/channel_graph.hpp"
 #include "flow/report.hpp"
-#include "flow/visualize.hpp"
 #include "place/legalize.hpp"
 #include "refine/stage2.hpp"
 #include "workload/paper_circuits.hpp"
 
 namespace tw {
 namespace {
-
-TEST(VisualizeOptions, TogglesControlOutput) {
-  const Netlist nl = generate_circuit(tiny_circuit(1));
-  Placement p(nl);
-  Rng rng(2);
-  const Rect core{-300, -300, 300, 300};
-  p.randomize(rng, core);
-
-  VisualizeOptions bare;
-  bare.show_pins = false;
-  bare.show_names = false;
-  bare.show_core = false;
-  const std::string s = placement_svg(p, core, bare);
-  EXPECT_EQ(s.find("<circle"), std::string::npos);
-  EXPECT_EQ(s.find("<text"), std::string::npos);
-  // Cells still drawn.
-  EXPECT_NE(s.find("<rect"), std::string::npos);
-}
 
 TEST(Stage2Expansions, JunctionRegionsContributeNothing) {
   // A 4-cell cross produces junction regions; derive_expansions must skip

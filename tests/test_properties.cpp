@@ -158,7 +158,7 @@ TEST_P(CircuitProperty, EverySelectedRouteConnectsItsNet) {
   legalize_spread(p, s1.core, 2);
   const ChannelGraph cg = build_channel_graph(p, s1.core);
   const auto targets = build_net_targets(nl, cg);
-  const auto routed = GlobalRouter(cg.graph, {{4, 12}, 77}).route(targets);
+  const auto routed = GlobalRouter(cg.graph, {{4}, 77}).route(targets);
   EXPECT_EQ(routed.unrouted_nets, 0);
   for (std::size_t n = 0; n < targets.size(); ++n) {
     const Route* r = routed.route_of(n);
@@ -178,7 +178,7 @@ TEST_P(CircuitProperty, RoutedChannelsSatisfyEqn22Bound) {
   legalize_spread(p, s1.core, 2);
   const ChannelGraph cg = build_channel_graph(p, s1.core);
   const auto targets = build_net_targets(nl, cg);
-  const auto routed = GlobalRouter(cg.graph, {{4, 12}, 99}).route(targets);
+  const auto routed = GlobalRouter(cg.graph, {{4}, 99}).route(targets);
   std::vector<std::vector<EdgeId>> route_edges(targets.size());
   for (std::size_t n = 0; n < targets.size(); ++n)
     if (const Route* r = routed.route_of(n)) route_edges[n] = r->edges;

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
 
 #include "check/validate.hpp"
 #include "fingerprint.hpp"
@@ -765,6 +766,19 @@ TEST(RecoverDurable, NumberedFilesListOnlyTheirOwnNamesAscending) {
   EXPECT_FALSE(recover::read_file(dir + "/missing").has_value());
   EXPECT_EQ(recover::read_file(dir + "/ckpt-000010.twcp"),
             (std::vector<std::uint8_t>{'x'}));
+}
+
+TEST(RecoverDurable, EveryDiskSiteHasItsOwnName) {
+  std::set<std::string> names;
+  for (std::size_t i = 0; i < recover::kNumDiskSites; ++i) {
+    const auto site = static_cast<DiskSite>(i);
+    EXPECT_STRNE(recover::to_string(site), "unknown") << i;
+    names.insert(recover::to_string(site));
+  }
+  EXPECT_EQ(names.size(), recover::kNumDiskSites);
+  EXPECT_STREQ(
+      recover::to_string(static_cast<DiskSite>(recover::kNumDiskSites)),
+      "unknown");
 }
 
 TEST(RecoverDurable, UnframeChecksInOrderWithTypedCodes) {

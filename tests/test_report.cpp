@@ -80,7 +80,7 @@ TEST(Visualize, RoutingSvgContainsRoutesAndChannels) {
   p.randomize(rng, core);
   legalize_spread(p, core, 2);
   const ChannelGraph cg = build_channel_graph(p, core);
-  GlobalRouter router(cg.graph, {{4, 12}, 5});
+  GlobalRouter router(cg.graph, {{4}, 5});
   const auto routed = router.route(build_net_targets(nl, cg));
   const std::string s = routing_svg(p, core, cg, routed);
   EXPECT_NE(s.find("<line"), std::string::npos);   // route segments

@@ -59,7 +59,7 @@ NetTargets two_pin(NodeId a, NodeId b) {
 TEST(Interchange, AllShortWhenCapacityAllows) {
   TwoCorridor f(4);
   std::vector<NetTargets> nets{two_pin(f.s, f.t), two_pin(f.s, f.t)};
-  GlobalRouter router(f.g, {{8, 12}, 1});
+  GlobalRouter router(f.g, {{8}, 1});
   const auto r = router.route(nets);
   EXPECT_EQ(r.total_overflow, 0);
   EXPECT_DOUBLE_EQ(r.total_length, 60.0);  // both on the short corridor
@@ -71,7 +71,7 @@ TEST(Interchange, SpillsToLongCorridorUnderPressure) {
   TwoCorridor f(1);
   std::vector<NetTargets> nets{two_pin(f.s, f.t), two_pin(f.s, f.t),
                                two_pin(f.s, f.t)};
-  GlobalRouter router(f.g, {{8, 12}, 3});
+  GlobalRouter router(f.g, {{8}, 3});
   const auto r = router.route(nets);
   EXPECT_EQ(r.total_overflow, 0);
   EXPECT_DOUBLE_EQ(r.total_length, 30.0 + 60.0 + 60.0);
@@ -82,7 +82,7 @@ TEST(Interchange, ReportsOverflowWhenInfeasible) {
   TwoCorridor f(1, 1);
   std::vector<NetTargets> nets{two_pin(f.s, f.t), two_pin(f.s, f.t),
                                two_pin(f.s, f.t)};
-  GlobalRouter router(f.g, {{8, 12}, 5});
+  GlobalRouter router(f.g, {{8}, 5});
   const auto r = router.route(nets);
   EXPECT_GT(r.total_overflow, 0);
   // Usage bookkeeping consistent with choices.
@@ -100,7 +100,7 @@ TEST(Interchange, SelectedRoutesConnectTheirNets) {
   TwoCorridor f(1);
   std::vector<NetTargets> nets{two_pin(f.s, f.t), two_pin(f.s, f.t),
                                two_pin(f.a1, f.b2)};
-  GlobalRouter router(f.g, {{8, 12}, 7});
+  GlobalRouter router(f.g, {{8}, 7});
   const auto r = router.route(nets);
   for (std::size_t n = 0; n < nets.size(); ++n) {
     const Route* rt = r.route_of(n);
@@ -113,8 +113,8 @@ TEST(Interchange, DeterministicForSeed) {
   TwoCorridor f(1);
   std::vector<NetTargets> nets{two_pin(f.s, f.t), two_pin(f.s, f.t),
                                two_pin(f.s, f.t)};
-  const auto r1 = GlobalRouter(f.g, {{8, 12}, 9}).route(nets);
-  const auto r2 = GlobalRouter(f.g, {{8, 12}, 9}).route(nets);
+  const auto r1 = GlobalRouter(f.g, {{8}, 9}).route(nets);
+  const auto r2 = GlobalRouter(f.g, {{8}, 9}).route(nets);
   EXPECT_EQ(r1.choice, r2.choice);
   EXPECT_DOUBLE_EQ(r1.total_length, r2.total_length);
 }
@@ -123,7 +123,7 @@ TEST(Interchange, TotalLengthConsistent) {
   TwoCorridor f(1);
   std::vector<NetTargets> nets{two_pin(f.s, f.t), two_pin(f.s, f.t),
                                two_pin(f.s, f.t)};
-  const auto r = GlobalRouter(f.g, {{8, 12}, 11}).route(nets);
+  const auto r = GlobalRouter(f.g, {{8}, 11}).route(nets);
   double sum = 0.0;
   for (std::size_t n = 0; n < nets.size(); ++n) sum += r.route_of(n)->length;
   EXPECT_NEAR(r.total_length, sum, 1e-9);
@@ -136,7 +136,7 @@ TEST(Interchange, UnroutableNetCounted) {
   g.add_node({99, 99});  // isolated
   g.add_edge(a, b, 10.0, 2);
   std::vector<NetTargets> nets{two_pin(a, b), two_pin(a, 2)};
-  const auto r = GlobalRouter(g, {{4, 12}, 1}).route(nets);
+  const auto r = GlobalRouter(g, {{4}, 1}).route(nets);
   EXPECT_EQ(r.unrouted_nets, 1);
   EXPECT_EQ(r.choice[1], -1);
   EXPECT_EQ(r.route_of(1), nullptr);
@@ -202,7 +202,7 @@ TEST(Sequential, OrderDependenceDemonstrated) {
   EXPECT_EQ(seq_good.total_overflow, 0);
 
   // The interchange router is order-free: it must match the good outcome.
-  const auto inter = GlobalRouter(g2, {{8, 12}, 21}).route(nets2);
+  const auto inter = GlobalRouter(g2, {{8}, 21}).route(nets2);
   EXPECT_EQ(inter.total_overflow, 0);
   EXPECT_DOUBLE_EQ(inter.total_length, 45.0 + 10.0);
 
@@ -259,7 +259,7 @@ TEST(Interchange, AugmentationGivesUpGracefully) {
   const NodeId b = g.add_node({10, 0});
   g.add_edge(a, b, 10.0, 1);
   std::vector<NetTargets> nets{two_pin(a, b), two_pin(a, b), two_pin(a, b)};
-  const auto r = GlobalRouter(g, {{2, 12}, 3}).route(nets);
+  const auto r = GlobalRouter(g, {{2}, 3}).route(nets);
   EXPECT_EQ(r.total_overflow, 2);
   EXPECT_EQ(r.unrouted_nets, 0);
 }

@@ -28,8 +28,10 @@
 #include <iterator>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <thread>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "netlist/parser.hpp"
@@ -199,6 +201,35 @@ TEST(WireTest, RoundTripsEveryMessageType) {
   }
   EXPECT_FALSE(parser.has_message());
   EXPECT_EQ(parser.buffered(), 0u);
+}
+
+/// The type of each Message alternative, in variant order: every
+/// MsgType a frame can carry.
+template <std::size_t... I>
+std::vector<MsgType> every_msg_type(std::index_sequence<I...>) {
+  return {type_of(Message(std::in_place_index<I>))...};
+}
+
+TEST(WireTest, EveryMsgTypeAndJobStateHasItsOwnName) {
+  const std::vector<MsgType> types =
+      every_msg_type(std::make_index_sequence<std::variant_size_v<Message>>{});
+  std::set<std::string> names;
+  for (MsgType t : types) {
+    EXPECT_STRNE(to_string(t), "unknown") << static_cast<int>(t);
+    names.insert(to_string(t));
+  }
+  EXPECT_EQ(names.size(), types.size());
+  EXPECT_STREQ(to_string(static_cast<MsgType>(0)), "unknown");
+
+  const JobState states[] = {JobState::kQueued, JobState::kRunning,
+                             JobState::kDone};
+  names.clear();
+  for (JobState s : states) {
+    EXPECT_STRNE(to_string(s), "unknown") << static_cast<int>(s);
+    names.insert(to_string(s));
+  }
+  EXPECT_EQ(names.size(), std::size(states));
+  EXPECT_STREQ(to_string(static_cast<JobState>(3)), "unknown");
 }
 
 TEST(WireTest, DecodedFieldsSurviveTheRoundTrip) {

@@ -90,7 +90,7 @@ TEST(Stage1, StopsAtMinimumWindow) {
   Placement placement(nl);
   const Stage1Result r = placer.run(placement);
   EXPECT_EQ(r.trace.back().window_x, 6);
-  EXPECT_LT(r.temperature_steps, fast_params().max_temperature_steps);
+  EXPECT_LT(r.temperature_steps, kStage1MaxSteps);
 }
 
 TEST(Stage1, TInfinityScalesWithCellArea) {

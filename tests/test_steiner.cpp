@@ -29,7 +29,7 @@ TEST(Steiner, TwoPinReducesToShortestPaths) {
   Grid4 f;
   NetTargets net;
   net.pins = {{f.at(0, 0)}, {f.at(0, 3)}};
-  const auto routes = m_best_routes(f.g, net, {8, 12});
+  const auto routes = m_best_routes(f.g, net, {8});
   ASSERT_GE(routes.size(), 2u);
   EXPECT_DOUBLE_EQ(routes[0].length, 30.0);
   for (std::size_t i = 1; i < routes.size(); ++i)
@@ -43,7 +43,7 @@ TEST(Steiner, ThreePinLShapedNetUsesSteinerPoint) {
   // (a corner tree through (0,0)).
   NetTargets net;
   net.pins = {{f.at(0, 0)}, {f.at(0, 3)}, {f.at(3, 0)}};
-  const auto routes = m_best_routes(f.g, net, {8, 12});
+  const auto routes = m_best_routes(f.g, net, {8});
   ASSERT_FALSE(routes.empty());
   EXPECT_DOUBLE_EQ(routes[0].length, 60.0);
   EXPECT_TRUE(route_connects(f.g, net, routes[0]));
@@ -54,7 +54,7 @@ TEST(Steiner, FourPinCrossNet) {
   // Pins on the four corners: minimal tree length 90 on a 4x4 grid.
   NetTargets net;
   net.pins = {{f.at(0, 0)}, {f.at(0, 3)}, {f.at(3, 0)}, {f.at(3, 3)}};
-  const auto routes = m_best_routes(f.g, net, {8, 12});
+  const auto routes = m_best_routes(f.g, net, {8});
   ASSERT_FALSE(routes.empty());
   EXPECT_DOUBLE_EQ(routes[0].length, 90.0);
   for (const auto& r : routes) {
@@ -69,7 +69,7 @@ TEST(Steiner, RoutesAreDistinct) {
   Grid4 f;
   NetTargets net;
   net.pins = {{f.at(0, 0)}, {f.at(3, 3)}};
-  const auto routes = m_best_routes(f.g, net, {10, 12});
+  const auto routes = m_best_routes(f.g, net, {10});
   std::set<std::vector<EdgeId>> seen;
   for (const auto& r : routes) EXPECT_TRUE(seen.insert(r.edges).second);
   EXPECT_GT(routes.size(), 3u);
@@ -81,7 +81,7 @@ TEST(Steiner, EquivalentPinPicksCloserAlternative) {
   // route should use (0,3) (distance 30 vs 60).
   NetTargets net;
   net.pins = {{f.at(0, 0)}, {f.at(0, 3), f.at(3, 3)}};
-  const auto routes = m_best_routes(f.g, net, {6, 12});
+  const auto routes = m_best_routes(f.g, net, {6});
   ASSERT_FALSE(routes.empty());
   EXPECT_DOUBLE_EQ(routes[0].length, 30.0);
 }
@@ -107,7 +107,7 @@ TEST(Steiner, SinglePinNetIsEmptyRoute) {
   Grid4 f;
   NetTargets net;
   net.pins = {{f.at(0, 0)}};
-  const auto routes = m_best_routes(f.g, net, {4, 12});
+  const auto routes = m_best_routes(f.g, net, {4});
   ASSERT_EQ(routes.size(), 1u);
   EXPECT_TRUE(routes[0].edges.empty());
 }
@@ -118,35 +118,38 @@ TEST(Steiner, UnroutableNetReturnsEmpty) {
   g.add_node({10, 10});
   NetTargets net;
   net.pins = {{0}, {1}};
-  EXPECT_TRUE(m_best_routes(g, net, {4, 12}).empty());
+  EXPECT_TRUE(m_best_routes(g, net, {4}).empty());
 }
 
 TEST(Steiner, PinWithNoAlternativesIsUnroutable) {
   Grid4 f;
   NetTargets net;
   net.pins = {{f.at(0, 0)}, {}};
-  EXPECT_TRUE(m_best_routes(f.g, net, {4, 12}).empty());
+  EXPECT_TRUE(m_best_routes(f.g, net, {4}).empty());
 }
 
 TEST(Steiner, WideNetFallsBackToGreedy) {
   Grid4 f;
   NetTargets net;
-  // 6 pins with threshold 5 -> beam width 1, still a valid tree.
-  net.pins = {{f.at(0, 0)}, {f.at(0, 3)}, {f.at(3, 0)},
-              {f.at(3, 3)}, {f.at(1, 1)}, {f.at(2, 2)}};
-  SteinerParams params;
-  params.m = 4;
-  params.wide_net_threshold = 5;
-  const auto routes = m_best_routes(f.g, net, params);
+  // kWideNetPins + 1 = 13 pins -> beam width 1, still a valid tree.
+  for (int r = 0; r < 4; ++r)
+    for (int c = 0; c < 4; ++c)
+      if (static_cast<int>(net.pins.size()) <= kWideNetPins)
+        net.pins.push_back({f.at(r, c)});
+  ASSERT_EQ(static_cast<int>(net.pins.size()), kWideNetPins + 1);
+  const auto routes = m_best_routes(f.g, net, {4});
   ASSERT_EQ(routes.size(), 1u);
   EXPECT_TRUE(route_connects(f.g, net, routes[0]));
+  // One pin fewer keeps the full beam.
+  net.pins.pop_back();
+  EXPECT_GT(m_best_routes(f.g, net, {4}).size(), 1u);
 }
 
 TEST(Steiner, SharedNodePinsConnectTrivially) {
   Grid4 f;
   NetTargets net;
   net.pins = {{f.at(1, 1)}, {f.at(1, 1)}};
-  const auto routes = m_best_routes(f.g, net, {4, 12});
+  const auto routes = m_best_routes(f.g, net, {4});
   ASSERT_FALSE(routes.empty());
   EXPECT_DOUBLE_EQ(routes[0].length, 0.0);
   EXPECT_TRUE(route_connects(f.g, net, routes[0]));
@@ -156,7 +159,7 @@ TEST(Steiner, MLimitsRouteCount) {
   Grid4 f;
   NetTargets net;
   net.pins = {{f.at(0, 0)}, {f.at(3, 3)}};
-  const auto routes = m_best_routes(f.g, net, {3, 12});
+  const auto routes = m_best_routes(f.g, net, {3});
   EXPECT_LE(routes.size(), 3u);
 }
 
@@ -164,7 +167,7 @@ TEST(Steiner, RouteLengthMatchesEdgeSum) {
   Grid4 f;
   NetTargets net;
   net.pins = {{f.at(0, 1)}, {f.at(2, 3)}, {f.at(3, 0)}};
-  for (const auto& r : m_best_routes(f.g, net, {6, 12})) {
+  for (const auto& r : m_best_routes(f.g, net, {6})) {
     double sum = 0.0;
     for (EdgeId e : r.edges) sum += f.g.edge(e).length;
     EXPECT_DOUBLE_EQ(r.length, sum);

@@ -88,16 +88,6 @@ TEST(Yal, PositionalSignalBinding) {
   }
 }
 
-TEST(Yal, PowerFilteringConfigurable) {
-  YalOptions opts;
-  opts.power_names.clear();
-  opts.drop_singleton_nets = false;
-  const Netlist nl = parse_yal_string(kSample, opts);
-  // VDD now kept: one more net, two more pins.
-  EXPECT_EQ(nl.num_nets(), 4u);
-  EXPECT_EQ(nl.num_pins(), 10u);
-}
-
 TEST(Yal, SingletonNetsDropped) {
   const char* text = R"(
 MODULE m; TYPE GENERAL;
@@ -159,9 +149,7 @@ TEST(Yal, CommentsSkipped) {
 TEST(Yal, WriterRoundTrip) {
   const Netlist original = generate_circuit(tiny_circuit(9));
   const std::string yal = write_yal(original, "tiny");
-  YalOptions opts;
-  opts.drop_singleton_nets = false;
-  const Netlist back = parse_yal_string(yal, opts);
+  const Netlist back = parse_yal_string(yal);
   EXPECT_EQ(back.num_cells(), original.num_cells());
   EXPECT_EQ(back.num_nets(), original.num_nets());
   EXPECT_EQ(back.num_pins(), original.num_pins());
